@@ -15,6 +15,7 @@
 package ifls_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -90,9 +91,9 @@ func runSolver(b *testing.B, ix *ifls.Index, q *ifls.Query, solver string) {
 	for i := 0; i < b.N; i++ {
 		switch solver {
 		case "efficient":
-			ix.Solve(q)
+			ix.Query(context.Background(), q, ifls.QueryOptions{})
 		case "baseline":
-			ix.SolveBaseline(q)
+			ix.Query(context.Background(), q, ifls.QueryOptions{Objective: ifls.Baseline})
 		}
 	}
 }
@@ -236,13 +237,13 @@ func BenchmarkVariants(b *testing.B) {
 	b.Run("mindist", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ix.SolveMinDist(q)
+			ix.Query(context.Background(), q, ifls.QueryOptions{Objective: ifls.MinDist})
 		}
 	})
 	b.Run("maxsum", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ix.SolveMaxSum(q)
+			ix.Query(context.Background(), q, ifls.QueryOptions{Objective: ifls.MaxSum})
 		}
 	})
 }
@@ -256,16 +257,16 @@ func BenchmarkAblationSession(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ix.Solve(q)
+			ix.Query(context.Background(), q, ifls.QueryOptions{})
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		sess := ix.NewSession()
-		sess.Solve(q) // warm-up outside the timed loop
+		sess.Query(context.Background(), q, ifls.QueryOptions{}) // warm-up outside the timed loop
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sess.Solve(q)
+			sess.Query(context.Background(), q, ifls.QueryOptions{})
 		}
 	})
 }
@@ -291,13 +292,13 @@ func BenchmarkAblationIPTree(b *testing.B) {
 	b.Run("vip", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			vipIx.Solve(q)
+			vipIx.Query(context.Background(), q, ifls.QueryOptions{})
 		}
 	})
 	b.Run("ip", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ipIx.Solve(q)
+			ipIx.Query(context.Background(), q, ifls.QueryOptions{})
 		}
 	})
 }

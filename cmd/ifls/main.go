@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -98,29 +99,41 @@ func run() error {
 	}
 	fmt.Printf("index built in %v\n\n", time.Since(buildStart).Round(time.Millisecond))
 
+	objectives := map[string]ifls.Objective{
+		"efficient": ifls.MinMax, "baseline": ifls.Baseline, "mindist": ifls.MinDist, "maxsum": ifls.MaxSum,
+	}
+	var runs []string
 	switch *objective {
 	case "minmax":
 		if *solver == "efficient" || *solver == "both" {
-			report("efficient", func() ifls.Result { return ix.Solve(q) }, venue)
+			runs = append(runs, "efficient")
 		}
 		if *solver == "baseline" || *solver == "both" {
-			report("baseline", func() ifls.Result { return ix.SolveBaseline(q) }, venue)
+			runs = append(runs, "baseline")
 		}
-	case "mindist":
-		reportExt("mindist", func() ifls.ExtResult { return ix.SolveMinDist(q) }, venue)
-	case "maxsum":
-		reportExt("maxsum", func() ifls.ExtResult { return ix.SolveMaxSum(q) }, venue)
+	case "mindist", "maxsum":
+		runs = []string{*objective}
 	default:
 		return fmt.Errorf("unknown objective %q", *objective)
+	}
+	for _, name := range runs {
+		obj := objectives[name]
+		start := time.Now()
+		a, err := ix.Query(context.Background(), q, ifls.QueryOptions{Objective: obj})
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		fmt.Printf("[%s] %v\n", name, time.Since(start).Round(time.Microsecond))
+		if obj == ifls.MinMax || obj == ifls.Baseline {
+			report(a.MinMax, venue)
+		} else {
+			reportExt(a.Ext, venue)
+		}
 	}
 	return nil
 }
 
-func report(name string, solve func() ifls.Result, venue *ifls.Venue) {
-	start := time.Now()
-	res := solve()
-	elapsed := time.Since(start)
-	fmt.Printf("[%s] %v\n", name, elapsed.Round(time.Microsecond))
+func report(res ifls.Result, venue *ifls.Venue) {
 	if res.Found {
 		p := venue.Partition(res.Answer)
 		fmt.Printf("  answer: partition %d (%s) — objective %.2f m\n", res.Answer, p.Name, res.Objective)
@@ -130,11 +143,7 @@ func report(name string, solve func() ifls.Result, venue *ifls.Venue) {
 	printStats(res.Stats)
 }
 
-func reportExt(name string, solve func() ifls.ExtResult, venue *ifls.Venue) {
-	start := time.Now()
-	res := solve()
-	elapsed := time.Since(start)
-	fmt.Printf("[%s] %v\n", name, elapsed.Round(time.Microsecond))
+func reportExt(res ifls.ExtResult, venue *ifls.Venue) {
 	if res.Answer == ifls.NoPartition {
 		fmt.Println("  no answer (empty query)")
 		return

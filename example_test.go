@@ -1,6 +1,7 @@
 package ifls_test
 
 import (
+	"context"
 	"fmt"
 
 	ifls "github.com/indoorspatial/ifls"
@@ -23,20 +24,23 @@ func smallVenue() (*ifls.Venue, []ifls.PartitionID) {
 	return v, rooms
 }
 
-// ExampleIndex_Solve places a new facility so the farthest client's walk is
+// ExampleIndex_Query places a new facility so the farthest client's walk is
 // as short as possible.
-func ExampleIndex_Solve() {
+func ExampleIndex_Query() {
 	venue, rooms := smallVenue()
 	ix, _ := ifls.NewIndex(venue)
 
-	res := ix.Solve(&ifls.Query{
+	a, err := ix.Query(context.Background(), &ifls.Query{
 		Existing:   []ifls.PartitionID{rooms[0]},
 		Candidates: []ifls.PartitionID{rooms[1], rooms[2]},
 		Clients: []ifls.Client{
 			{ID: 0, Loc: ifls.Pt(25, 9, 0), Part: rooms[2]},
 		},
-	})
-	fmt.Println(venue.Partition(res.Answer).Name, res.Objective)
+	}, ifls.QueryOptions{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(venue.Partition(a.MinMax.Answer).Name, a.MinMax.Objective)
 	// Output: R2 0
 }
 
@@ -59,18 +63,21 @@ func ExampleIndex_NearestFacility() {
 	// Output: R1 at 15 m
 }
 
-// ExampleIndex_SolveTopK ranks candidate locations by their objective.
-func ExampleIndex_SolveTopK() {
+// ExampleIndex_Query_topK ranks candidate locations by their objective.
+func ExampleIndex_Query_topK() {
 	venue, rooms := smallVenue()
 	ix, _ := ifls.NewIndex(venue)
-	top := ix.SolveTopK(&ifls.Query{
+	a, err := ix.Query(context.Background(), &ifls.Query{
 		Existing:   []ifls.PartitionID{rooms[0]},
 		Candidates: []ifls.PartitionID{rooms[1], rooms[2]},
 		Clients: []ifls.Client{
 			{ID: 0, Loc: ifls.Pt(25, 9, 0), Part: rooms[2]},
 		},
-	}, 2)
-	for _, rc := range top {
+	}, ifls.QueryOptions{Objective: ifls.TopK, K: 2})
+	if err != nil {
+		panic(err)
+	}
+	for _, rc := range a.TopK {
 		fmt.Printf("%s %.0f\n", venue.Partition(rc.Candidate).Name, rc.Objective)
 	}
 	// Output:

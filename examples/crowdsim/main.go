@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -51,7 +52,11 @@ func main() {
 		}
 		q := &ifls.Query{Existing: existing, Candidates: candidates, Clients: sim.Snapshot()}
 		start := time.Now()
-		res := sess.Solve(q)
+		a, err := sess.Query(context.Background(), q, ifls.QueryOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res := a.MinMax
 		elapsed := time.Since(start)
 		if !res.Found {
 			fmt.Printf("t=%-6v no cart position helps (crowd already near service points)\n", sim.Elapsed())

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -35,6 +36,7 @@ func main() {
 	fmt.Printf("venue %q: %d existing fresh-food shops, %d candidate rooms\n\n",
 		venue.Name, len(existing), len(candidates))
 
+	ctx := context.Background()
 	sess := ix.NewSession()
 	sigmas := []float64{0.25, 0.5, 1.0, 0.5, 0.25} // crowd spreads out and contracts
 	var warmTotal, coldTotal time.Duration
@@ -47,12 +49,20 @@ func main() {
 		q := &ifls.Query{Existing: existing, Candidates: candidates, Clients: crowd}
 
 		start := time.Now()
-		warm := sess.Solve(q)
+		wa, err := sess.Query(ctx, q, ifls.QueryOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		warm := wa.MinMax
 		warmTime := time.Since(start)
 		warmTotal += warmTime
 
 		start = time.Now()
-		cold := ix.Solve(q)
+		ca, err := ix.Query(ctx, q, ifls.QueryOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		cold := ca.MinMax
 		coldTime := time.Since(start)
 		coldTotal += coldTime
 

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -92,17 +93,21 @@ func main() {
 	fmt.Printf("query: %d beds, %d existing stations, %d candidate wards\n\n",
 		len(beds), len(existing), len(candidates))
 
-	run := func(name string, f func(*ifls.Query) ifls.Result) ifls.Result {
+	run := func(name string, obj ifls.Objective) ifls.Result {
 		start := time.Now()
-		res := f(q)
+		a, err := ix.Query(context.Background(), q, ifls.QueryOptions{Objective: obj})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res := a.MinMax
 		fmt.Printf("%-10s %8v  answer=%-12s objective=%.1f m  (dist calcs %d, pruned %d)\n",
 			name, time.Since(start).Round(time.Microsecond),
 			venue.Partition(res.Answer).Name, res.Objective,
 			res.Stats.DistanceCalcs, res.Stats.PrunedClients)
 		return res
 	}
-	eff := run("efficient", ix.Solve)
-	base := run("baseline", ix.SolveBaseline)
+	eff := run("efficient", ifls.MinMax)
+	base := run("baseline", ifls.Baseline)
 	if eff.Objective != base.Objective {
 		log.Fatalf("solvers disagree: %v vs %v", eff.Objective, base.Objective)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -45,15 +46,22 @@ func main() {
 		log.Fatal(err)
 	}
 	q := &ifls.Query{Existing: existing, Candidates: candidates, Clients: visitors}
+	query := func(obj ifls.Objective) ifls.Answer {
+		a, err := ix.Query(context.Background(), q, ifls.QueryOptions{Objective: obj})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return a
+	}
 
 	start := time.Now()
-	maxSum := ix.SolveMaxSum(q)
+	maxSum := query(ifls.MaxSum).Ext
 	fmt.Printf("\n[maxsum]  %v\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("  booth location: %s — captures %.0f of %d visitors\n",
 		venue.Partition(maxSum.Answer).Name, maxSum.Objective, len(visitors))
 
 	start = time.Now()
-	minMax := ix.Solve(q)
+	minMax := query(ifls.MinMax).MinMax
 	fmt.Printf("[minmax]  %v\n", time.Since(start).Round(time.Millisecond))
 	if minMax.Found {
 		fmt.Printf("  coverage location: %s — worst visitor walk becomes %.1f m\n",
@@ -63,7 +71,7 @@ func main() {
 	}
 
 	start = time.Now()
-	minDist := ix.SolveMinDist(q)
+	minDist := query(ifls.MinDist).Ext
 	fmt.Printf("[mindist] %v\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("  total-distance location: %s — average walk %.1f m\n",
 		venue.Partition(minDist.Answer).Name, minDist.Objective/float64(len(visitors)))

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,7 +52,11 @@ func main() {
 		Clients:    clients,
 	}
 
-	res := ix.Solve(q)
+	a, err := ix.Query(context.Background(), q, ifls.QueryOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := a.MinMax
 	if !res.Found {
 		fmt.Println("no candidate improves the longest coffee walk")
 		return

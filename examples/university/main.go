@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -59,7 +60,11 @@ func main() {
 
 	q := &ifls.Query{Existing: existing, Candidates: candidates, Clients: occupants}
 	start = time.Now()
-	res := ix.Solve(q)
+	ans, err := ix.Query(context.Background(), q, ifls.QueryOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := ans.MinMax
 	fmt.Printf("IFLS solved in %v\n", time.Since(start).Round(time.Millisecond))
 	if !res.Found {
 		fmt.Println("no candidate shortens the worst walk to a printer")

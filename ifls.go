@@ -25,34 +25,37 @@
 //
 // # Querying
 //
-// Build an Index (a VIP-tree) once per venue, then run queries against it:
+// Build an Index (a VIP-tree) once per venue, then run queries against it
+// through its one entry point, Index.Query:
 //
 //	ix, _ := ifls.NewIndex(venue)
-//	res := ix.Solve(&ifls.Query{
+//	a, err := ix.Query(ctx, &ifls.Query{
 //		Existing:   []ifls.PartitionID{cafe},
 //		Candidates: candidates,
 //		Clients:    clients,
-//	})
-//	if res.Found {
-//		fmt.Println("place the new facility in", res.Answer)
+//	}, ifls.QueryOptions{})
+//	if err == nil && a.MinMax.Found {
+//		fmt.Println("place the new facility in", a.MinMax.Answer)
 //	}
 //
-// Solve is the paper's efficient approach; SolveBaseline is the modified
-// MinMax baseline the paper compares against; SolveMinDist and SolveMaxSum
-// are the Section 7 extensions. The Index also answers plain indoor
-// distance and nearest-facility queries.
+// QueryOptions.Objective selects the algorithm: MinMax (the zero value) is
+// the paper's efficient approach; Baseline is the modified MinMax
+// algorithm the paper compares against; MinDist and MaxSum are the
+// Section 7 extensions; TopK and Multi rank K candidates or greedily place
+// K facilities. Index.QueryAt answers MinMax at a time of day with doors
+// closed on schedule. Session.Query answers the same queries over caches
+// that persist across calls. The Index also answers plain indoor distance
+// and nearest-facility queries.
 //
 // # Errors, cancellation, and failure containment
 //
-// Every solver has a Context variant (SolveContext, SolveBaselineContext,
-// SolveMinDistContext, SolveMaxSumContext, SolveTopKContext,
-// SolveMultiContext; NewIndexContext for construction). The Context variants
-// validate the query first and return errors from a small fixed taxonomy —
-// ErrInvalidQuery, ErrMalformedVenue, ErrCancelled, ErrInvalidWorkload,
-// ErrUnknownObjective, ErrInvalidOptions, ErrSolverPanic — classified with
-// errors.Is:
+// Query validates its input and returns errors from a small fixed taxonomy
+// — ErrInvalidQuery, ErrMalformedVenue, ErrCancelled, ErrInvalidWorkload,
+// ErrUnknownObjective, ErrInvalidOptions, ErrSolverPanic (and, from the
+// serving and index-file layers, ErrOverloaded, ErrDeadlineExceeded,
+// ErrCorruptIndex) — classified with errors.Is:
 //
-//	res, err := ix.SolveContext(ctx, q)
+//	a, err := ix.Query(ctx, q, ifls.QueryOptions{})
 //	switch {
 //	case errors.Is(err, ifls.ErrCancelled):    // ctx expired; retry later
 //	case errors.Is(err, ifls.ErrInvalidQuery): // reject the request
@@ -61,18 +64,19 @@
 //
 // A cancelled context stops the solver at its next checkpoint and the error
 // also satisfies errors.Is(err, context.Canceled) (or DeadlineExceeded).
-// The plain, non-context methods never panic either: internal panics are
-// recovered at the API boundary and degrade to the zero "not found" result.
+// Internal panics are recovered at the API boundary and contained to the
+// one query that triggered them. NewIndexContext gives index construction
+// the same cancellation contract.
 package ifls
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"time"
 
+	"github.com/indoorspatial/ifls/internal/batch"
 	"github.com/indoorspatial/ifls/internal/continuous"
 	"github.com/indoorspatial/ifls/internal/core"
 	"github.com/indoorspatial/ifls/internal/faults"
@@ -190,9 +194,9 @@ type Index struct {
 	venue   *indoor.Venue
 	tree    *vip.Tree
 	locator *locate.Locator
-	// metrics, when set via WithMetrics, makes every Context solver method
-	// record per-query spans and aggregates. Nil (the default) keeps the
-	// solvers on their unobserved paths.
+	// metrics, when set via WithMetrics, makes every Query record per-query
+	// spans and aggregates. Nil (the default) keeps the solvers on their
+	// unobserved paths.
 	metrics *obs.Metrics
 }
 
@@ -303,8 +307,9 @@ func OpenIndexFile(path string, v *Venue, o PagedIndexOptions) (*Index, error) {
 func (ix *Index) Close() error { return ix.tree.Close() }
 
 // guard runs fn and converts any escaping panic into an ErrSolverPanic
-// error, containing the failure to the calling query. It is the single
-// recovery point for every exported solver entry.
+// error, containing the failure to the calling query. Index.Query gets the
+// same containment from batch.Execute; guard covers the paths that do not
+// go through it.
 func guard(fn func()) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -315,186 +320,87 @@ func guard(fn func()) (err error) {
 	return nil
 }
 
-// notFound is the degraded result a plain (error-less) solver method returns
-// when a panic was contained: indistinguishable from "no improving
-// candidate", which is the safest answer the signature can express.
-func notFound() Result {
-	return Result{Found: false, Answer: NoPartition, Objective: math.NaN()}
+// Objective selects what a query optimizes. The zero value is MinMax.
+type Objective = core.Objective
+
+// The query objectives.
+const (
+	// MinMax minimizes the maximum client-to-nearest-facility distance
+	// with the paper's efficient approach (Algorithms 2 and 3).
+	MinMax = core.ObjMinMax
+	// Baseline answers MinMax with the modified MinMax algorithm
+	// (Algorithm 1) the paper compares against.
+	Baseline = core.ObjBaseline
+	// MinDist minimizes the total client-to-nearest-facility distance
+	// (Section 7).
+	MinDist = core.ObjMinDist
+	// MaxSum maximizes the number of clients that would switch to the new
+	// facility (Section 7).
+	MaxSum = core.ObjMaxSum
+	// TopK ranks up to QueryOptions.K candidates with the smallest MinMax
+	// objectives, ascending, each with its exact objective; candidates
+	// that do not improve on the status quo are omitted.
+	TopK = core.ObjTopK
+	// Multi greedily selects QueryOptions.K candidates for K new
+	// facilities: each round solves a single-facility MinMax query and
+	// folds the winner into the existing set, stopping early when no
+	// candidate improves. (Joint k-facility MinMax selection is NP-hard.)
+	Multi = core.ObjMulti
+)
+
+// QueryOptions configure Index.Query and Session.Query. The zero value
+// answers MinMax with the efficient approach.
+type QueryOptions struct {
+	// Objective selects what the query optimizes.
+	Objective Objective
+	// K is the ranking length for TopK and the facility count for Multi;
+	// ignored otherwise.
+	K int
 }
 
-// validated runs Query.Validate against the indexed venue, so every Context
-// solver rejects malformed input with ErrInvalidQuery before touching the
-// tree.
-func (ix *Index) validated(q *Query) error {
-	if q == nil {
-		return fmt.Errorf("%w: nil query", ErrInvalidQuery)
-	}
-	return q.Validate(ix.venue)
-}
+// Answer is the outcome of one query: the field selected by the objective
+// is populated — MinMax for MinMax and Baseline, Ext for MinDist and
+// MaxSum, TopK for TopK, Multi for Multi — and the rest stay zero. A plain
+// value owned by the caller.
+type Answer = core.ExecResult
 
-// Solve answers a MinMax IFLS query with the paper's efficient approach.
-// Solve never panics: a contained internal failure degrades to the
-// "not found" result. Use SolveContext to observe failures as errors.
-func (ix *Index) Solve(q *Query) Result {
-	var r Result
-	if err := guard(func() { r = core.Solve(ix.tree, q) }); err != nil {
-		return notFound()
-	}
-	return r
-}
-
-// SolveContext is Solve with input validation and cooperative cancellation.
-// It rejects malformed queries with ErrInvalidQuery, stops at the next
-// solver checkpoint when ctx is cancelled (ErrCancelled), and converts any
-// internal panic into ErrSolverPanic instead of crashing the caller.
-func (ix *Index) SolveContext(ctx context.Context, q *Query) (r Result, err error) {
-	if ix.metrics != nil {
-		return ix.solveContextObserved(ctx, q)
-	}
-	if err := ix.validated(q); err != nil {
-		return notFound(), err
-	}
-	if gerr := guard(func() { r, err = core.SolveContext(ctx, ix.tree, q) }); gerr != nil {
-		return notFound(), gerr
-	}
-	return r, err
-}
-
-// SolveBaseline answers the query with the modified MinMax baseline
-// (Algorithm 1), provided for comparison and benchmarking. Never panics;
-// see Solve.
-func (ix *Index) SolveBaseline(q *Query) Result {
-	var r Result
-	if err := guard(func() { r = core.SolveBaseline(ix.tree, q) }); err != nil {
-		return notFound()
-	}
-	return r
-}
-
-// SolveBaselineContext is SolveBaseline with input validation and
-// cooperative cancellation; see SolveContext for the error contract.
-func (ix *Index) SolveBaselineContext(ctx context.Context, q *Query) (r Result, err error) {
-	if ix.metrics != nil {
-		return ix.solveBaselineContextObserved(ctx, q)
-	}
-	if err := ix.validated(q); err != nil {
-		return notFound(), err
-	}
-	if gerr := guard(func() { r, err = core.SolveBaselineContext(ctx, ix.tree, q) }); gerr != nil {
-		return notFound(), gerr
-	}
-	return r, err
-}
-
-// SolveMinDist answers the MinDist variant: the candidate minimizing the
-// total client-to-nearest-facility distance. Never panics; a contained
-// failure degrades to the no-answer ExtResult.
-func (ix *Index) SolveMinDist(q *Query) ExtResult {
-	var r ExtResult
-	if err := guard(func() { r = core.SolveMinDist(ix.tree, q) }); err != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}
-	}
-	return r
-}
-
-// SolveMinDistContext is SolveMinDist with input validation and cooperative
-// cancellation; see SolveContext for the error contract.
-func (ix *Index) SolveMinDistContext(ctx context.Context, q *Query) (r ExtResult, err error) {
-	if ix.metrics != nil {
-		return ix.solveMinDistContextObserved(ctx, q)
-	}
-	if err := ix.validated(q); err != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, err
-	}
-	if gerr := guard(func() { r, err = core.SolveMinDistContext(ctx, ix.tree, q) }); gerr != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, gerr
-	}
-	return r, err
-}
-
-// SolveMaxSum answers the MaxSum variant: the candidate that captures the
-// most clients. Never panics; a contained failure degrades to the no-answer
-// ExtResult.
-func (ix *Index) SolveMaxSum(q *Query) ExtResult {
-	var r ExtResult
-	if err := guard(func() { r = core.SolveMaxSum(ix.tree, q) }); err != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}
-	}
-	return r
-}
-
-// SolveMaxSumContext is SolveMaxSum with input validation and cooperative
-// cancellation; see SolveContext for the error contract.
-func (ix *Index) SolveMaxSumContext(ctx context.Context, q *Query) (r ExtResult, err error) {
-	if ix.metrics != nil {
-		return ix.solveMaxSumContextObserved(ctx, q)
-	}
-	if err := ix.validated(q); err != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, err
-	}
-	if gerr := guard(func() { r, err = core.SolveMaxSumContext(ctx, ix.tree, q) }); gerr != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, gerr
-	}
-	return r, err
-}
-
-// RankedCandidate is one entry of a SolveTopK answer.
+// RankedCandidate is one entry of a TopK answer.
 type RankedCandidate = core.RankedCandidate
 
-// SolveTopK returns up to k candidates with the smallest MinMax objectives
-// in ascending order, each with its exact objective. Candidates that do not
-// improve on the status quo are omitted. Never panics; a contained failure
-// degrades to an empty ranking.
-func (ix *Index) SolveTopK(q *Query, k int) []RankedCandidate {
-	var r []RankedCandidate
-	if err := guard(func() { r = core.SolveTopK(ix.tree, q, k) }); err != nil {
-		return nil
-	}
-	return r
-}
-
-// SolveTopKContext is SolveTopK with input validation and cooperative
-// cancellation; see SolveContext for the error contract.
-func (ix *Index) SolveTopKContext(ctx context.Context, q *Query, k int) (r []RankedCandidate, err error) {
-	if ix.metrics != nil {
-		return ix.solveTopKContextObserved(ctx, q, k)
-	}
-	if err := ix.validated(q); err != nil {
-		return nil, err
-	}
-	if gerr := guard(func() { r, err = core.SolveTopKContext(ctx, ix.tree, q, k) }); gerr != nil {
-		return nil, gerr
-	}
-	return r, err
-}
-
-// MultiResult is the outcome of SolveMulti.
+// MultiResult is the outcome of a Multi query.
 type MultiResult = core.MultiResult
 
-// SolveMulti greedily selects k candidate locations for k new facilities:
-// each round solves a single-facility IFLS query and folds the winner into
-// the existing set. Joint k-facility MinMax selection is NP-hard; the
-// greedy chain is the standard practical approach. Never panics; a
-// contained failure degrades to an empty selection.
-func (ix *Index) SolveMulti(q *Query, k int) MultiResult {
-	var r MultiResult
-	if err := guard(func() { r = core.SolveGreedyMulti(ix.tree, q, k) }); err != nil {
-		return MultiResult{Objective: math.NaN()}
-	}
-	return r
+// Query answers one IFLS query against the index. It validates the query
+// (ErrInvalidQuery), stops at the solver's next checkpoint when ctx is
+// cancelled (ErrCancelled, with ctx's error also in the chain), and
+// converts any internal panic into ErrSolverPanic instead of crashing the
+// caller. On error the Answer is zero. Working memory comes from a shared
+// pool, so concurrent queries on one Index are safe and cheap; when
+// WithMetrics attached a sink, every query is recorded in it.
+func (ix *Index) Query(ctx context.Context, q *Query, o QueryOptions) (Answer, error) {
+	r := batch.Execute(ctx, ix.tree, batch.Query{Objective: o.Objective, K: o.K, Query: q}, ix.metrics)
+	return r.ExecResult, r.Err
 }
 
-// SolveMultiContext is SolveMulti with input validation and cooperative
-// cancellation; the context threads into every greedy round. See
-// SolveContext for the error contract.
-func (ix *Index) SolveMultiContext(ctx context.Context, q *Query, k int) (r MultiResult, err error) {
-	if err := ix.validated(q); err != nil {
-		return MultiResult{Objective: math.NaN()}, err
+// QueryAt answers a MinMax query at time of day at: doors tt keeps closed
+// at that time cannot be traversed. The computation runs exactly on the
+// masked door graph (the index assumes static topology), so it costs one
+// Dijkstra per client partition rather than the indexed solver's shared
+// search. Validation and panic containment are as in Query; the masked
+// search has no checkpoints, so ctx is checked once, before it starts.
+// QueryAt queries are not recorded by WithMetrics.
+func (ix *Index) QueryAt(ctx context.Context, tt *Timetable, at time.Duration, q *Query) (Result, error) {
+	if err := q.Validate(ix.venue); err != nil {
+		return Result{}, err
 	}
-	if gerr := guard(func() { r, err = core.SolveGreedyMultiContext(ctx, ix.tree, q, k) }); gerr != nil {
-		return MultiResult{Objective: math.NaN()}, gerr
+	if ctx != nil && ctx.Err() != nil {
+		return Result{}, faults.Cancelled(ctx.Err())
 	}
-	return r, err
+	var r Result
+	if err := guard(func() { r = temporal.SolveAt(ix.tree.Graph(), tt, q, at).Result }); err != nil {
+		return Result{}, err
+	}
+	return r, nil
 }
 
 // Locate returns the partition containing a point, or NoPartition.
@@ -576,93 +482,18 @@ type Session struct{ s *core.Session }
 // NewSession creates a query session over the index.
 func (ix *Index) NewSession() *Session { return &Session{s: core.NewSession(ix.tree)} }
 
-// Solve answers a MinMax IFLS query, reusing the session's caches. Never
-// panics; a contained failure degrades to the "not found" result.
-func (s *Session) Solve(q *Query) Result {
-	var r Result
-	if err := guard(func() { r = s.s.Solve(q) }); err != nil {
-		return notFound()
+// Query is Index.Query over the session's caches, with the same
+// validation, cancellation, and panic-containment contract. The cache stays
+// consistent on cancellation: distance vectors computed before the cancel
+// remain valid and are reused by later queries. Sessions do not record
+// into the index's metrics.
+func (s *Session) Query(ctx context.Context, q *Query, o QueryOptions) (a Answer, err error) {
+	if gerr := guard(func() {
+		a, err = s.s.Exec(ctx, q, core.Options{Objective: o.Objective, K: o.K, Validate: true})
+	}); gerr != nil {
+		return Answer{}, gerr
 	}
-	return r
-}
-
-// SolveContext is Solve with cooperative cancellation. The session's cache
-// stays consistent on cancellation: distance vectors computed before the
-// cancel remain valid and are reused by later queries.
-func (s *Session) SolveContext(ctx context.Context, q *Query) (r Result, err error) {
-	if gerr := guard(func() { r, err = s.s.SolveContext(ctx, q) }); gerr != nil {
-		return notFound(), gerr
-	}
-	return r, err
-}
-
-// SolveTopK ranks up to k candidates, reusing the session's caches. Never
-// panics; a contained failure degrades to an empty ranking.
-func (s *Session) SolveTopK(q *Query, k int) []RankedCandidate {
-	var r []RankedCandidate
-	if err := guard(func() { r = s.s.SolveTopK(q, k) }); err != nil {
-		return nil
-	}
-	return r
-}
-
-// SolveMinDist answers the MinDist variant, reusing the session's caches.
-// Never panics; a contained failure degrades to the no-answer ExtResult.
-func (s *Session) SolveMinDist(q *Query) ExtResult {
-	var r ExtResult
-	if err := guard(func() { r = s.s.SolveMinDist(q) }); err != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}
-	}
-	return r
-}
-
-// SolveMinDistContext is SolveMinDist with cooperative cancellation; see
-// SolveContext for the cache-consistency contract.
-func (s *Session) SolveMinDistContext(ctx context.Context, q *Query) (r ExtResult, err error) {
-	if gerr := guard(func() { r, err = s.s.SolveMinDistContext(ctx, q) }); gerr != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, gerr
-	}
-	return r, err
-}
-
-// SolveMaxSum answers the MaxSum variant, reusing the session's caches.
-// Never panics; a contained failure degrades to the no-answer ExtResult.
-func (s *Session) SolveMaxSum(q *Query) ExtResult {
-	var r ExtResult
-	if err := guard(func() { r = s.s.SolveMaxSum(q) }); err != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}
-	}
-	return r
-}
-
-// SolveMaxSumContext is SolveMaxSum with cooperative cancellation; see
-// SolveContext for the cache-consistency contract.
-func (s *Session) SolveMaxSumContext(ctx context.Context, q *Query) (r ExtResult, err error) {
-	if gerr := guard(func() { r, err = s.s.SolveMaxSumContext(ctx, q) }); gerr != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, gerr
-	}
-	return r, err
-}
-
-// SolveMulti greedily selects k candidates, reusing the session's caches
-// across the greedy rounds. Never panics; a contained failure degrades to
-// an empty selection.
-func (s *Session) SolveMulti(q *Query, k int) MultiResult {
-	var r MultiResult
-	if err := guard(func() { r = s.s.SolveMulti(q, k) }); err != nil {
-		return MultiResult{Objective: math.NaN()}
-	}
-	return r
-}
-
-// SolveMultiContext is SolveMulti with cooperative cancellation threaded
-// into every greedy round; see SolveContext for the cache-consistency
-// contract.
-func (s *Session) SolveMultiContext(ctx context.Context, q *Query, k int) (r MultiResult, err error) {
-	if gerr := guard(func() { r, err = s.s.SolveMultiContext(ctx, q, k) }); gerr != nil {
-		return MultiResult{Objective: math.NaN()}, gerr
-	}
-	return r, err
+	return a, err
 }
 
 // Neighbor is one entry of a KNearestFacilities or FacilitiesWithin answer.
@@ -719,19 +550,6 @@ func Daily(open, close time.Duration) Schedule { return temporal.Daily(open, clo
 // NewTimetable creates an empty timetable over the indexed venue; doors
 // without schedules stay always open.
 func (ix *Index) NewTimetable() *Timetable { return temporal.NewTimetable(ix.venue) }
-
-// SolveAt answers a MinMax IFLS query at a time of day: doors closed at
-// that time cannot be traversed. The computation runs exactly on the masked
-// door graph (the precomputed index assumes static topology), so it costs
-// one Dijkstra per client rather than the indexed solver's shared search.
-// Never panics; a contained failure degrades to the "not found" result.
-func (ix *Index) SolveAt(tt *Timetable, q *Query, at time.Duration) Result {
-	var r Result
-	if err := guard(func() { r = temporal.SolveAt(ix.tree.Graph(), tt, q, at).Result }); err != nil {
-		return notFound()
-	}
-	return r
-}
 
 // DistanceAt returns the exact indoor distance between two points at a time
 // of day, +Inf when closed doors make them mutually unreachable.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	ifls "github.com/indoorspatial/ifls"
@@ -26,21 +27,26 @@ func robustnessFixture(t *testing.T) (*ifls.Venue, *ifls.Index, *ifls.Query) {
 	return v, ix, q
 }
 
-// TestContextSolversCancel: every exported Context solver must stop on a
-// cancelled context with an error that matches both the package sentinel
-// and the stdlib cause, so callers can classify with either vocabulary.
+// TestContextSolversCancel: every objective, through Index.Query and
+// Session.Query, must stop on a cancelled context with an error that
+// matches both the package sentinel and the stdlib cause, so callers can
+// classify with either vocabulary.
 func TestContextSolversCancel(t *testing.T) {
 	_, ix, q := robustnessFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	query := func(o ifls.QueryOptions) func() error {
+		return func() error { _, err := ix.Query(ctx, q, o); return err }
+	}
 	calls := map[string]func() error{
-		"SolveContext":         func() error { _, err := ix.SolveContext(ctx, q); return err },
-		"SolveBaselineContext": func() error { _, err := ix.SolveBaselineContext(ctx, q); return err },
-		"SolveMinDistContext":  func() error { _, err := ix.SolveMinDistContext(ctx, q); return err },
-		"SolveMaxSumContext":   func() error { _, err := ix.SolveMaxSumContext(ctx, q); return err },
-		"SolveTopKContext":     func() error { _, err := ix.SolveTopKContext(ctx, q, 3); return err },
-		"SolveMultiContext":    func() error { _, err := ix.SolveMultiContext(ctx, q, 2); return err },
-		"Session.SolveContext": func() error { _, err := ix.NewSession().SolveContext(ctx, q); return err },
+		"SolveContext":         query(ifls.QueryOptions{}),
+		"SolveBaselineContext": query(ifls.QueryOptions{Objective: ifls.Baseline}),
+		"SolveMinDistContext":  query(ifls.QueryOptions{Objective: ifls.MinDist}),
+		"SolveMaxSumContext":   query(ifls.QueryOptions{Objective: ifls.MaxSum}),
+		"SolveTopKContext":     query(ifls.QueryOptions{Objective: ifls.TopK, K: 3}),
+		"SolveMultiContext":    query(ifls.QueryOptions{Objective: ifls.Multi, K: 2}),
+		"QueryAt":              func() error { _, err := ix.QueryAt(ctx, ix.NewTimetable(), 0, q); return err },
+		"Session.SolveContext": func() error { _, err := ix.NewSession().Query(ctx, q, ifls.QueryOptions{}); return err },
 	}
 	for name, call := range calls {
 		t.Run(name, func(t *testing.T) {
@@ -73,41 +79,39 @@ func TestNewIndexContextCancel(t *testing.T) {
 	}
 }
 
-// TestContextWrappersMatchPlain pins the bit-identical wrapper guarantee
-// at the public boundary: with a background context, Context methods and
-// their plain counterparts return the same answers.
+// TestContextWrappersMatchPlain pins the public query paths to one answer:
+// for every objective, Index.Query, the same query on a WithMetrics copy,
+// and Session.Query agree, and a live (never cancelled) context changes
+// nothing.
 func TestContextWrappersMatchPlain(t *testing.T) {
 	_, ix, q := robustnessFixture(t)
-	ctx := context.Background()
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	observed := ix.WithMetrics(ifls.NewMetrics())
+	sess := ix.NewSession()
 
-	if r, err := ix.SolveContext(ctx, q); err != nil || r != ix.Solve(q) {
-		t.Errorf("SolveContext = (%+v, %v), plain = %+v", r, err, ix.Solve(q))
-	}
-	if r, err := ix.SolveBaselineContext(ctx, q); err != nil || r != ix.SolveBaseline(q) {
-		t.Errorf("SolveBaselineContext = (%+v, %v), plain = %+v", r, err, ix.SolveBaseline(q))
-	}
-	if r, err := ix.SolveMinDistContext(ctx, q); err != nil || r != ix.SolveMinDist(q) {
-		t.Errorf("SolveMinDistContext = (%+v, %v), plain = %+v", r, err, ix.SolveMinDist(q))
-	}
-	if r, err := ix.SolveMaxSumContext(ctx, q); err != nil || r != ix.SolveMaxSum(q) {
-		t.Errorf("SolveMaxSumContext = (%+v, %v), plain = %+v", r, err, ix.SolveMaxSum(q))
-	}
-	rk, err := ix.SolveTopKContext(ctx, q, 4)
-	pk := ix.SolveTopK(q, 4)
-	if err != nil || len(rk) != len(pk) {
-		t.Fatalf("SolveTopKContext = (%v, %v), plain = %v", rk, err, pk)
-	}
-	for i := range pk {
-		if rk[i] != pk[i] {
-			t.Errorf("TopK[%d]: ctx %+v, plain %+v", i, rk[i], pk[i])
+	for _, obj := range []ifls.Objective{ifls.MinMax, ifls.Baseline, ifls.MinDist, ifls.MaxSum, ifls.TopK, ifls.Multi} {
+		o := ifls.QueryOptions{Objective: obj, K: 3}
+		want := answer(t, ix, q, o)
+		got, err := observed.Query(live, q, o)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: observed, live ctx = (%+v, %v), want %+v", obj, got, err, want)
+		}
+		// A Session charges its persistent explorer cache to the memory
+		// metric, so compare answers, not RetainedBytes.
+		sa := sessionAnswer(t, sess, q, o)
+		sa.MinMax.Stats.RetainedBytes = want.MinMax.Stats.RetainedBytes
+		sa.Ext.Stats.RetainedBytes = want.Ext.Stats.RetainedBytes
+		sa.Multi.Stats.RetainedBytes = want.Multi.Stats.RetainedBytes
+		if !reflect.DeepEqual(sa, want) {
+			t.Errorf("%v: session %+v, want %+v", obj, sa, want)
 		}
 	}
 }
 
 // TestInvalidQueriesReturnTypedErrors drives the validation taxonomy
 // through the public API: each class of malformed query must surface
-// ErrInvalidQuery from Context methods and a degraded result (never a
-// panic) from the plain methods.
+// ErrInvalidQuery (never a panic) from every query path.
 func TestInvalidQueriesReturnTypedErrors(t *testing.T) {
 	v, ix, good := robustnessFixture(t)
 	np := ifls.PartitionID(len(v.Partitions))
@@ -122,14 +126,16 @@ func TestInvalidQueriesReturnTypedErrors(t *testing.T) {
 	}
 	for name, q := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := ix.SolveContext(context.Background(), q); !errors.Is(err, ifls.ErrInvalidQuery) {
-				t.Errorf("SolveContext: got %v, want ErrInvalidQuery", err)
+			ctx := context.Background()
+			if _, err := ix.Query(ctx, q, ifls.QueryOptions{}); !errors.Is(err, ifls.ErrInvalidQuery) {
+				t.Errorf("Index.Query: got %v, want ErrInvalidQuery", err)
 			}
-			// Plain method: must not panic. It keeps the seed solver's
-			// behavior verbatim, so a non-panicking invalid input may
-			// still compute a (meaningless) answer; the typed-error
-			// contract is the Context variants' job.
-			ix.Solve(q)
+			if _, err := ix.NewSession().Query(ctx, q, ifls.QueryOptions{}); !errors.Is(err, ifls.ErrInvalidQuery) {
+				t.Errorf("Session.Query: got %v, want ErrInvalidQuery", err)
+			}
+			if _, err := ix.QueryAt(ctx, ix.NewTimetable(), 0, q); !errors.Is(err, ifls.ErrInvalidQuery) {
+				t.Errorf("QueryAt: got %v, want ErrInvalidQuery", err)
+			}
 		})
 	}
 }
@@ -139,7 +145,7 @@ func TestInvalidQueriesReturnTypedErrors(t *testing.T) {
 // boundary in both directions.
 func TestErrorSentinelsAreFaultsSentinels(t *testing.T) {
 	_, ix, _ := robustnessFixture(t)
-	_, err := ix.SolveContext(context.Background(), nil)
+	_, err := ix.Query(context.Background(), nil, ifls.QueryOptions{})
 	if !errors.Is(err, ifls.ErrInvalidQuery) {
 		t.Fatalf("nil query error %v does not match re-exported sentinel", err)
 	}

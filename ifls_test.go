@@ -2,12 +2,33 @@ package ifls_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 	"time"
 
 	ifls "github.com/indoorspatial/ifls"
 )
+
+// answer runs ix.Query on a background context, failing the test on error.
+func answer(t testing.TB, ix *ifls.Index, q *ifls.Query, o ifls.QueryOptions) ifls.Answer {
+	t.Helper()
+	a, err := ix.Query(context.Background(), q, o)
+	if err != nil {
+		t.Fatalf("Query(%v): %v", o.Objective, err)
+	}
+	return a
+}
+
+// sessionAnswer is answer through a Session.
+func sessionAnswer(t testing.TB, s *ifls.Session, q *ifls.Query, o ifls.QueryOptions) ifls.Answer {
+	t.Helper()
+	a, err := s.Query(context.Background(), q, o)
+	if err != nil {
+		t.Fatalf("Session.Query(%v): %v", o.Objective, err)
+	}
+	return a
+}
 
 // buildOffice assembles a small venue through the public API: a corridor
 // with four rooms.
@@ -49,7 +70,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		Candidates: []ifls.PartitionID{rooms[1], rooms[2], rooms[3]},
 		Clients:    []ifls.Client{c0, c3},
 	}
-	res := ix.Solve(q)
+	res := answer(t, ix, q, ifls.QueryOptions{}).MinMax
 	if !res.Found {
 		t.Fatal("expected an improving candidate")
 	}
@@ -57,7 +78,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	// itself reduces its distance to 0 while c0 keeps distance 0 to the
 	// existing facility, so room 3 wins with objective 0... c3's distance
 	// to room 3 is 0 only if inside; it is. Check against baseline.
-	base := ix.SolveBaseline(q)
+	base := answer(t, ix, q, ifls.QueryOptions{Objective: ifls.Baseline}).MinMax
 	if base.Answer != res.Answer || math.Abs(base.Objective-res.Objective) > 1e-9 {
 		t.Fatalf("solvers disagree: %+v vs %+v", res, base)
 	}
@@ -144,9 +165,9 @@ func TestPublicRandomQueryAndVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ix.Solve(q)
-	md := ix.SolveMinDist(q)
-	ms := ix.SolveMaxSum(q)
+	res := answer(t, ix, q, ifls.QueryOptions{}).MinMax
+	md := answer(t, ix, q, ifls.QueryOptions{Objective: ifls.MinDist}).Ext
+	ms := answer(t, ix, q, ifls.QueryOptions{Objective: ifls.MaxSum}).Ext
 	if res.Stats.Retrievals == 0 {
 		t.Fatal("no retrievals recorded")
 	}
@@ -170,16 +191,16 @@ func TestPublicTopK(t *testing.T) {
 		Candidates: []ifls.PartitionID{rooms[1], rooms[2], rooms[3]},
 		Clients:    clients,
 	}
-	top := ix.SolveTopK(q, 2)
+	top := answer(t, ix, q, ifls.QueryOptions{Objective: ifls.TopK, K: 2}).TopK
 	if len(top) != 2 {
 		t.Fatalf("got %d ranked candidates, want 2", len(top))
 	}
 	if top[0].Objective > top[1].Objective {
 		t.Fatalf("ranking not ascending: %v", top)
 	}
-	best := ix.Solve(q)
+	best := answer(t, ix, q, ifls.QueryOptions{}).MinMax
 	if top[0].Candidate != best.Answer || math.Abs(top[0].Objective-best.Objective) > 1e-9 {
-		t.Fatalf("top-1 %v disagrees with Solve %+v", top[0], best)
+		t.Fatalf("top-1 %v disagrees with MinMax %+v", top[0], best)
 	}
 }
 
@@ -202,7 +223,7 @@ func TestPublicIndexSaveLoad(t *testing.T) {
 		Candidates: []ifls.PartitionID{rooms[2], rooms[3]},
 		Clients:    []ifls.Client{{ID: 0, Loc: ifls.Pt(35, 9, 0), Part: rooms[3]}},
 	}
-	a, b := ix.Solve(q), loaded.Solve(q)
+	a, b := answer(t, ix, q, ifls.QueryOptions{}).MinMax, answer(t, loaded, q, ifls.QueryOptions{}).MinMax
 	if a.Found != b.Found || a.Answer != b.Answer || math.Abs(a.Objective-b.Objective) > 1e-9 {
 		t.Fatalf("loaded index disagrees: %+v vs %+v", a, b)
 	}
@@ -248,13 +269,37 @@ func TestPublicSession(t *testing.T) {
 			{ID: 0, Loc: ifls.Pt(35, 9, 0), Part: rooms[3]},
 		},
 	}
-	warm := sess.Solve(q)
-	cold := ix.Solve(q)
+	warm := sessionAnswer(t, sess, q, ifls.QueryOptions{}).MinMax
+	cold := answer(t, ix, q, ifls.QueryOptions{}).MinMax
 	if warm.Found != cold.Found || warm.Answer != cold.Answer {
 		t.Fatalf("session %+v != index %+v", warm, cold)
 	}
-	if top := sess.SolveTopK(q, 2); len(top) == 0 {
+	if top := sessionAnswer(t, sess, q, ifls.QueryOptions{Objective: ifls.TopK, K: 2}).TopK; len(top) == 0 {
 		t.Fatal("session top-k empty")
+	}
+}
+
+// TestPublicSessionZeroAlloc: the public Session.Query adds nothing to the
+// engine's warm-session guarantee — validation, the panic shield, and the
+// options translation run at 0 allocs/op once the caches are warm.
+func TestPublicSessionZeroAlloc(t *testing.T) {
+	v, rooms := buildOffice(t)
+	ix, err := ifls.NewIndex(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := ix.NewSession()
+	q := &ifls.Query{
+		Existing:   []ifls.PartitionID{rooms[0]},
+		Candidates: []ifls.PartitionID{rooms[2], rooms[3]},
+		Clients:    []ifls.Client{{ID: 0, Loc: ifls.Pt(35, 9, 0), Part: rooms[3]}, {ID: 1, Loc: ifls.Pt(15, 9, 0), Part: rooms[1]}},
+	}
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		sessionAnswer(t, sess, q, ifls.QueryOptions{})
+	}
+	if avg := testing.AllocsPerRun(50, func() { _, _ = sess.Query(ctx, q, ifls.QueryOptions{}) }); avg != 0 {
+		t.Fatalf("warm Session.Query allocates %.1f objects/op, want 0", avg)
 	}
 }
 
@@ -286,13 +331,16 @@ func TestPublicTemporal(t *testing.T) {
 	if !math.IsInf(night, 1) {
 		t.Fatalf("night distance = %v, want +Inf (door closed)", night)
 	}
-	// SolveAt with the sealed candidate ignores it.
+	// A timetable query at night ignores the sealed candidate.
 	query := &ifls.Query{
 		Existing:   []ifls.PartitionID{rooms[0]},
 		Candidates: []ifls.PartitionID{rooms[2], rooms[3]},
 		Clients:    []ifls.Client{{ID: 0, Loc: ifls.Pt(25, 9, 0), Part: rooms[2]}},
 	}
-	res := ix.SolveAt(tt, query, 3*time.Hour)
+	res, err := ix.QueryAt(context.Background(), tt, 3*time.Hour, query)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Found || res.Answer != rooms[2] {
 		t.Fatalf("night answer %+v, want room 2", res)
 	}
@@ -358,11 +406,14 @@ func TestPublicContinuous(t *testing.T) {
 		// The answer must match a fresh masked solve over the same
 		// snapshot at the same clock.
 		clients := sim.Snapshot()
-		want := ix.SolveAt(tt, &ifls.Query{
+		want, err := ix.QueryAt(context.Background(), tt, eng.Clock(), &ifls.Query{
 			Existing:   []ifls.PartitionID{rooms[0]},
 			Candidates: rooms[1:],
 			Clients:    clients,
-		}, eng.Clock())
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Found != want.Found || res.Answer != want.Answer {
 			t.Fatalf("tick %d: engine %+v, fresh %+v", i, res, want)
 		}
@@ -393,9 +444,9 @@ func TestPublicMultiAndNeighbors(t *testing.T) {
 		Candidates: rooms,
 		Clients:    clients,
 	}
-	multi := ix.SolveMulti(q, 2)
+	multi := answer(t, ix, q, ifls.QueryOptions{Objective: ifls.Multi, K: 2}).Multi
 	if len(multi.Answers) != 2 {
-		t.Fatalf("SolveMulti selected %d, want 2", len(multi.Answers))
+		t.Fatalf("Multi selected %d, want 2", len(multi.Answers))
 	}
 	nn := ix.KNearestFacilities(ifls.Pt(5, 9, 0), rooms, 2)
 	if len(nn) != 2 || nn[0].Facility != rooms[0] || nn[0].Dist != 0 {
@@ -433,7 +484,7 @@ func TestPublicIPTreeOption(t *testing.T) {
 			{ID: 1, Loc: ifls.Pt(25, 9, 0), Part: rooms[2]},
 		},
 	}
-	a, b := vipIx.Solve(q), ipIx.Solve(q)
+	a, b := answer(t, vipIx, q, ifls.QueryOptions{}).MinMax, answer(t, ipIx, q, ifls.QueryOptions{}).MinMax
 	if a.Found != b.Found || math.Abs(a.Objective-b.Objective) > 1e-9 {
 		t.Fatalf("VIP and IP indexes disagree: %+v vs %+v", a, b)
 	}

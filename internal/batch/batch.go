@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,50 +15,27 @@ import (
 	"github.com/indoorspatial/ifls/internal/vip"
 )
 
-// Objective selects which solver a batched query runs. Objectives are
-// plain values; copy and compare freely.
-type Objective string
-
-const (
-	// MinMax runs core.Solve, the paper's efficient approach
-	// (Algorithms 2 and 3). It is the zero value's behavior: a Query
-	// with an empty Objective runs MinMax.
-	MinMax Objective = "minmax"
-	// Baseline runs core.SolveBaseline, the modified MinMax algorithm
-	// (Algorithm 1).
-	Baseline Objective = "baseline"
-	// MinDist runs core.SolveMinDist (Section 7 extension).
-	MinDist Objective = "mindist"
-	// MaxSum runs core.SolveMaxSum (Section 7 extension).
-	MaxSum Objective = "maxsum"
-	// TopK runs core.SolveTopK with Query.K.
-	TopK Objective = "topk"
-)
-
 // Query is one unit of batch work: an IFLS query body plus the objective
 // to solve it under. Queries are read-only during Run and may be shared
 // between batches.
 type Query struct {
-	// Objective picks the solver; empty means MinMax.
-	Objective Objective
-	// K is the result count for TopK (ignored otherwise).
+	// Objective picks the core.Exec dispatch entry; the zero value is
+	// core.ObjMinMax.
+	Objective core.Objective
+	// K is the result count for ObjTopK and the facility count for
+	// ObjMulti (ignored otherwise).
 	K int
 	// Query is the IFLS query body. A nil body fails the query with an
 	// error rather than the batch.
 	Query *core.Query
 }
 
-// Result is one query's outcome. Exactly one of the payload fields is
-// populated, selected by the query's objective; Err is set instead when
-// the query failed or was cancelled. A Result is written once by the
-// worker that ran the query and is owned by the caller after Run returns.
+// Result is one query's outcome: the core.Exec payload, whose field
+// selected by the query's objective is populated, or Err when the query
+// failed or was cancelled. A Result is written once by the worker that ran
+// the query and is owned by the caller after Run returns.
 type Result struct {
-	// MinMax holds the answer for MinMax and Baseline queries.
-	MinMax core.Result
-	// Ext holds the answer for MinDist and MaxSum queries.
-	Ext core.ExtResult
-	// TopK holds the answer for TopK queries.
-	TopK []core.RankedCandidate
+	core.ExecResult
 	// Err is non-nil when the query did not produce an answer: context
 	// cancellation, a nil query body, a query that fails validation
 	// against the venue, an unknown objective, or a recovered solver
@@ -168,43 +144,20 @@ func Run(ctx context.Context, t *vip.Tree, queries []Query, opts Options) (*Repo
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			var counts obs.Counting
-			defer func() { workerSpans[slot] = counts.Counts }()
-			var trace obs.Trace
-			var tr *obs.Trace
-			if opts.Metrics != nil {
-				tr = &trace
-			}
-			// Each worker leases one Scratch for its whole run: queries on
-			// a worker reuse the same working memory sequentially, so the
-			// steady state of a large batch allocates almost nothing.
-			sc := scratchPool.Get().(*core.Scratch)
-			defer scratchPool.Put(sc)
+			// Each worker leases one Scratch and one trace for its whole
+			// run: queries on a worker reuse the same working memory
+			// sequentially, so the steady state of a large batch allocates
+			// almost nothing.
+			wk := newWorker(opts.Metrics)
+			defer wk.release()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(queries) {
-					return
+					break
 				}
-				if err := ctx.Err(); err != nil {
-					rep.Results[i] = Result{Err: faults.Cancelled(err)}
-					if opts.Metrics != nil {
-						opts.Metrics.ObserveQuery(observation(queries[i], &rep.Results[i]))
-					}
-					continue
-				}
-				if tr != nil {
-					tr.Reset()
-				}
-				rep.Results[i] = runOne(ctx, t, queries[i], tr, sc)
-				if opts.Metrics != nil {
-					// A cancelled query's partial trace is discarded: its
-					// spans never reach the worker's counts.
-					if !errors.Is(rep.Results[i].Err, faults.ErrCancelled) {
-						trace.FlushTo(&counts)
-					}
-					opts.Metrics.ObserveQuery(observation(queries[i], &rep.Results[i]))
-				}
+				rep.Results[i] = wk.execute(ctx, t, queries[i])
 			}
+			workerSpans[slot] = wk.spans.Counts
 		}(w)
 	}
 	wg.Wait()
@@ -215,33 +168,19 @@ func Run(ctx context.Context, t *vip.Tree, queries []Query, opts Options) (*Repo
 		r := &rep.Results[i]
 		if r.Err != nil {
 			c.Errors++
-			if errors.Is(r.Err, faults.ErrCancelled) {
-				continue // cancelled (before running or mid-solve)
+			if !errors.Is(r.Err, faults.ErrCancelled) {
+				c.Queries++ // cancelled queries (before or mid-solve) did not run
 			}
-			c.Queries++
 			continue
 		}
 		c.Queries++
-		var st core.Stats
-		switch effectiveObjective(queries[i].Objective) {
-		case MinMax, Baseline:
-			st = r.MinMax.Stats
-			if r.MinMax.Found {
-				c.Found++
-			}
-		case MinDist, MaxSum:
-			st = r.Ext.Stats
-			if r.Ext.Improves {
-				c.Found++
-			}
-		case TopK:
-			if len(r.TopK) > 0 {
-				c.Found++
-			}
+		out := r.Outcome(queries[i].Objective)
+		if out.Found {
+			c.Found++
 		}
-		c.PrunedClients += st.PrunedClients
-		c.DistanceCalcs += st.DistanceCalcs
-		c.QueuePops += st.QueuePops
+		c.PrunedClients += out.Stats.PrunedClients
+		c.DistanceCalcs += out.Stats.DistanceCalcs
+		c.QueuePops += out.Stats.QueuePops
 	}
 	for _, ws := range workerSpans {
 		c.Spans.Merge(ws)
@@ -250,6 +189,52 @@ func Run(ctx context.Context, t *vip.Tree, queries []Query, opts Options) (*Repo
 		opts.Metrics.MergeStages(c.Spans)
 	}
 	return rep, nil
+}
+
+// worker is the per-goroutine state of the one observed query path that
+// Run's workers and Execute share: a leased Scratch, and — when metrics
+// are on — a reusable span trace whose completed queries fold into spans.
+type worker struct {
+	m     *obs.Metrics
+	sc    *core.Scratch
+	trace *obs.Trace // nil when m is nil
+	spans obs.Counting
+}
+
+func newWorker(m *obs.Metrics) *worker {
+	w := &worker{m: m, sc: scratchPool.Get().(*core.Scratch)}
+	if m != nil {
+		w.trace = new(obs.Trace)
+	}
+	return w
+}
+
+// release returns the worker's Scratch to the pool.
+func (w *worker) release() { scratchPool.Put(w.sc) }
+
+// execute runs one query: a context already done records ErrCancelled
+// without running; otherwise runOne answers it on the worker's Scratch and
+// trace. With metrics on, a completed query's spans fold into w.spans — a
+// cancelled query's partial trace is discarded, so stage counters only
+// describe completed work — and one aggregate observation is recorded
+// either way.
+func (w *worker) execute(ctx context.Context, t *vip.Tree, q Query) Result {
+	var r Result
+	if err := ctx.Err(); err != nil {
+		r = Result{Err: faults.Cancelled(err)}
+	} else {
+		if w.trace != nil {
+			w.trace.Reset()
+		}
+		r = runOne(ctx, t, q, w.trace, w.sc)
+		if w.trace != nil && !errors.Is(r.Err, faults.ErrCancelled) {
+			w.trace.FlushTo(&w.spans)
+		}
+	}
+	if w.m != nil {
+		w.m.ObserveQuery(observation(q, &r))
+	}
+	return r
 }
 
 // observation renders one finished query for Metrics.ObserveQuery. Failed
@@ -263,51 +248,13 @@ func observation(q Query, r *Result) obs.QueryObservation {
 	if q.Query != nil {
 		o.Clients = len(q.Query.Clients)
 	}
-	switch effectiveObjective(q.Objective) {
-	case MinMax, Baseline:
-		o.Pruned = r.MinMax.Stats.PrunedClients
-		o.DistanceCalcs = r.MinMax.Stats.DistanceCalcs
-		o.QueuePops = r.MinMax.Stats.QueuePops
-		o.Found = r.MinMax.Found
-		o.FinalGd = r.MinMax.Objective
-	case MinDist, MaxSum:
-		o.Pruned = r.Ext.Stats.PrunedClients
-		o.DistanceCalcs = r.Ext.Stats.DistanceCalcs
-		o.QueuePops = r.Ext.Stats.QueuePops
-		o.Found = r.Ext.Improves
-		o.FinalGd = r.Ext.Objective
-	case TopK:
-		o.Found = len(r.TopK) > 0
-		o.FinalGd = math.NaN() // no single converged bound for a ranking
-		if len(r.TopK) > 0 {
-			o.FinalGd = r.TopK[0].Objective
-		}
-	}
+	out := r.Outcome(q.Objective)
+	o.Pruned = out.Stats.PrunedClients
+	o.DistanceCalcs = out.Stats.DistanceCalcs
+	o.QueuePops = out.Stats.QueuePops
+	o.Found = out.Found
+	o.FinalGd = out.Value
 	return o
-}
-
-func effectiveObjective(o Objective) Objective {
-	if o == "" {
-		return MinMax
-	}
-	return o
-}
-
-// coreObjective maps a batch objective string to its engine dispatch entry.
-func coreObjective(o Objective) (core.Objective, bool) {
-	switch effectiveObjective(o) {
-	case MinMax:
-		return core.ObjMinMax, true
-	case Baseline:
-		return core.ObjBaseline, true
-	case MinDist:
-		return core.ObjMinDist, true
-	case MaxSum:
-		return core.ObjMaxSum, true
-	case TopK:
-		return core.ObjTopK, true
-	}
-	return 0, false
 }
 
 // scratchPool hands each batch worker a reusable core.Scratch. Pool-global
@@ -325,9 +272,9 @@ var testHookRun func(Query)
 // query cannot take down the batch: validation failures, unknown objectives,
 // cancellation, and recovered solver panics all land in the query's own
 // Result.Err, classified by the faults taxonomy. The solver work is one
-// core.Exec call — the objective string maps to a dispatch-table entry, a
-// non-nil trace becomes the run's recorder, and the worker's leased Scratch
-// backs the run's working memory.
+// core.Exec call — a non-nil trace becomes the run's recorder, and the
+// worker's leased Scratch backs the run's working memory. core.Exec rejects
+// an out-of-table objective with ErrUnknownObjective.
 func runOne(ctx context.Context, t *vip.Tree, q Query, tr *obs.Trace, sc *core.Scratch) (r Result) {
 	start := time.Now()
 	defer func() {
@@ -347,32 +294,13 @@ func runOne(ctx context.Context, t *vip.Tree, q Query, tr *obs.Trace, sc *core.S
 		r.Err = err
 		return r
 	}
-	if tr != nil {
-		tr.Event(obs.Span{Stage: obs.StageValidate, Elapsed: time.Since(start)})
-	}
-	obj, ok := coreObjective(q.Objective)
-	if !ok {
-		r.Err = fmt.Errorf("%w: batch objective %q", faults.ErrUnknownObjective, q.Objective)
-		return r
-	}
 	// A nil *obs.Trace must stay a nil interface, or the solver would take
 	// its observed path with a typed-nil recorder.
 	var rec obs.Recorder
 	if tr != nil {
+		tr.Event(obs.Span{Stage: obs.StageValidate, Elapsed: time.Since(start)})
 		rec = tr
 	}
-	er, err := core.Exec(ctx, t, q.Query, core.Options{Objective: obj, K: q.K, Recorder: rec, Scratch: sc})
-	if err != nil {
-		r.Err = err
-		return r
-	}
-	switch obj {
-	case core.ObjMinMax, core.ObjBaseline:
-		r.MinMax = er.MinMax
-	case core.ObjMinDist, core.ObjMaxSum:
-		r.Ext = er.Ext
-	case core.ObjTopK:
-		r.TopK = er.TopK
-	}
+	r.ExecResult, r.Err = core.Exec(ctx, t, q.Query, core.Options{Objective: q.Objective, K: q.K, Recorder: rec, Scratch: sc})
 	return r
 }

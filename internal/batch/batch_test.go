@@ -14,13 +14,13 @@ import (
 )
 
 // fixture builds a venue, its tree, and a mixed-objective batch covering
-// all four paper objectives plus top-k.
+// all four paper objectives plus top-k and multi.
 func fixture(t *testing.T, nQueries int) (*vip.Tree, []Query) {
 	t.Helper()
 	v := testvenue.Grid(testvenue.GridParams{Cols: 8, Levels: 2, InterRoomDoors: true})
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	g := workload.NewGenerator(v)
-	objectives := []Objective{MinMax, Baseline, MinDist, MaxSum, TopK}
+	objectives := []core.Objective{core.ObjMinMax, core.ObjBaseline, core.ObjMinDist, core.ObjMaxSum, core.ObjTopK, core.ObjMulti}
 	queries := make([]Query, nQueries)
 	for i := range queries {
 		rng := rand.New(rand.NewSource(int64(i) * 7919))
@@ -38,12 +38,7 @@ func fixture(t *testing.T, nQueries int) (*vip.Tree, []Query) {
 func payloadBytes(t *testing.T, r Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	payload := struct {
-		MinMax core.Result
-		Ext    core.ExtResult
-		TopK   []core.RankedCandidate
-	}{r.MinMax, r.Ext, r.TopK}
-	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(r.ExecResult); err != nil {
 		t.Fatalf("gob: %v", err)
 	}
 	return buf.Bytes()
@@ -73,7 +68,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 			if !bytes.Equal(payloadBytes(t, seq.Results[i]), payloadBytes(t, par.Results[i])) {
 				t.Errorf("workers=%d: query %d (%s) differs from sequential run",
-					workers, i, effectiveObjective(queries[i].Objective))
+					workers, i, queries[i].Objective)
 			}
 		}
 		// Work counters are sums over per-query stats, so they must
@@ -91,15 +86,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 // the batch still answers.
 func TestErrorIsolation(t *testing.T) {
 	tree, queries := fixture(t, 10)
-	queries[2] = Query{Objective: "bogus", Query: queries[2].Query}
-	queries[5] = Query{Objective: MinMax} // nil body
+	queries[2] = Query{Objective: core.Objective(200), Query: queries[2].Query}
+	queries[5] = Query{Objective: core.ObjMinMax} // nil body
 	// Out-of-range client partition: the solver panics; Run must absorb
 	// it into the query's own error.
 	bad := *queries[7].Query
 	badClients := append([]core.Client(nil), bad.Clients...)
 	badClients[0].Part = 10_000
 	bad.Clients = badClients
-	queries[7] = Query{Objective: MinMax, Query: &bad}
+	queries[7] = Query{Objective: core.ObjMinMax, Query: &bad}
 
 	rep, err := Run(context.Background(), tree, queries, Options{Workers: 4})
 	if err != nil {

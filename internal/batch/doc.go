@@ -6,10 +6,14 @@
 // of a deployed location-selection service, where concurrent users ask
 // "where should the next facility go?" against the same venue. This
 // package is that serving layer in miniature: Run fans a slice of queries
-// (any mix of the paper's objectives — MinMax of Algorithms 2–3, the
-// Algorithm 1 baseline, the Section 7 MinDist/MaxSum extensions, and
-// top-k) across a bounded worker pool and collects per-query results plus
-// aggregate counters.
+// (any mix of the core.Exec objectives — MinMax of Algorithms 2–3, the
+// Algorithm 1 baseline, the Section 7 MinDist/MaxSum extensions, top-k, and
+// greedy multi-facility) across a bounded worker pool and collects
+// per-query results plus aggregate counters. Execute is one step of that
+// worker loop for a single query: the serving daemon (internal/server) and
+// the library facade (package ifls) answer every query through it, so
+// validation, pooling, panic containment, and metrics observation have one
+// implementation.
 //
 // # Concurrency model
 //

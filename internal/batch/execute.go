@@ -2,24 +2,22 @@ package batch
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"github.com/indoorspatial/ifls/internal/core"
 	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/obs"
 	"github.com/indoorspatial/ifls/internal/vip"
 )
 
-// Execute runs one query against t outside any batch — the serving path.
-// It is the single-query analogue of Run's worker loop: the query goes
-// through the same validate → dispatch → core.Exec pipeline, backed by a
+// Execute runs one query against t outside any batch — the serving path of
+// internal/server and package ifls. It is one step of Run's worker loop: the
+// query goes through the same validate → core.Exec pipeline, backed by a
 // Scratch leased from the shared pool, with the same error isolation (every
 // failure lands in Result.Err, classified by the faults taxonomy; nothing
 // panics or aborts the caller).
 //
 // When m is non-nil, the query's span trace is merged into m's stage
-// counters (discarded on cancellation, matching Run) and one aggregate
+// counters (discarded on cancellation, as in Run) and one aggregate
 // observation is recorded either way.
 //
 // Execute is safe to call concurrently — even on the same tree — because
@@ -31,30 +29,11 @@ func Execute(ctx context.Context, t *vip.Tree, q Query, m *obs.Metrics) Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var r Result
-	if err := ctx.Err(); err != nil {
-		r = Result{Err: faults.Cancelled(err)}
-		if m != nil {
-			m.ObserveQuery(observation(q, &r))
-		}
-		return r
-	}
-	var tr *obs.Trace
+	w := newWorker(m)
+	defer w.release()
+	r := w.execute(ctx, t, q)
 	if m != nil {
-		tr = new(obs.Trace)
-	}
-	sc := scratchPool.Get().(*core.Scratch)
-	r = runOne(ctx, t, q, tr, sc)
-	scratchPool.Put(sc)
-	if m != nil {
-		// A cancelled query's partial trace is discarded, matching Run's
-		// guarantee that stage counters only describe completed work.
-		if !errors.Is(r.Err, faults.ErrCancelled) {
-			var c obs.Counting
-			tr.FlushTo(&c)
-			m.MergeStages(c.Counts)
-		}
-		m.ObserveQuery(observation(q, &r))
+		m.MergeStages(w.spans.Counts)
 	}
 	return r
 }

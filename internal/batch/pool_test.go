@@ -19,20 +19,13 @@ import (
 func freshResult(t *testing.T, tree *vip.Tree, q Query) Result {
 	t.Helper()
 	var r Result
-	switch effectiveObjective(q.Objective) {
-	case MinMax:
-		r.MinMax, r.Err = core.SolveContext(context.Background(), tree, q.Query)
-	case Baseline:
-		r.MinMax, r.Err = core.SolveBaselineContext(context.Background(), tree, q.Query)
-	case MinDist:
-		r.Ext, r.Err = core.SolveMinDistContext(context.Background(), tree, q.Query)
-	case MaxSum:
-		r.Ext, r.Err = core.SolveMaxSumContext(context.Background(), tree, q.Query)
-	case TopK:
-		r.TopK, r.Err = core.SolveTopKContext(context.Background(), tree, q.Query, q.K)
-	default:
-		t.Fatalf("unknown objective %q", q.Objective)
-	}
+	r.ExecResult, r.Err = core.Exec(context.Background(), tree, q.Query, core.Options{Objective: q.Objective, K: q.K})
+	return r
+}
+
+// sessionRun answers q under obj through a Session's warm caches.
+func sessionRun(s *core.Session, q *core.Query, obj core.Objective) core.ExecResult {
+	r, _ := s.Exec(context.Background(), q, core.Options{Objective: obj})
 	return r
 }
 
@@ -53,7 +46,7 @@ func TestPooledBatchMatchesFresh(t *testing.T) {
 		}
 		if !bytes.Equal(payloadBytes(t, got), payloadBytes(t, want)) {
 			t.Fatalf("query %d (%s): pooled payload differs from fresh\npooled: %+v\nfresh:  %+v",
-				i, effectiveObjective(q.Objective), got, want)
+				i, q.Objective, got, want)
 		}
 	}
 }
@@ -85,20 +78,20 @@ func TestHammerSessionAndBatch(t *testing.T) {
 			for i, q := range queries {
 				// The session answers MinMax, MinDist, and MaxSum over the
 				// same query bodies the batch is chewing on concurrently.
-				got := s.Solve(q.Query)
-				want := core.Solve(tree, q.Query)
+				got := sessionRun(s, q.Query, core.ObjMinMax).MinMax
+				want := freshResult(t, tree, Query{Query: q.Query}).MinMax
 				if got.Found != want.Found || got.Answer != want.Answer || !eqObj(got.Objective, want.Objective) {
 					t.Errorf("session round %d query %d: %+v != fresh %+v", round, i, got, want)
 					return
 				}
-				gotExt := s.SolveMinDist(q.Query)
-				wantExt := core.SolveMinDist(tree, q.Query)
+				gotExt := sessionRun(s, q.Query, core.ObjMinDist).Ext
+				wantExt := freshResult(t, tree, Query{Objective: core.ObjMinDist, Query: q.Query}).Ext
 				if gotExt.Answer != wantExt.Answer || !eqObj(gotExt.Objective, wantExt.Objective) {
 					t.Errorf("session round %d query %d mindist: %+v != fresh %+v", round, i, gotExt, wantExt)
 					return
 				}
-				gotExt = s.SolveMaxSum(q.Query)
-				wantExt = core.SolveMaxSum(tree, q.Query)
+				gotExt = sessionRun(s, q.Query, core.ObjMaxSum).Ext
+				wantExt = freshResult(t, tree, Query{Objective: core.ObjMaxSum, Query: q.Query}).Ext
 				if gotExt.Answer != wantExt.Answer || !eqObj(gotExt.Objective, wantExt.Objective) {
 					t.Errorf("session round %d query %d maxsum: %+v != fresh %+v", round, i, gotExt, wantExt)
 					return
@@ -139,7 +132,7 @@ func BenchmarkBatchPooled(b *testing.B) {
 	v := testvenue.Grid(testvenue.GridParams{Cols: 8, Levels: 2, InterRoomDoors: true})
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	g := workload.NewGenerator(v)
-	objectives := []Objective{MinMax, MinDist, MaxSum, TopK}
+	objectives := []core.Objective{core.ObjMinMax, core.ObjMinDist, core.ObjMaxSum, core.ObjTopK}
 	queries := make([]Query, 64)
 	for i := range queries {
 		rng := rand.New(rand.NewSource(int64(i) * 104729))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/indoorspatial/ifls/internal/core"
 	"github.com/indoorspatial/ifls/internal/faultinject"
 	"github.com/indoorspatial/ifls/internal/faults"
 )
@@ -93,8 +94,8 @@ func TestValidationClassification(t *testing.T) {
 	tree, queries := fixture(t, 6)
 	bad := *queries[1].Query
 	bad.Candidates = nil
-	queries[1] = Query{Objective: MinMax, Query: &bad}
-	queries[3] = Query{Objective: "nonsense", Query: queries[3].Query}
+	queries[1] = Query{Objective: core.ObjMinMax, Query: &bad}
+	queries[3] = Query{Objective: core.Objective(201), Query: queries[3].Query}
 
 	rep, err := Run(context.Background(), tree, queries, Options{Workers: 2})
 	if err != nil {

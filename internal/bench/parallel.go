@@ -81,7 +81,7 @@ func Parallel(w io.Writer, r *Runner, cfg Config) ([]Measurement, error) {
 			if err != nil {
 				return out, err
 			}
-			queries[i] = batch.Query{Objective: batch.MinMax, Query: q}
+			queries[i] = batch.Query{Query: q} // the zero objective is MinMax
 		}
 
 		seq, err := batch.Run(context.Background(), tree, queries, batch.Options{Workers: 1})

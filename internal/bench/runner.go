@@ -20,9 +20,9 @@ import (
 type Solver string
 
 const (
-	// Efficient is the paper's contribution (core.Solve).
+	// Efficient is the paper's contribution (core.ObjMinMax).
 	Efficient Solver = "efficient"
-	// Baseline is the modified MinMax algorithm (core.SolveBaseline).
+	// Baseline is the modified MinMax algorithm (core.ObjBaseline).
 	Baseline Solver = "baseline"
 )
 
@@ -267,8 +267,8 @@ func (r *Runner) Run(c Cell, solver Solver) (Measurement, error) {
 // allocated MB. Naming a solver outside Solvers yields an error wrapping
 // faults.ErrUnknownObjective instead of a panic, so a typo in a figure
 // definition fails the whole run with a message. A non-nil metrics value
-// routes the run through the observed solver entry points so per-stage
-// span counters accumulate alongside the timings.
+// is attached as core.Exec's span recorder so per-stage span counters
+// accumulate alongside the timings.
 func measure(tree *vip.Tree, q *core.Query, solver Solver, metrics *obs.Metrics) (time.Duration, float64, core.Result, error) {
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -12,41 +12,27 @@ import (
 	"github.com/indoorspatial/ifls/internal/vip"
 )
 
-// SolveBaseline answers an IFLS query with the modified MinMax algorithm
-// (Algorithm 1 of the paper): the road-network MinMax algorithm of Chen et
-// al. adapted to indoor space. Fe and Fn are indexed as separate facility
-// sets over the VIP-tree; each client's nearest existing facility is found
-// with an individual top-down NN search, clients are processed in descending
-// order of that distance, and the candidate answer set is refined with the
-// paper's two pruning rules until it collapses or all clients have been
-// considered.
+// solveBaseline answers an ObjBaseline query with the modified MinMax
+// algorithm (Algorithm 1 of the paper): the road-network MinMax algorithm of
+// Chen et al. adapted to indoor space. Fe and Fn are indexed as separate
+// facility sets over the VIP-tree; each client's nearest existing facility
+// is found with an individual top-down NN search, clients are processed in
+// descending order of that distance, and the candidate answer set is
+// refined with the paper's two pruning rules until it collapses or all
+// clients have been considered.
 //
 // Every client is processed separately — the baseline performs one NN
 // search per client and one standalone point-to-partition distance
 // computation per examined (client, candidate) pair. That per-client cost
 // is exactly the limitation the efficient approach removes.
 //
-// Like Solve, SolveBaseline keeps all state call-local and only reads its
-// arguments; concurrent calls are safe.
-func SolveBaseline(t *vip.Tree, q *Query) Result {
-	r, _ := SolveBaselineContext(context.Background(), t, q)
-	return r
-}
-
-// SolveBaselineContext is SolveBaseline with cooperative cancellation: the
-// context is polled once per client in the NN-search pass (step 1), once per
-// candidate in the initial filter (step 2), once per client in the refinement
-// loop (step 3), and once per surviving candidate in Find_Ans. A cancelled
-// context yields a zero Result and an error wrapping both faults.ErrCancelled
-// and the context's own error. A background (non-cancellable) context adds no
-// work beyond a nil check per checkpoint.
-func SolveBaselineContext(ctx context.Context, t *vip.Tree, q *Query) (Result, error) {
-	r, err := Exec(ctx, t, q, Options{Objective: ObjBaseline})
-	return r.MinMax, err
-}
-
-// solveBaseline is the baseline implementation with an optional span
-// recorder. Work accounting charges the baseline on the same events as the
+// Cancellation: the context is polled once per client in the NN-search pass
+// (step 1), once per candidate in the initial filter (step 2), once per
+// client in the refinement loop (step 3), and once per surviving candidate
+// in Find_Ans. A background (non-cancellable) context adds no work beyond a
+// nil check per checkpoint.
+//
+// Work accounting charges the baseline on the same events as the
 // efficient approach: every exact point-to-partition distance computation
 // (including those inside each per-client NN search) counts one
 // DistanceCalc, every NN-search dequeue one QueuePop, and every

@@ -99,22 +99,11 @@ func clientFacilityDistancesContext(ctx context.Context, g *d2d.Graph, q *Query)
 // exactly on the door-to-door graph. Call-local state; concurrent calls
 // are safe.
 func SolveBruteMinDist(g *d2d.Graph, q *Query) BruteExtResult {
-	r, _ := SolveBruteMinDistContext(context.Background(), g, q)
-	return r
-}
-
-// SolveBruteMinDistContext is SolveBruteMinDist with cooperative
-// cancellation, polled once per client partition during the distance-matrix
-// build. Partial results are discarded on cancellation.
-func SolveBruteMinDistContext(ctx context.Context, g *d2d.Graph, q *Query) (BruteExtResult, error) {
 	res := BruteExtResult{Answer: indoor.NoPartition, Objective: math.NaN()}
 	if len(q.Clients) == 0 || len(q.Candidates) == 0 {
-		return res, nil
+		return res
 	}
-	distTo, nnExist, err := clientFacilityDistancesContext(ctx, g, q)
-	if err != nil {
-		return BruteExtResult{Answer: indoor.NoPartition, Objective: math.NaN()}, err
-	}
+	distTo, nnExist := clientFacilityDistances(g, q)
 	res.PerCandidate = make([]float64, len(q.Candidates))
 	statusQuo := 0.0
 	for _, d := range nnExist {
@@ -137,29 +126,18 @@ func SolveBruteMinDistContext(ctx context.Context, g *d2d.Graph, q *Query) (Brut
 	res.Answer = q.Candidates[best]
 	res.Objective = bestTotal
 	res.Improves = bestTotal < statusQuo
-	return res, nil
+	return res
 }
 
 // SolveBruteMaxSum evaluates the MaxSum objective of every candidate
 // exactly on the door-to-door graph. Call-local state; concurrent calls
 // are safe.
 func SolveBruteMaxSum(g *d2d.Graph, q *Query) BruteExtResult {
-	r, _ := SolveBruteMaxSumContext(context.Background(), g, q)
-	return r
-}
-
-// SolveBruteMaxSumContext is SolveBruteMaxSum with cooperative
-// cancellation, polled once per client partition during the distance-matrix
-// build. Partial results are discarded on cancellation.
-func SolveBruteMaxSumContext(ctx context.Context, g *d2d.Graph, q *Query) (BruteExtResult, error) {
 	res := BruteExtResult{Answer: indoor.NoPartition, Objective: math.NaN()}
 	if len(q.Clients) == 0 || len(q.Candidates) == 0 {
-		return res, nil
+		return res
 	}
-	distTo, nnExist, err := clientFacilityDistancesContext(ctx, g, q)
-	if err != nil {
-		return BruteExtResult{Answer: indoor.NoPartition, Objective: math.NaN()}, err
-	}
+	distTo, nnExist := clientFacilityDistances(g, q)
 	res.PerCandidate = make([]float64, len(q.Candidates))
 	best, bestCount := -1, -1
 	for j := range q.Candidates {
@@ -180,5 +158,5 @@ func SolveBruteMaxSumContext(ctx context.Context, g *d2d.Graph, q *Query) (Brute
 	res.Answer = q.Candidates[best]
 	res.Objective = float64(bestCount)
 	res.Improves = bestCount > 0
-	return res, nil
+	return res
 }

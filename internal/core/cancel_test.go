@@ -13,39 +13,28 @@ import (
 	"github.com/indoorspatial/ifls/internal/vip"
 )
 
-// cancelSolvers enumerates every context-aware solver entry point through a
-// uniform closure so one table drives the whole cancellation contract.
+// cancelSolvers enumerates every context-aware query path — each Exec
+// objective plus the brute-force oracle — through a uniform closure so one
+// table drives the whole cancellation contract.
 func cancelSolvers(t *testing.T) (map[string]func(ctx context.Context) error, *Query) {
 	t.Helper()
 	v := testvenue.Grid(testvenue.GridParams{Cols: 6, Levels: 2, InterRoomDoors: true})
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	g := d2d.New(v)
 	q := randomQuery(v, rand.New(rand.NewSource(11)), 4, 8, 60)
+	exec := func(o Options) func(ctx context.Context) error {
+		return func(ctx context.Context) error {
+			_, err := Exec(ctx, tree, q, o)
+			return err
+		}
+	}
 	return map[string]func(ctx context.Context) error{
-		"efficient": func(ctx context.Context) error {
-			_, err := SolveContext(ctx, tree, q)
-			return err
-		},
-		"baseline": func(ctx context.Context) error {
-			_, err := SolveBaselineContext(ctx, tree, q)
-			return err
-		},
-		"mindist": func(ctx context.Context) error {
-			_, err := SolveMinDistContext(ctx, tree, q)
-			return err
-		},
-		"maxsum": func(ctx context.Context) error {
-			_, err := SolveMaxSumContext(ctx, tree, q)
-			return err
-		},
-		"topk": func(ctx context.Context) error {
-			_, err := SolveTopKContext(ctx, tree, q, 3)
-			return err
-		},
-		"multi": func(ctx context.Context) error {
-			_, err := SolveGreedyMultiContext(ctx, tree, q, 2)
-			return err
-		},
+		"efficient": exec(Options{Objective: ObjMinMax}),
+		"baseline":  exec(Options{Objective: ObjBaseline}),
+		"mindist":   exec(Options{Objective: ObjMinDist}),
+		"maxsum":    exec(Options{Objective: ObjMaxSum}),
+		"topk":      exec(Options{Objective: ObjTopK, K: 3}),
+		"multi":     exec(Options{Objective: ObjMulti, K: 2}),
 		"brute": func(ctx context.Context) error {
 			_, err := SolveBruteContext(ctx, g, q)
 			return err
@@ -110,53 +99,32 @@ func TestCancelMidSolve(t *testing.T) {
 	}
 }
 
-// TestContextVariantsMatchPlain: with a background (never-cancellable)
-// context, every Context solver must produce exactly the result of its
-// plain wrapper — the wrappers are required to be bit-identical paths.
+// TestContextVariantsMatchPlain: a live cancellable context arms every
+// checkpoint, yet a run it never cancels must return exactly the payload
+// of the non-cancellable run, for every objective.
 func TestContextVariantsMatchPlain(t *testing.T) {
 	v := testvenue.Grid(testvenue.GridParams{Cols: 6, Levels: 2, InterRoomDoors: true})
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	q := randomQuery(v, rand.New(rand.NewSource(23)), 3, 9, 45)
-	ctx := context.Background()
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
 
-	plain := Solve(tree, q)
-	got, err := SolveContext(ctx, tree, q)
-	if err != nil || got != plain {
-		t.Errorf("SolveContext = (%+v, %v), plain Solve = %+v", got, err, plain)
-	}
-
-	pb := SolveBaseline(tree, q)
-	gb, err := SolveBaselineContext(ctx, tree, q)
-	if err != nil || gb != pb {
-		t.Errorf("SolveBaselineContext = (%+v, %v), plain = %+v", gb, err, pb)
-	}
-
-	pd := SolveMinDist(tree, q)
-	gd, err := SolveMinDistContext(ctx, tree, q)
-	if err != nil || gd != pd {
-		t.Errorf("SolveMinDistContext = (%+v, %v), plain = %+v", gd, err, pd)
-	}
-
-	ps := SolveMaxSum(tree, q)
-	gs, err := SolveMaxSumContext(ctx, tree, q)
-	if err != nil || gs != ps {
-		t.Errorf("SolveMaxSumContext = (%+v, %v), plain = %+v", gs, err, ps)
-	}
-
-	pk := SolveTopK(tree, q, 4)
-	gk, err := SolveTopKContext(ctx, tree, q, 4)
-	if err != nil || len(gk) != len(pk) {
-		t.Fatalf("SolveTopKContext = (%v, %v), plain = %v", gk, err, pk)
-	}
-	for i := range pk {
-		if gk[i] != pk[i] {
-			t.Errorf("TopK[%d]: ctx %+v, plain %+v", i, gk[i], pk[i])
+	for obj := Objective(0); obj < numObjectives; obj++ {
+		o := Options{Objective: obj, K: 4}
+		plain := execOf(tree, q, o)
+		got, err := Exec(live, tree, q, o)
+		if err != nil {
+			t.Fatalf("%v: live context errored: %v", obj, err)
+		}
+		if !eqResult(got.MinMax, plain.MinMax) || !eqExtResult(got.Ext, plain.Ext) ||
+			!eqTopK(got.TopK, plain.TopK) || !eqMulti(got.Multi, plain.Multi) {
+			t.Errorf("%v: live context %+v, background %+v", obj, got, plain)
 		}
 	}
 }
 
 // TestCancelNilContext: a nil context must behave like background, not
-// panic — the wrappers rely on it.
+// panic.
 func TestCancelNilContext(t *testing.T) {
 	solvers, _ := cancelSolvers(t)
 	for name, solve := range solvers {
@@ -176,20 +144,20 @@ func TestSessionCancellation(t *testing.T) {
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	q := randomQuery(v, rand.New(rand.NewSource(31)), 3, 7, 50)
 	s := NewSession(tree)
-	if _, err := s.SolveContext(context.Background(), q); err != nil {
+	if _, err := s.Exec(context.Background(), q, Options{}); err != nil {
 		t.Fatalf("warm-up solve: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.SolveContext(ctx, q); !errors.Is(err, faults.ErrCancelled) {
+	if _, err := s.Exec(ctx, q, Options{}); !errors.Is(err, faults.ErrCancelled) {
 		t.Fatalf("warm session with cancelled context: got %v, want ErrCancelled", err)
 	}
 	// The session must remain usable after a cancelled solve.
-	r, err := s.SolveContext(context.Background(), q)
+	r, err := s.Exec(context.Background(), q, Options{})
 	if err != nil {
 		t.Fatalf("solve after cancellation: %v", err)
 	}
-	if cold := Solve(tree, q); r != cold {
+	if cold := execOf(tree, q, Options{}).MinMax; r.MinMax != cold {
 		t.Errorf("post-cancel session result %+v differs from cold solve %+v", r, cold)
 	}
 }

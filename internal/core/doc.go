@@ -1,19 +1,23 @@
 // Package core implements the Indoor Facility Location Selection (IFLS)
-// query of Rayhan et al. (EDBT'23) and the algorithms the paper evaluates:
+// query of Rayhan et al. (EDBT'23) and the algorithms the paper evaluates.
+// Exec is the one query entry point over a VIP-tree; Options.Objective
+// selects the algorithm:
 //
-//   - Solve — the paper's efficient approach (Algorithms 2 and 3): a single
-//     bottom-up incremental nearest-facility search over one VIP-tree
+//   - ObjMinMax — the paper's efficient approach (Algorithms 2 and 3): a
+//     single bottom-up incremental nearest-facility search over one VIP-tree
 //     indexing existing facilities and candidate locations together, with
 //     client grouping by partition, a global distance bound, and client
 //     pruning per Lemma 5.1;
-//   - SolveBaseline — the modified MinMax algorithm (Algorithm 1), the
+//   - ObjBaseline — the modified MinMax algorithm (Algorithm 1), the
 //     road-network state of the art (Chen et al., SIGMOD'14) adapted to
 //     indoor space on VIP-tree distance primitives;
-//   - SolveBrute — an exact oracle evaluating the objective for every
-//     candidate on the door-to-door graph, used for correctness testing;
-//   - SolveMinDist and SolveMaxSum — the Section 7 objective extensions;
-//   - SolveTopK and SolveGreedyMulti — top-k and multi-facility variants
+//   - ObjMinDist and ObjMaxSum — the Section 7 objective extensions;
+//   - ObjTopK and ObjMulti — top-k and greedy multi-facility variants
 //     following the k-location literature the paper surveys.
+//
+// Session runs the same Exec over caches that persist across queries. The
+// SolveBrute* functions are an independent exact oracle on the door-to-door
+// graph, used for correctness testing.
 //
 // The IFLS query: given clients C, existing facilities Fe, and candidate
 // locations Fn (facilities are partitions), return
@@ -25,12 +29,13 @@
 //
 // # Concurrency model
 //
-// Every solver in this package is a pure function of its arguments: all
-// traversal state (queues, per-client bookkeeping, vip.Explorer memos) is
-// allocated per call and never escapes, and the *vip.Tree argument is only
-// read. Distinct calls — same or different solver, same or different tree —
-// may therefore run concurrently without synchronization; internal/batch
-// relies on exactly this to fan query batches across workers. The one
+// Exec and the oracles are pure functions of their arguments: all traversal
+// state (queues, per-client bookkeeping, vip.Explorer memos) is allocated
+// per call — or leased from the caller's Scratch — and never escapes, and
+// the *vip.Tree argument is only read. Distinct calls — same or different
+// objective, same or different tree — may therefore run concurrently
+// without synchronization (given distinct Scratches); internal/batch relies
+// on exactly this to fan query batches across workers. The one
 // stateful type is Session, which deliberately retains Explorer memos
 // across queries to amortize repeated work and is therefore
 // single-goroutine (use one Session per goroutine; Sessions may share a

@@ -12,10 +12,29 @@ import (
 	"github.com/indoorspatial/ifls/internal/vip"
 )
 
-// Solve answers an IFLS query with the paper's efficient approach
-// (Algorithms 2 and 3). Existing facilities and candidate locations are
-// indexed together on one VIP-tree and the nearest facilities of all clients
-// are found incrementally with a single bottom-up best-first traversal:
+// eaEntry is a traversal queue entry: a client partition paired with either
+// a tree node or a facility partition.
+type eaEntry struct {
+	part  indoor.PartitionID // client partition p
+	node  vip.NodeID
+	fac   indoor.PartitionID
+	isFac bool
+}
+
+// eaEvent is a retrieved (client, facility, distance) triple; events drive
+// the d_low stepping.
+type eaEvent struct {
+	client int32
+	fac    indoor.PartitionID
+	isCand bool
+	dist   float64
+}
+
+// eaState answers an ObjMinMax (and ObjTopK) query with the paper's
+// efficient approach (Algorithms 2 and 3). Existing facilities and
+// candidate locations are indexed together on one VIP-tree and the nearest
+// facilities of all clients are found incrementally with a single bottom-up
+// best-first traversal:
 //
 //   - clients are grouped by partition — the queue holds (partition, entity)
 //     pairs keyed by iMinD, and one Explorer per partition serves every
@@ -37,47 +56,13 @@ import (
 // indexes, per-partition client lists, and visited-node marks live in dense
 // epoch-stamped columns on the backing Scratch (a private one when the
 // caller supplies none), and the stepping loops run on monotone bucket
-// queues. Solve is a pure function over a read-only tree and query: state is
-// call-local, so concurrent Solve calls (on the same or different trees) are
-// safe without synchronization.
+// queues. The state is call-local over a read-only tree and query, so
+// concurrent runs (on the same or different trees) are safe without
+// synchronization.
 //
-// Solve is a thin wrapper over Exec (as is every Solve* entry point in this
-// package): it is Exec with a background context and zero Options, which
-// skips every cancellation checkpoint.
-func Solve(t *vip.Tree, q *Query) Result {
-	r, _ := Exec(context.Background(), t, q, Options{})
-	return r.MinMax
-}
-
-// SolveContext is Solve with cooperative cancellation: the traversal checks
-// ctx at every queue dequeue and every d_low step, so a cancel or deadline
-// returns a faults.Cancelled error (wrapping ctx.Err()) within a bounded
-// number of per-partition retrievals. The partial Result is discarded.
-// SolveContext does not validate the query; the serving layer (package ifls
-// and internal/batch) runs Query.Validate before solving.
-func SolveContext(ctx context.Context, t *vip.Tree, q *Query) (Result, error) {
-	r, err := Exec(ctx, t, q, Options{})
-	return r.MinMax, err
-}
-
-// eaEntry is a traversal queue entry: a client partition paired with either
-// a tree node or a facility partition.
-type eaEntry struct {
-	part  indoor.PartitionID // client partition p
-	node  vip.NodeID
-	fac   indoor.PartitionID
-	isFac bool
-}
-
-// eaEvent is a retrieved (client, facility, distance) triple; events drive
-// the d_low stepping.
-type eaEvent struct {
-	client int32
-	fac    indoor.PartitionID
-	isCand bool
-	dist   float64
-}
-
+// Cancellation: run checks the bound context at every queue dequeue and
+// every d_low step, so a cancel or deadline returns a faults.Cancelled error
+// (wrapping ctx.Err()) within a bounded number of per-partition retrievals.
 type eaState struct {
 	t     *vip.Tree
 	q     *Query
@@ -118,10 +103,9 @@ type eaState struct {
 	gd, dlow float64
 	isFirst  bool
 
-	// ctx is non-nil only for the Context entry points and only when the
-	// context is cancellable (ctx.Done() != nil); checkpoints are skipped
-	// entirely otherwise, keeping the plain wrappers on the exact
-	// pre-context code path. err records the first observed cancellation.
+	// ctx is non-nil only when the run's context is cancellable
+	// (ctx.Done() != nil); checkpoints are skipped entirely otherwise. err
+	// records the first observed cancellation.
 	ctx context.Context
 	err error
 
@@ -132,7 +116,7 @@ type eaState struct {
 	rec      obs.Recorder
 	obsStart time.Time
 
-	// Top-k mode (SolveTopK): when topK > 0 the run records every
+	// Top-k mode (ObjTopK): when topK > 0 the run records every
 	// covering candidate with its exact objective instead of stopping at
 	// the first.
 	topK   int

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/indoor"
@@ -30,13 +31,17 @@ const (
 	// ObjTopK ranks the Options.K best candidates by MinMax objective.
 	ObjTopK
 	// ObjMulti greedily selects Options.K candidates for K new facilities.
+	// Joint k-facility MinMax selection generalizes k-center and is NP-hard,
+	// so a greedy chain is the standard practical approach (the k-location
+	// variants the paper surveys do the same); SolveBruteMulti provides the
+	// exact joint optimum for small instances and tests.
 	ObjMulti
 
 	numObjectives // sentinel: count of dispatch-table entries
 )
 
-// String returns the objective's wire name (the same spelling
-// internal/batch uses).
+// String returns the objective's wire name, the spelling ParseObjective
+// accepts.
 func (o Objective) String() string {
 	if o < numObjectives {
 		return objectives[o].name
@@ -44,8 +49,23 @@ func (o Objective) String() string {
 	return fmt.Sprintf("objective(%d)", uint8(o))
 }
 
+// ParseObjective maps a wire name to its Objective. The empty name is
+// ObjMinMax, the zero value; an unknown name yields an error wrapping
+// faults.ErrUnknownObjective.
+func ParseObjective(name string) (Objective, error) {
+	if name == "" {
+		return ObjMinMax, nil
+	}
+	for o := range objectives {
+		if objectives[o].name == name {
+			return Objective(o), nil
+		}
+	}
+	return 0, fmt.Errorf("%w: %q", faults.ErrUnknownObjective, name)
+}
+
 // Options configure one Exec call. The zero value runs an unobserved,
-// non-pooled MinMax query — exactly core.Solve.
+// non-pooled, unvalidated MinMax query with the efficient approach.
 type Options struct {
 	// Objective picks the dispatch-table entry.
 	Objective Objective
@@ -87,6 +107,45 @@ type ExecResult struct {
 	Multi MultiResult
 }
 
+// Outcome is the objective-independent summary of an ExecResult: what a
+// serving layer reports and a metrics sink aggregates, whatever the
+// objective. A plain value.
+type Outcome struct {
+	// Found reports whether some candidate improves on the status quo
+	// (Result.Found, ExtResult.Improves, or a non-empty ranking or
+	// selection).
+	Found bool
+	// Answer is the best (or first-selected) candidate the payload names;
+	// NoPartition when it names none.
+	Answer indoor.PartitionID
+	// Value is the payload's objective value (for ObjMulti, after every
+	// selection); NaN when it has none.
+	Value float64
+	// Stats are the run's work counters; zero for ObjTopK, whose ranking
+	// carries none.
+	Stats Stats
+}
+
+// Outcome summarizes the payload o populated.
+func (r *ExecResult) Outcome(o Objective) Outcome {
+	switch o {
+	case ObjMinMax, ObjBaseline:
+		return Outcome{Found: r.MinMax.Found, Answer: r.MinMax.Answer, Value: r.MinMax.Objective, Stats: r.MinMax.Stats}
+	case ObjMinDist, ObjMaxSum:
+		return Outcome{Found: r.Ext.Improves, Answer: r.Ext.Answer, Value: r.Ext.Objective, Stats: r.Ext.Stats}
+	case ObjTopK:
+		if len(r.TopK) > 0 {
+			return Outcome{Found: true, Answer: r.TopK[0].Candidate, Value: r.TopK[0].Objective}
+		}
+	case ObjMulti:
+		if len(r.Multi.Answers) > 0 {
+			return Outcome{Found: true, Answer: r.Multi.Answers[0], Value: r.Multi.Objective, Stats: r.Multi.Stats}
+		}
+		return Outcome{Answer: indoor.NoPartition, Value: math.NaN(), Stats: r.Multi.Stats}
+	}
+	return Outcome{Answer: indoor.NoPartition, Value: math.NaN()}
+}
+
 // execFn runs one objective over a validated, non-empty query.
 type execFn func(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult, error)
 
@@ -119,12 +178,16 @@ func emptyMulti() ExecResult  { return ExecResult{Multi: noMultiResult()} }
 
 // Exec answers one IFLS query through the unified engine pipeline:
 // validate (opt-in) → dispatch → locate/group clients → bottom-up VIP-tree
-// traversal with Gd pruning → objective-specific scoring. Every exported
-// Solve* entry point in this package is a thin wrapper over Exec.
+// traversal with Gd pruning → objective-specific scoring. It is the
+// package's one query entry point over the VIP-tree; Session and the
+// serving layers (internal/batch, package ifls) all end here.
 //
-// With a nil Recorder, a non-cancellable ctx, and a nil Scratch the run is
-// bit-identical to the pre-engine solvers. On any error the payload is the
-// zero ExecResult; partial work is discarded.
+// Exec polls ctx at the solvers' checkpoints (see each objective's runner);
+// a cancel or deadline returns an error wrapping both faults.ErrCancelled
+// and ctx.Err(). A non-cancellable ctx, a nil Recorder, and a nil Scratch
+// skip every checkpoint, span hook, and pool. The answer never depends on
+// any of them. On any error the payload is the zero ExecResult; partial
+// work is discarded.
 //
 // Exec is safe for concurrent calls over one read-only tree as long as each
 // concurrent call has its own Scratch (or none).
@@ -253,7 +316,8 @@ func execTopK(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult
 // execMulti runs the greedy multi-facility chain: each round is one MinMax
 // Exec (sharing this call's Scratch, Recorder, and explorer cache — a
 // Scratch reset makes sequential rounds safe), the winner joins the
-// existing set, and selection stops when no candidate improves.
+// existing set, and selection stops early, with fewer than K answers, when
+// no remaining candidate improves. The context threads into every round.
 func execMulti(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult, error) {
 	res := MultiResult{}
 	existing := append([]indoor.PartitionID(nil), q.Existing...)

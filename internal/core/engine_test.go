@@ -8,6 +8,7 @@ import (
 
 	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/indoor"
+	"github.com/indoorspatial/ifls/internal/obs"
 	"github.com/indoorspatial/ifls/internal/testvenue"
 	"github.com/indoorspatial/ifls/internal/vip"
 )
@@ -55,6 +56,19 @@ func eqMulti(a, b MultiResult) bool {
 	return true
 }
 
+// execOf is one fresh, unobserved, non-cancellable Exec (errors are
+// impossible for valid input on a background context).
+func execOf(tree *vip.Tree, q *Query, o Options) ExecResult {
+	r, _ := Exec(context.Background(), tree, q, o)
+	return r
+}
+
+// sessionOf is execOf through a Session's warm caches.
+func sessionOf(s *Session, q *Query, o Options) ExecResult {
+	r, _ := s.Exec(context.Background(), q, o)
+	return r
+}
+
 func engineFixture(t *testing.T) (*vip.Tree, *Query) {
 	t.Helper()
 	v := testvenue.Grid(testvenue.GridParams{Cols: 5, Levels: 2, InterRoomDoors: true})
@@ -72,58 +86,40 @@ func engineFixture(t *testing.T) (*vip.Tree, *Query) {
 	return tree, q
 }
 
-// TestExecWrapperParity: every exported Solve* entry point is a thin wrapper
-// over Exec, so calling Exec directly must return byte-identical payloads.
+// TestExecWrapperParity: the options that only change how a run is backed
+// — Validate, a Recorder, a Scratch, a Session's warm caches — never change
+// its payload, for every objective.
 func TestExecWrapperParity(t *testing.T) {
 	tree, q := engineFixture(t)
-	ctx := context.Background()
-
-	er, err := Exec(ctx, tree, q, Options{Objective: ObjMinMax})
-	if err != nil {
-		t.Fatalf("Exec minmax: %v", err)
-	}
-	if want := Solve(tree, q); !eqResult(er.MinMax, want) {
-		t.Fatalf("minmax: Exec %+v != Solve %+v", er.MinMax, want)
-	}
-
-	er, err = Exec(ctx, tree, q, Options{Objective: ObjBaseline})
-	if err != nil {
-		t.Fatalf("Exec baseline: %v", err)
-	}
-	if want := SolveBaseline(tree, q); !eqResult(er.MinMax, want) {
-		t.Fatalf("baseline: Exec %+v != SolveBaseline %+v", er.MinMax, want)
-	}
-
-	er, err = Exec(ctx, tree, q, Options{Objective: ObjMinDist})
-	if err != nil {
-		t.Fatalf("Exec mindist: %v", err)
-	}
-	if want := SolveMinDist(tree, q); !eqExtResult(er.Ext, want) {
-		t.Fatalf("mindist: Exec %+v != SolveMinDist %+v", er.Ext, want)
-	}
-
-	er, err = Exec(ctx, tree, q, Options{Objective: ObjMaxSum})
-	if err != nil {
-		t.Fatalf("Exec maxsum: %v", err)
-	}
-	if want := SolveMaxSum(tree, q); !eqExtResult(er.Ext, want) {
-		t.Fatalf("maxsum: Exec %+v != SolveMaxSum %+v", er.Ext, want)
-	}
-
-	er, err = Exec(ctx, tree, q, Options{Objective: ObjTopK, K: 3})
-	if err != nil {
-		t.Fatalf("Exec topk: %v", err)
-	}
-	if want := SolveTopK(tree, q, 3); !eqTopK(er.TopK, want) {
-		t.Fatalf("topk: Exec %v != SolveTopK %v", er.TopK, want)
-	}
-
-	er, err = Exec(ctx, tree, q, Options{Objective: ObjMulti, K: 2})
-	if err != nil {
-		t.Fatalf("Exec multi: %v", err)
-	}
-	if want := SolveGreedyMulti(tree, q, 2); !eqMulti(er.Multi, want) {
-		t.Fatalf("multi: Exec %+v != SolveGreedyMulti %+v", er.Multi, want)
+	sess := NewSession(tree)
+	sc := NewScratch()
+	for obj := Objective(0); obj < numObjectives; obj++ {
+		o := Options{Objective: obj, K: 3}
+		want := execOf(tree, q, o)
+		var tr obs.Trace
+		wrapped := []struct {
+			name string
+			got  ExecResult
+		}{
+			{"validate", execOf(tree, q, Options{Objective: obj, K: 3, Validate: true})},
+			{"recorder", execOf(tree, q, Options{Objective: obj, K: 3, Recorder: &tr})},
+			{"scratch", execOf(tree, q, Options{Objective: obj, K: 3, Scratch: sc})},
+			{"session", sessionOf(sess, q, o)},
+		}
+		for _, w := range wrapped {
+			// A Session charges its persistent explorer cache to the memory
+			// metric, so only its answer (not RetainedBytes) must match.
+			got := w.got
+			if w.name == "session" {
+				got.MinMax.Stats.RetainedBytes = want.MinMax.Stats.RetainedBytes
+				got.Ext.Stats.RetainedBytes = want.Ext.Stats.RetainedBytes
+				got.Multi.Stats.RetainedBytes = want.Multi.Stats.RetainedBytes
+			}
+			if !eqResult(got.MinMax, want.MinMax) || !eqExtResult(got.Ext, want.Ext) ||
+				!eqTopK(got.TopK, want.TopK) || !eqMulti(got.Multi, want.Multi) {
+				t.Fatalf("%v/%s: %+v, want %+v", obj, w.name, got, want)
+			}
+		}
 	}
 }
 
@@ -209,8 +205,8 @@ func TestExecValidate(t *testing.T) {
 	}
 }
 
-// TestObjectiveString: the dispatch table's wire names match the batch
-// layer's objective strings.
+// TestObjectiveString: the dispatch table's wire names, and ParseObjective
+// as their inverse (the empty name is MinMax).
 func TestObjectiveString(t *testing.T) {
 	want := map[Objective]string{
 		ObjMinMax:   "minmax",
@@ -224,6 +220,15 @@ func TestObjectiveString(t *testing.T) {
 		if got := obj.String(); got != name {
 			t.Fatalf("%d.String() = %q, want %q", obj, got, name)
 		}
+		if got, err := ParseObjective(name); err != nil || got != obj {
+			t.Fatalf("ParseObjective(%q) = %v, %v; want %v", name, got, err, obj)
+		}
+	}
+	if got, err := ParseObjective(""); err != nil || got != ObjMinMax {
+		t.Fatalf("ParseObjective(\"\") = %v, %v; want minmax", got, err)
+	}
+	if _, err := ParseObjective("fastest"); !errors.Is(err, faults.ErrUnknownObjective) {
+		t.Fatalf("ParseObjective(fastest) err = %v, want ErrUnknownObjective", err)
 	}
 	if got := Objective(200).String(); got != "objective(200)" {
 		t.Fatalf("out-of-range String() = %q", got)

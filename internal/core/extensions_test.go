@@ -48,7 +48,7 @@ func TestMinDistAgainstOracleRandomized(t *testing.T) {
 				nRooms := len(v.Rooms())
 				q := randomQuery(v, rng, 1+rng.Intn(nRooms/3+1), 1+rng.Intn(nRooms/2+1), 1+rng.Intn(25))
 				want := SolveBruteMinDist(g, q)
-				got := SolveMinDist(tree, q)
+				got := execOf(tree, q, Options{Objective: ObjMinDist}).Ext
 				checkExtAgainstBrute(t, "mindist", q, got, want)
 			}
 		})
@@ -66,7 +66,7 @@ func TestMaxSumAgainstOracleRandomized(t *testing.T) {
 				nRooms := len(v.Rooms())
 				q := randomQuery(v, rng, 1+rng.Intn(nRooms/3+1), 1+rng.Intn(nRooms/2+1), 1+rng.Intn(25))
 				want := SolveBruteMaxSum(g, q)
-				got := SolveMaxSum(tree, q)
+				got := execOf(tree, q, Options{Objective: ObjMaxSum}).Ext
 				checkExtAgainstBrute(t, "maxsum", q, got, want)
 			}
 		})
@@ -76,10 +76,10 @@ func TestMaxSumAgainstOracleRandomized(t *testing.T) {
 func TestMinDistEmptyQueries(t *testing.T) {
 	v := testvenue.Corridor3()
 	tree := vip.MustBuild(v, vip.DefaultOptions())
-	if r := SolveMinDist(tree, &Query{Candidates: []indoor.PartitionID{1}}); r.Answer != indoor.NoPartition {
+	if r := execOf(tree, &Query{Candidates: []indoor.PartitionID{1}}, Options{Objective: ObjMinDist}).Ext; r.Answer != indoor.NoPartition {
 		t.Error("no clients: expected no answer")
 	}
-	if r := SolveMinDist(tree, &Query{Clients: []Client{clientIn(v, 1, 0)}}); r.Answer != indoor.NoPartition {
+	if r := execOf(tree, &Query{Clients: []Client{clientIn(v, 1, 0)}}, Options{Objective: ObjMinDist}).Ext; r.Answer != indoor.NoPartition {
 		t.Error("no candidates: expected no answer")
 	}
 }
@@ -87,10 +87,10 @@ func TestMinDistEmptyQueries(t *testing.T) {
 func TestMaxSumEmptyQueries(t *testing.T) {
 	v := testvenue.Corridor3()
 	tree := vip.MustBuild(v, vip.DefaultOptions())
-	if r := SolveMaxSum(tree, &Query{Candidates: []indoor.PartitionID{1}}); r.Answer != indoor.NoPartition {
+	if r := execOf(tree, &Query{Candidates: []indoor.PartitionID{1}}, Options{Objective: ObjMaxSum}).Ext; r.Answer != indoor.NoPartition {
 		t.Error("no clients: expected no answer")
 	}
-	if r := SolveMaxSum(tree, &Query{Clients: []Client{clientIn(v, 1, 0)}}); r.Answer != indoor.NoPartition {
+	if r := execOf(tree, &Query{Clients: []Client{clientIn(v, 1, 0)}}, Options{Objective: ObjMaxSum}).Ext; r.Answer != indoor.NoPartition {
 		t.Error("no candidates: expected no answer")
 	}
 }
@@ -106,7 +106,7 @@ func TestMinDistNoExisting(t *testing.T) {
 		Clients:    []Client{clientIn(v, 1, 0), clientIn(v, 2, 1), clientIn(v, 3, 2)},
 	}
 	want := SolveBruteMinDist(g, q)
-	got := SolveMinDist(tree, q)
+	got := execOf(tree, q, Options{Objective: ObjMinDist}).Ext
 	checkExtAgainstBrute(t, "mindist", q, got, want)
 	if !got.Improves {
 		t.Error("finite total must improve over infinite status quo")
@@ -123,7 +123,7 @@ func TestMaxSumAllClientsCaptured(t *testing.T) {
 		Candidates: []indoor.PartitionID{1},
 		Clients:    []Client{clientIn(v, 1, 0), clientIn(v, 1, 1), clientIn(v, 3, 2)},
 	}
-	got := SolveMaxSum(tree, q)
+	got := execOf(tree, q, Options{Objective: ObjMaxSum}).Ext
 	if got.Objective != 2 {
 		t.Fatalf("captured = %v, want 2", got.Objective)
 	}
@@ -141,7 +141,7 @@ func TestMaxSumNoImprovement(t *testing.T) {
 		Candidates: []indoor.PartitionID{3},
 		Clients:    []Client{clientIn(v, 1, 0), clientIn(v, 1, 1)},
 	}
-	got := SolveMaxSum(tree, q)
+	got := execOf(tree, q, Options{Objective: ObjMaxSum}).Ext
 	if got.Objective != 0 || got.Improves {
 		t.Fatalf("expected zero captures, got %+v", got)
 	}
@@ -156,7 +156,7 @@ func TestMinDistExactValue(t *testing.T) {
 		Candidates: []indoor.PartitionID{1},
 		Clients:    []Client{clientIn(v, 0, 0)},
 	}
-	got := SolveMinDist(tree, q)
+	got := execOf(tree, q, Options{Objective: ObjMinDist}).Ext
 	if !almostEq(got.Objective, 5) {
 		t.Fatalf("Objective = %v, want 5", got.Objective)
 	}
@@ -175,8 +175,8 @@ func TestExtensionsPruneClients(t *testing.T) {
 		q.Clients = append(q.Clients, clientIn(v, rooms[i%4], int32(i)))
 	}
 	for name, r := range map[string]ExtResult{
-		"mindist": SolveMinDist(tree, q),
-		"maxsum":  SolveMaxSum(tree, q),
+		"mindist": execOf(tree, q, Options{Objective: ObjMinDist}).Ext,
+		"maxsum":  execOf(tree, q, Options{Objective: ObjMaxSum}).Ext,
 	} {
 		if r.Stats.PrunedClients != 8 {
 			t.Errorf("%s: PrunedClients = %d, want 8", name, r.Stats.PrunedClients)
@@ -192,7 +192,7 @@ func TestMinDistObjectiveIsFiniteWithExisting(t *testing.T) {
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	rng := rand.New(rand.NewSource(99))
 	q := randomQuery(v, rng, 3, 4, 40)
-	got := SolveMinDist(tree, q)
+	got := execOf(tree, q, Options{Objective: ObjMinDist}).Ext
 	if math.IsNaN(got.Objective) || math.IsInf(got.Objective, 0) {
 		t.Fatalf("Objective = %v", got.Objective)
 	}

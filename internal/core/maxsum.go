@@ -1,18 +1,16 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"github.com/indoorspatial/ifls/internal/indoor"
-	"github.com/indoorspatial/ifls/internal/vip"
 )
 
-// SolveMaxSum answers the MaxSum variant of the IFLS query (Section 7): it
-// returns the candidate that captures the most clients, where a candidate
-// captures a client when it would become the client's nearest facility
-// (strictly closer than every existing facility). The shared traversal
-// decides each (client, candidate) pair exactly:
+// The MaxSum variant of the IFLS query (Section 7, ObjMaxSum) returns the
+// candidate that captures the most clients, where a candidate captures a
+// client when it would become the client's nearest facility (strictly
+// closer than every existing facility). The shared traversal decides each
+// (client, candidate) pair exactly:
 //
 //   - a candidate retrieved within Gd for an unpruned client captures it
 //     (the client's nearest existing facility is beyond Gd);
@@ -22,23 +20,6 @@ import (
 //
 // and stops when some fully-decided candidate's captured count reaches every
 // other candidate's upper bound (decided captures plus undecided pairs).
-//
-// Call-local state over a read-only tree; concurrent calls are safe.
-func SolveMaxSum(t *vip.Tree, q *Query) ExtResult {
-	r, _ := SolveMaxSumContext(context.Background(), t, q)
-	return r
-}
-
-// SolveMaxSumContext is SolveMaxSum with cooperative cancellation; see
-// SolveContext for the checkpoint contract. Partial counts are discarded on
-// cancellation. A thin wrapper over Exec with ObjMaxSum.
-func SolveMaxSumContext(ctx context.Context, t *vip.Tree, q *Query) (ExtResult, error) {
-	r, err := Exec(ctx, t, q, Options{Objective: ObjMaxSum})
-	if err != nil {
-		return ExtResult{}, err
-	}
-	return r.Ext, nil
-}
 
 // maxSumObj counts captured clients per candidate over the shared pairTab
 // bookkeeping.

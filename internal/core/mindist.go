@@ -1,19 +1,17 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"github.com/indoorspatial/ifls/internal/indoor"
-	"github.com/indoorspatial/ifls/internal/vip"
 )
 
-// SolveMinDist answers the MinDist variant of the IFLS query (Section 7):
-// it returns the candidate minimizing the total distance of all clients to
-// their nearest facility in Fe ∪ {candidate}. The traversal, grouping, and
-// Lemma 5.1 client pruning are exactly those of the MinMax efficient
-// approach; only the candidate bookkeeping changes. A client's contribution
-// settles exactly when it becomes determined:
+// The MinDist variant of the IFLS query (Section 7, ObjMinDist) returns the
+// candidate minimizing the total distance of all clients to their nearest
+// facility in Fe ∪ {candidate}. The traversal, grouping, and Lemma 5.1
+// client pruning are exactly those of the MinMax efficient approach; only
+// the candidate bookkeeping changes. A client's contribution settles exactly
+// when it becomes determined:
 //
 //   - a pruned client's nearest existing distance is final (everything
 //     nearer has been retrieved), so its contribution to candidate n is
@@ -24,23 +22,6 @@ import (
 //
 // The search stops when some fully-settled candidate's total is no larger
 // than every other candidate's lower bound.
-//
-// Call-local state over a read-only tree; concurrent calls are safe.
-func SolveMinDist(t *vip.Tree, q *Query) ExtResult {
-	r, _ := SolveMinDistContext(context.Background(), t, q)
-	return r
-}
-
-// SolveMinDistContext is SolveMinDist with cooperative cancellation; see
-// SolveContext for the checkpoint contract. Partial totals are discarded on
-// cancellation. A thin wrapper over Exec with ObjMinDist.
-func SolveMinDistContext(ctx context.Context, t *vip.Tree, q *Query) (ExtResult, error) {
-	r, err := Exec(ctx, t, q, Options{Objective: ObjMinDist})
-	if err != nil {
-		return ExtResult{}, err
-	}
-	return r.Ext, nil
-}
 
 // minDistObj accumulates exact per-candidate totals over the shared pairTab
 // bookkeeping.

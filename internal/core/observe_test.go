@@ -20,78 +20,26 @@ func observeFixture() (*vip.Tree, *Query) {
 	return tree, q
 }
 
+// TestObservedSolversMatchUnobserved: a span recorder observes the run
+// without changing its answer, for every objective.
 func TestObservedSolversMatchUnobserved(t *testing.T) {
 	tree, q := observeFixture()
-	ctx := context.Background()
-
-	plain := Solve(tree, q)
-	var rec obs.Counting
-	got, err := SolveObserved(ctx, tree, q, &rec)
-	if err != nil {
-		t.Fatalf("SolveObserved: %v", err)
-	}
-	if got != plain {
-		t.Fatalf("SolveObserved = %+v, Solve = %+v", got, plain)
-	}
-	if rec.Counts.Total() == 0 {
-		t.Fatal("SolveObserved recorded no span events")
-	}
-
-	plainBL := SolveBaseline(tree, q)
-	var recBL obs.Counting
-	gotBL, err := SolveBaselineObserved(ctx, tree, q, &recBL)
-	if err != nil {
-		t.Fatalf("SolveBaselineObserved: %v", err)
-	}
-	if gotBL.Found != plainBL.Found || gotBL.Answer != plainBL.Answer || gotBL.Objective != plainBL.Objective {
-		t.Fatalf("SolveBaselineObserved = %+v, SolveBaseline = %+v", gotBL, plainBL)
-	}
-	if recBL.Counts.Total() == 0 {
-		t.Fatal("SolveBaselineObserved recorded no span events")
-	}
-
-	plainMD := SolveMinDist(tree, q)
-	var recMD obs.Counting
-	gotMD, err := SolveMinDistObserved(ctx, tree, q, &recMD)
-	if err != nil {
-		t.Fatalf("SolveMinDistObserved: %v", err)
-	}
-	if gotMD.Answer != plainMD.Answer || gotMD.Objective != plainMD.Objective {
-		t.Fatalf("SolveMinDistObserved = %+v, SolveMinDist = %+v", gotMD, plainMD)
-	}
-	if recMD.Counts.Total() == 0 {
-		t.Fatal("SolveMinDistObserved recorded no span events")
-	}
-
-	plainMS := SolveMaxSum(tree, q)
-	var recMS obs.Counting
-	gotMS, err := SolveMaxSumObserved(ctx, tree, q, &recMS)
-	if err != nil {
-		t.Fatalf("SolveMaxSumObserved: %v", err)
-	}
-	if gotMS.Answer != plainMS.Answer || gotMS.Objective != plainMS.Objective {
-		t.Fatalf("SolveMaxSumObserved = %+v, SolveMaxSum = %+v", gotMS, plainMS)
-	}
-	if recMS.Counts.Total() == 0 {
-		t.Fatal("SolveMaxSumObserved recorded no span events")
-	}
-
-	plainTK := SolveTopK(tree, q, 3)
-	var recTK obs.Counting
-	gotTK, err := SolveTopKObserved(ctx, tree, q, 3, &recTK)
-	if err != nil {
-		t.Fatalf("SolveTopKObserved: %v", err)
-	}
-	if len(gotTK) != len(plainTK) {
-		t.Fatalf("SolveTopKObserved returned %d candidates, SolveTopK %d", len(gotTK), len(plainTK))
-	}
-	for i := range gotTK {
-		if gotTK[i] != plainTK[i] {
-			t.Fatalf("rank %d: observed %+v, plain %+v", i, gotTK[i], plainTK[i])
+	for obj := Objective(0); obj < numObjectives; obj++ {
+		o := Options{Objective: obj, K: 3}
+		plain := execOf(tree, q, o)
+		var rec obs.Counting
+		o.Recorder = &rec
+		got, err := Exec(context.Background(), tree, q, o)
+		if err != nil {
+			t.Fatalf("%v observed: %v", obj, err)
 		}
-	}
-	if recTK.Counts.Total() == 0 {
-		t.Fatal("SolveTopKObserved recorded no span events")
+		if !eqResult(got.MinMax, plain.MinMax) || !eqExtResult(got.Ext, plain.Ext) ||
+			!eqTopK(got.TopK, plain.TopK) || !eqMulti(got.Multi, plain.Multi) {
+			t.Fatalf("%v: observed %+v, unobserved %+v", obj, got, plain)
+		}
+		if rec.Counts.Total() == 0 {
+			t.Fatalf("%v: recorder saw no span events", obj)
+		}
 	}
 }
 
@@ -100,28 +48,16 @@ func TestObservedSolversMatchUnobserved(t *testing.T) {
 // StageValidate belongs to the serving layer and is not expected here.
 func TestObservedStagesCovered(t *testing.T) {
 	tree, q := observeFixture()
-	solvers := map[string]func(obs.Recorder) error{
-		"efficient": func(r obs.Recorder) error {
-			_, err := SolveObserved(context.Background(), tree, q, r)
-			return err
-		},
-		"mindist": func(r obs.Recorder) error {
-			_, err := SolveMinDistObserved(context.Background(), tree, q, r)
-			return err
-		},
-		"maxsum": func(r obs.Recorder) error {
-			_, err := SolveMaxSumObserved(context.Background(), tree, q, r)
-			return err
-		},
-		"baseline": func(r obs.Recorder) error {
-			_, err := SolveBaselineObserved(context.Background(), tree, q, r)
-			return err
-		},
+	solvers := map[string]Objective{
+		"efficient": ObjMinMax,
+		"mindist":   ObjMinDist,
+		"maxsum":    ObjMaxSum,
+		"baseline":  ObjBaseline,
 	}
-	for name, run := range solvers {
+	for name, obj := range solvers {
 		t.Run(name, func(t *testing.T) {
 			var rec obs.Counting
-			if err := run(&rec); err != nil {
+			if _, err := Exec(context.Background(), tree, q, Options{Objective: obj, Recorder: &rec}); err != nil {
 				t.Fatalf("solver: %v", err)
 			}
 			for _, st := range []obs.Stage{obs.StageLocate, obs.StageQueuePop, obs.StagePrune, obs.StageAnswerCheck} {
@@ -138,8 +74,8 @@ func TestObservedStagesCovered(t *testing.T) {
 func TestObservedSpanMonotonic(t *testing.T) {
 	tree, q := observeFixture()
 	var tr obs.Trace
-	if _, err := SolveObserved(context.Background(), tree, q, &tr); err != nil {
-		t.Fatalf("SolveObserved: %v", err)
+	if _, err := Exec(context.Background(), tree, q, Options{Recorder: &tr}); err != nil {
+		t.Fatalf("Exec: %v", err)
 	}
 	spans := tr.Spans()
 	if len(spans) == 0 {
@@ -168,13 +104,13 @@ func TestNoopRecorderZeroAllocOverhead(t *testing.T) {
 	tree, q := observeFixture()
 	ctx := context.Background()
 	base := testing.AllocsPerRun(50, func() {
-		if _, err := SolveContext(ctx, tree, q); err != nil {
-			t.Fatalf("SolveContext: %v", err)
+		if _, err := Exec(ctx, tree, q, Options{}); err != nil {
+			t.Fatalf("Exec: %v", err)
 		}
 	})
 	withNop := testing.AllocsPerRun(50, func() {
-		if _, err := SolveObserved(ctx, tree, q, obs.Nop{}); err != nil {
-			t.Fatalf("SolveObserved: %v", err)
+		if _, err := Exec(ctx, tree, q, Options{Recorder: obs.Nop{}}); err != nil {
+			t.Fatalf("Exec with obs.Nop: %v", err)
 		}
 	})
 	if withNop > base {
@@ -186,7 +122,7 @@ func BenchmarkSolve(b *testing.B) {
 	tree, q := observeFixture()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Solve(tree, q)
+		execOf(tree, q, Options{})
 	}
 }
 
@@ -195,7 +131,7 @@ func BenchmarkSolveObservedNop(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveObserved(ctx, tree, q, obs.Nop{}); err != nil {
+		if _, err := Exec(ctx, tree, q, Options{Recorder: obs.Nop{}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,7 +23,7 @@ func TestSolvePropertyInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		q := randomQuery(v, rng,
 			1+int(ne)%(nRooms/3), 1+int(nc)%(nRooms/3), 1+int(m)%40)
-		r := Solve(tree, q)
+		r := execOf(tree, q, Options{}).MinMax
 		// Pruned clients never exceed the client count.
 		if r.Stats.PrunedClients > len(q.Clients) {
 			return false
@@ -45,7 +45,7 @@ func TestSolvePropertyInvariants(t *testing.T) {
 			}
 		}
 		// Determinism: the same query yields the same result.
-		r2 := Solve(tree, q)
+		r2 := execOf(tree, q, Options{}).MinMax
 		return r2.Found == r.Found && r2.Answer == r.Answer && (r2.Objective == r.Objective || (r.Objective != r.Objective && r2.Objective != r2.Objective))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -62,15 +62,15 @@ func TestObjectiveDominance(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 25; trial++ {
 		q := randomQuery(v, rng, 2, 5, 20)
-		if r := Solve(tree, q); r.Found {
+		if r := execOf(tree, q, Options{}).MinMax; r.Found {
 			// Recompute the status quo with the baseline's NN machinery
 			// is overkill; simply verify against brute force.
 		}
-		ms := SolveMaxSum(tree, q)
+		ms := execOf(tree, q, Options{Objective: ObjMaxSum}).Ext
 		if ms.Objective < 0 || ms.Objective > float64(len(q.Clients)) {
 			t.Fatalf("MaxSum objective %v out of range", ms.Objective)
 		}
-		md := SolveMinDist(tree, q)
+		md := execOf(tree, q, Options{Objective: ObjMinDist}).Ext
 		if md.Objective < 0 {
 			t.Fatalf("MinDist objective %v negative", md.Objective)
 		}
@@ -94,13 +94,13 @@ func TestConcurrentSolves(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = Solve(tree, queries[i])
+			results[i] = execOf(tree, queries[i], Options{}).MinMax
 		}(i)
 	}
 	wg.Wait()
 	// Rerun sequentially and compare: concurrency must not change results.
 	for i := range queries {
-		r := Solve(tree, queries[i])
+		r := execOf(tree, queries[i], Options{}).MinMax
 		if r.Found != results[i].Found || r.Answer != results[i].Answer {
 			t.Fatalf("worker %d: concurrent result %+v != sequential %+v", i, results[i], r)
 		}

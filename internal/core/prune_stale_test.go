@@ -125,7 +125,7 @@ func TestEqualGdTieBreakDeterministic(t *testing.T) {
 		Clients:    []Client{clientIn(v, 2, 0)},
 	}
 
-	first := Solve(tree, q)
+	first := execOf(tree, q, Options{}).MinMax
 	if !first.Found {
 		t.Fatal("expected an improving candidate")
 	}
@@ -138,7 +138,7 @@ func TestEqualGdTieBreakDeterministic(t *testing.T) {
 	}
 
 	for i := 0; i < 20; i++ {
-		r := Solve(tree, q)
+		r := execOf(tree, q, Options{}).MinMax
 		if r.Answer != first.Answer || !almostEq(r.Objective, first.Objective) {
 			t.Fatalf("run %d: answer %d (obj %v), first run %d (obj %v)",
 				i, r.Answer, r.Objective, first.Answer, first.Objective)
@@ -151,12 +151,12 @@ func TestEqualGdTieBreakDeterministic(t *testing.T) {
 		Candidates: []indoor.PartitionID{q.Candidates[1], q.Candidates[0]},
 		Clients:    q.Clients,
 	}
-	revFirst := Solve(tree, rev)
+	revFirst := execOf(tree, rev, Options{}).MinMax
 	if !revFirst.Found || !almostEq(revFirst.Objective, first.Objective) {
 		t.Fatalf("reversed list: %+v, want objective %v", revFirst, first.Objective)
 	}
 	for i := 0; i < 20; i++ {
-		r := Solve(tree, rev)
+		r := execOf(tree, rev, Options{}).MinMax
 		if r.Answer != revFirst.Answer {
 			t.Fatalf("reversed run %d: answer %d, first %d", i, r.Answer, revFirst.Answer)
 		}

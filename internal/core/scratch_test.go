@@ -89,8 +89,9 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesPackageSolvers: every Session method answers exactly as
-// its package-level counterpart, query after query on one warm Session. The
+// TestSessionMatchesPackageSolvers: every objective answers through
+// Session.Exec exactly as through a fresh Exec, query after query on one
+// warm Session. The
 // RetainedBytes metric is excluded: the session's persistent explorer cache
 // is charged there by design, so it grows with history while a fresh run's
 // does not.
@@ -100,36 +101,36 @@ func TestSessionMatchesPackageSolvers(t *testing.T) {
 	dropRetained := func(st *Stats) { st.RetainedBytes = 0 }
 	for pass := 0; pass < 2; pass++ {
 		for qi, q := range qs {
-			got, want := s.Solve(q), Solve(tree, q)
+			got, want := sessionOf(s, q, Options{}).MinMax, execOf(tree, q, Options{}).MinMax
 			dropRetained(&got.Stats)
 			dropRetained(&want.Stats)
 			if !eqResult(got, want) {
-				t.Fatalf("pass %d q%d Solve: session %+v != fresh %+v", pass, qi, got, want)
+				t.Fatalf("pass %d q%d minmax: session %+v != fresh %+v", pass, qi, got, want)
 			}
-			gotE, wantE := s.SolveMinDist(q), SolveMinDist(tree, q)
+			gotE, wantE := sessionOf(s, q, Options{Objective: ObjMinDist}).Ext, execOf(tree, q, Options{Objective: ObjMinDist}).Ext
 			dropRetained(&gotE.Stats)
 			dropRetained(&wantE.Stats)
 			if !eqExtResult(gotE, wantE) {
-				t.Fatalf("pass %d q%d SolveMinDist: session %+v != fresh %+v", pass, qi, gotE, wantE)
+				t.Fatalf("pass %d q%d mindist: session %+v != fresh %+v", pass, qi, gotE, wantE)
 			}
-			gotE, wantE = s.SolveMaxSum(q), SolveMaxSum(tree, q)
+			gotE, wantE = sessionOf(s, q, Options{Objective: ObjMaxSum}).Ext, execOf(tree, q, Options{Objective: ObjMaxSum}).Ext
 			dropRetained(&gotE.Stats)
 			dropRetained(&wantE.Stats)
 			if !eqExtResult(gotE, wantE) {
-				t.Fatalf("pass %d q%d SolveMaxSum: session %+v != fresh %+v", pass, qi, gotE, wantE)
+				t.Fatalf("pass %d q%d maxsum: session %+v != fresh %+v", pass, qi, gotE, wantE)
 			}
-			if gotK, wantK := s.SolveTopK(q, 2), SolveTopK(tree, q, 2); !eqTopK(gotK, wantK) {
-				t.Fatalf("pass %d q%d SolveTopK: session %v != fresh %v", pass, qi, gotK, wantK)
+			if gotK, wantK := sessionOf(s, q, Options{Objective: ObjTopK, K: 2}).TopK, execOf(tree, q, Options{Objective: ObjTopK, K: 2}).TopK; !eqTopK(gotK, wantK) {
+				t.Fatalf("pass %d q%d topk: session %v != fresh %v", pass, qi, gotK, wantK)
 			}
-			if gotM, wantM := s.SolveMulti(q, 2), SolveGreedyMulti(tree, q, 2); !eqMulti(gotM, wantM) {
-				t.Fatalf("pass %d q%d SolveMulti: session %+v != fresh %+v", pass, qi, gotM, wantM)
+			if gotM, wantM := sessionOf(s, q, Options{Objective: ObjMulti, K: 2}).Multi, execOf(tree, q, Options{Objective: ObjMulti, K: 2}).Multi; !eqMulti(gotM, wantM) {
+				t.Fatalf("pass %d q%d multi: session %+v != fresh %+v", pass, qi, gotM, wantM)
 			}
 		}
 	}
 }
 
 // sessionAllocBound is the pinned steady-state allocation count for one
-// Session.Solve call on the fixture query: zero. With the scratch memory,
+// MinMax Session.Exec call on the fixture query: zero. With the scratch memory,
 // explorer cache, dense partition columns, and queue storage all warm, a
 // query touches no map internals and appends into retained capacity only. A
 // regression here means someone re-introduced per-query allocation into the
@@ -137,18 +138,18 @@ func TestSessionMatchesPackageSolvers(t *testing.T) {
 const sessionAllocBound = 0
 
 // TestSessionSolveAllocBound pins the steady-state allocation count of a
-// warm Session.Solve. The bound is a small constant — independent of how
+// warm MinMax Session.Exec. The bound is a small constant — independent of how
 // many queries ran before — because the Scratch retains every buffer.
 func TestSessionSolveAllocBound(t *testing.T) {
 	tree, qs := scratchQueries(t)
 	s := NewSession(tree)
 	q := qs[0]
 	for i := 0; i < 3; i++ {
-		s.Solve(q) // warm the scratch and the explorer cache
+		sessionOf(s, q, Options{}) // warm the scratch and the explorer cache
 	}
-	avg := testing.AllocsPerRun(100, func() { s.Solve(q) })
+	avg := testing.AllocsPerRun(100, func() { sessionOf(s, q, Options{}) })
 	if avg > sessionAllocBound {
-		t.Fatalf("Session.Solve allocates %.1f objects/run steady-state, want <= %d", avg, sessionAllocBound)
+		t.Fatalf("Session.Exec allocates %.1f objects/run steady-state, want <= %d", avg, sessionAllocBound)
 	}
 }
 
@@ -181,11 +182,11 @@ func BenchmarkSessionSolve(b *testing.B) {
 	tree, qs := benchScratchSetup(b)
 	q := qs[0]
 	s := NewSession(tree)
-	s.Solve(q)
+	sessionOf(s, q, Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Solve(q)
+		sessionOf(s, q, Options{})
 	}
 }
 

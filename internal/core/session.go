@@ -16,9 +16,9 @@ import (
 // steady-state queries run at near-zero allocations (pinned by
 // TestSessionSolveAllocBound).
 //
-// Concurrency: a Session is a single-goroutine value — every query method
-// reads and grows the shared explorer cache and reuses the same Scratch, so
-// no Session method may run concurrently with another on the same Session.
+// Concurrency: a Session is a single-goroutine value — every query reads
+// and grows the shared explorer cache and reuses the same Scratch, so no
+// Session method may run concurrently with another on the same Session.
 // Use one Session per goroutine; Sessions may share the underlying tree,
 // which is read-only. For concurrent batches over one tree, use
 // internal/batch (pooled Scratches per worker) or give each worker its own
@@ -39,80 +39,16 @@ func NewSession(t *vip.Tree) *Session {
 	}
 }
 
-// exec runs one engine call backed by the session's Scratch and persistent
-// explorer cache.
-func (s *Session) exec(ctx context.Context, q *Query, o Options) (ExecResult, error) {
+// Exec answers one query through the package Exec, backed by the
+// session's Scratch and persistent explorer cache (o.Scratch is ignored).
+// Every objective shares the cache; ObjMulti's greedy rounds reuse both the
+// explorer memos and the Scratch. The explorer cache stays consistent on
+// cancellation — entries computed before the cancel remain valid and are
+// reused by later queries. Single-goroutine, per the Session contract.
+func (s *Session) Exec(ctx context.Context, q *Query, o Options) (ExecResult, error) {
 	o.Scratch = s.scratch
 	o.explorers = s.explorers
 	return Exec(ctx, s.t, q, o)
-}
-
-// Solve answers a MinMax IFLS query with the efficient approach, reusing
-// the session's cached distance vectors. Single-goroutine, per the
-// Session contract.
-func (s *Session) Solve(q *Query) Result {
-	r, _ := s.SolveContext(context.Background(), q)
-	return r
-}
-
-// SolveContext is Solve with cooperative cancellation (see the package
-// SolveContext for the checkpoint contract). The explorer cache stays
-// consistent on cancellation — entries computed before the cancel remain
-// valid and are reused by later queries. Single-goroutine, per the Session
-// contract.
-func (s *Session) SolveContext(ctx context.Context, q *Query) (Result, error) {
-	r, err := s.exec(ctx, q, Options{Objective: ObjMinMax})
-	return r.MinMax, err
-}
-
-// SolveTopK is SolveTopK with the session's cache. Single-goroutine, per
-// the Session contract.
-func (s *Session) SolveTopK(q *Query, k int) []RankedCandidate {
-	r, _ := s.exec(context.Background(), q, Options{Objective: ObjTopK, K: k})
-	return r.TopK
-}
-
-// SolveMinDist is SolveMinDist with the session's cache. Single-goroutine,
-// per the Session contract.
-func (s *Session) SolveMinDist(q *Query) ExtResult {
-	r, _ := s.SolveMinDistContext(context.Background(), q)
-	return r
-}
-
-// SolveMinDistContext is SolveMinDistContext with the session's cache.
-// Single-goroutine, per the Session contract.
-func (s *Session) SolveMinDistContext(ctx context.Context, q *Query) (ExtResult, error) {
-	r, err := s.exec(ctx, q, Options{Objective: ObjMinDist})
-	return r.Ext, err
-}
-
-// SolveMaxSum is SolveMaxSum with the session's cache. Single-goroutine,
-// per the Session contract.
-func (s *Session) SolveMaxSum(q *Query) ExtResult {
-	r, _ := s.SolveMaxSumContext(context.Background(), q)
-	return r
-}
-
-// SolveMaxSumContext is SolveMaxSumContext with the session's cache.
-// Single-goroutine, per the Session contract.
-func (s *Session) SolveMaxSumContext(ctx context.Context, q *Query) (ExtResult, error) {
-	r, err := s.exec(ctx, q, Options{Objective: ObjMaxSum})
-	return r.Ext, err
-}
-
-// SolveMulti is SolveGreedyMulti with the session's cache: each greedy
-// round reuses both the explorer memos and the Scratch. Single-goroutine,
-// per the Session contract.
-func (s *Session) SolveMulti(q *Query, k int) MultiResult {
-	r, _ := s.SolveMultiContext(context.Background(), q, k)
-	return r
-}
-
-// SolveMultiContext is SolveGreedyMultiContext with the session's cache.
-// Single-goroutine, per the Session contract.
-func (s *Session) SolveMultiContext(ctx context.Context, q *Query, k int) (MultiResult, error) {
-	r, err := s.exec(ctx, q, Options{Objective: ObjMulti, K: k})
-	return r.Multi, err
 }
 
 // CachedPartitions reports how many partition explorers the session holds.

@@ -32,9 +32,9 @@ func TestPreambleCounterParity(t *testing.T) {
 	}
 	m := len(q.Clients)
 
-	eff := Solve(tree, q)
-	md := SolveMinDist(tree, q)
-	ms := SolveMaxSum(tree, q)
+	eff := execOf(tree, q, Options{}).MinMax
+	md := execOf(tree, q, Options{Objective: ObjMinDist}).Ext
+	ms := execOf(tree, q, Options{Objective: ObjMaxSum}).Ext
 
 	for name, st := range map[string]Stats{
 		"efficient": eff.Stats,
@@ -77,7 +77,7 @@ func TestBaselineCountsSearchWork(t *testing.T) {
 		q.Clients = append(q.Clients, Client{ID: int32(i), Loc: v.RandomPointIn(p, rng.Float64(), rng.Float64()), Part: p})
 	}
 
-	res := SolveBaseline(tree, q)
+	res := execOf(tree, q, Options{Objective: ObjBaseline}).MinMax
 	if res.Stats.QueuePops < m {
 		t.Errorf("QueuePops = %d, want >= %d (every NN search dequeues)", res.Stats.QueuePops, m)
 	}
@@ -91,14 +91,14 @@ func TestBaselineCountsSearchWork(t *testing.T) {
 
 	// Work accounting is deterministic: the same query yields identical
 	// counters on a re-run.
-	again := SolveBaseline(tree, q)
+	again := execOf(tree, q, Options{Objective: ObjBaseline}).MinMax
 	if again.Stats != res.Stats {
 		t.Errorf("baseline stats differ across runs:\n first %+v\nsecond %+v", res.Stats, again.Stats)
 	}
 
 	// Both solvers count the same event kinds on a workload that makes
 	// them all fire.
-	eff := Solve(tree, q)
+	eff := execOf(tree, q, Options{}).MinMax
 	if eff.Stats.DistanceCalcs == 0 || eff.Stats.QueuePops == 0 || eff.Stats.Retrievals == 0 {
 		t.Errorf("efficient solver counters not populated: %+v", eff.Stats)
 	}
@@ -119,9 +119,9 @@ func TestClientInsideCandidateCountsRetrieval(t *testing.T) {
 		Candidates: []indoor.PartitionID{3},
 		Clients:    []Client{clientIn(v, 3, 0)},
 	}
-	eff := Solve(tree, q)
-	md := SolveMinDist(tree, q)
-	ms := SolveMaxSum(tree, q)
+	eff := execOf(tree, q, Options{}).MinMax
+	md := execOf(tree, q, Options{Objective: ObjMinDist}).Ext
+	ms := execOf(tree, q, Options{Objective: ObjMaxSum}).Ext
 	for name, st := range map[string]Stats{
 		"efficient": eff.Stats,
 		"mindist":   md.Stats,

@@ -63,20 +63,20 @@ func TestLowestIDTieBreak(t *testing.T) {
 			if !want.Found || want.Answer != s0 {
 				t.Fatalf("brute: Found=%v Answer=%d, want tie resolved to %d", want.Found, want.Answer, s0)
 			}
-			if eff := Solve(tree, q); eff.Answer != s0 {
+			if eff := execOf(tree, q, Options{}).MinMax; eff.Answer != s0 {
 				t.Errorf("efficient: Answer=%d, want %d", eff.Answer, s0)
 			}
-			if bl := SolveBaseline(tree, q); bl.Answer != s0 {
+			if bl := execOf(tree, q, Options{Objective: ObjBaseline}).MinMax; bl.Answer != s0 {
 				t.Errorf("baseline: Answer=%d, want %d", bl.Answer, s0)
 			}
 
-			if md := SolveMinDist(tree, q); md.Answer != s0 {
+			if md := execOf(tree, q, Options{Objective: ObjMinDist}).Ext; md.Answer != s0 {
 				t.Errorf("mindist: Answer=%d, want %d", md.Answer, s0)
 			}
 			if bmd := SolveBruteMinDist(g, q); bmd.Answer != s0 {
 				t.Errorf("brute mindist: Answer=%d, want %d", bmd.Answer, s0)
 			}
-			if ms := SolveMaxSum(tree, q); ms.Answer != s0 {
+			if ms := execOf(tree, q, Options{Objective: ObjMaxSum}).Ext; ms.Answer != s0 {
 				t.Errorf("maxsum: Answer=%d, want %d", ms.Answer, s0)
 			}
 			if bms := SolveBruteMaxSum(g, q); bms.Answer != s0 {
@@ -85,20 +85,20 @@ func TestLowestIDTieBreak(t *testing.T) {
 
 			// Top-k: the tied pair must come out sorted by ID, and the k=1
 			// prefix must match the full ranking's head.
-			full := SolveTopK(tree, q, len(cands))
+			full := execOf(tree, q, Options{Objective: ObjTopK, K: len(cands)}).TopK
 			if len(full) != 2 || full[0].Candidate != s0 || full[1].Candidate != s2 {
 				t.Fatalf("topk full ranking = %+v, want [%d %d]", full, s0, s2)
 			}
 			if full[0].Objective != full[1].Objective {
 				t.Fatalf("expected an exact tie, got objectives %v and %v", full[0].Objective, full[1].Objective)
 			}
-			if head := SolveTopK(tree, q, 1); len(head) != 1 || head[0] != full[0] {
+			if head := execOf(tree, q, Options{Objective: ObjTopK, K: 1}).TopK; len(head) != 1 || head[0] != full[0] {
 				t.Errorf("topk k=1 = %+v, want prefix of full ranking %+v", head, full[:1])
 			}
 
 			// Greedy multi resolves each round's tie the same way: the first
 			// pick is s0, and the second round picks s2 (only remaining).
-			if mu := SolveGreedyMulti(tree, q, 2); len(mu.Answers) == 0 || mu.Answers[0] != s0 {
+			if mu := execOf(tree, q, Options{Objective: ObjMulti, K: 2}).Multi; len(mu.Answers) == 0 || mu.Answers[0] != s0 {
 				t.Errorf("multi: Answers=%v, want first pick %d", mu.Answers, s0)
 			}
 		})

@@ -48,10 +48,10 @@ func TestTieHeavyInstances(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := SolveBrute(g, tc.q)
-			checkAgainstBrute(t, tc.q, Solve(tree, tc.q), want)
-			checkAgainstBrute(t, tc.q, SolveBaseline(tree, tc.q), want)
-			checkExtAgainstBrute(t, "mindist", tc.q, SolveMinDist(tree, tc.q), SolveBruteMinDist(g, tc.q))
-			checkExtAgainstBrute(t, "maxsum", tc.q, SolveMaxSum(tree, tc.q), SolveBruteMaxSum(g, tc.q))
+			checkAgainstBrute(t, tc.q, execOf(tree, tc.q, Options{}).MinMax, want)
+			checkAgainstBrute(t, tc.q, execOf(tree, tc.q, Options{Objective: ObjBaseline}).MinMax, want)
+			checkExtAgainstBrute(t, "mindist", tc.q, execOf(tree, tc.q, Options{Objective: ObjMinDist}).Ext, SolveBruteMinDist(g, tc.q))
+			checkExtAgainstBrute(t, "maxsum", tc.q, execOf(tree, tc.q, Options{Objective: ObjMaxSum}).Ext, SolveBruteMaxSum(g, tc.q))
 		})
 	}
 }
@@ -76,7 +76,7 @@ func TestManyClientsOnePartition(t *testing.T) {
 		})
 	}
 	want := SolveBrute(g, q)
-	eff := Solve(tree, q)
+	eff := execOf(tree, q, Options{}).MinMax
 	checkAgainstBrute(t, q, eff, want)
 	// Exactly one explorer partition's node set should have been visited;
 	// the retained structures must stay tiny relative to scattered clients.

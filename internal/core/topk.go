@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"sort"
 
 	"github.com/indoorspatial/ifls/internal/indoor"
-	"github.com/indoorspatial/ifls/internal/vip"
 )
 
 // RankedCandidate is one entry of a top-k IFLS answer. A plain value;
@@ -16,34 +14,15 @@ type RankedCandidate struct {
 	Objective float64
 }
 
-// SolveTopK returns the k candidates with the smallest MinMax objectives in
-// ascending order, following the k-optimal-location formulations of the
-// location-selection literature the paper surveys. It reuses the efficient
-// approach's traversal: a candidate's exact objective equals the first
-// d_low horizon at which it covers every remaining client, so continuing
-// the incremental search until k candidates have covered yields the top k
-// with their exact objectives, in order, still in a single pass.
-//
-// Candidates that do not improve on the status quo are not returned, so
-// the result may hold fewer than k entries.
-//
-// Call-local state over a read-only tree; concurrent calls are safe.
-func SolveTopK(t *vip.Tree, q *Query, k int) []RankedCandidate {
-	r, _ := SolveTopKContext(context.Background(), t, q, k)
-	return r
-}
-
-// SolveTopKContext is SolveTopK with cooperative cancellation; see
-// SolveContext for the checkpoint contract. The partial ranking is
-// discarded on cancellation. A thin wrapper over Exec with ObjTopK.
-func SolveTopKContext(ctx context.Context, t *vip.Tree, q *Query, k int) ([]RankedCandidate, error) {
-	r, err := Exec(ctx, t, q, Options{Objective: ObjTopK, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return r.TopK, nil
-}
-
+// finishTopK orders the covering candidates an ObjTopK run collected. Top-k
+// follows the k-optimal-location formulations of the location-selection
+// literature the paper surveys and reuses the efficient approach's
+// traversal: a candidate's exact objective equals the first d_low horizon at
+// which it covers every remaining client, so continuing the incremental
+// search until k candidates have covered yields the top k with their exact
+// objectives, in order, still in a single pass. Candidates that do not
+// improve on the status quo are not returned, so the result may hold fewer
+// than k entries.
 func finishTopK(s *eaState, k int) []RankedCandidate {
 	// Order by (objective, candidate ID): equal objectives resolve to the
 	// lowest candidate ID, so truncating to k keeps a stable prefix of the

@@ -21,7 +21,7 @@ func TestTopKMatchesBruteRanking(t *testing.T) {
 				nRooms := len(v.Rooms())
 				q := randomQuery(v, rng, 1+rng.Intn(nRooms/4+1), 2+rng.Intn(nRooms/2), 1+rng.Intn(25))
 				k := 1 + rng.Intn(4)
-				got := SolveTopK(tree, q, k)
+				got := execOf(tree, q, Options{Objective: ObjTopK, K: k}).TopK
 				want := SolveBrute(g, q)
 
 				// Expected: candidate objectives sorted ascending, below
@@ -75,10 +75,10 @@ func TestTopKDegenerate(t *testing.T) {
 		Candidates: nil,
 		Clients:    []Client{clientIn(v, 1, 0)},
 	}
-	if got := SolveTopK(tree, q, 3); got != nil {
+	if got := execOf(tree, q, Options{Objective: ObjTopK, K: 3}).TopK; got != nil {
 		t.Fatalf("no candidates: got %v", got)
 	}
-	if got := SolveTopK(tree, q, 0); got != nil {
+	if got := execOf(tree, q, Options{Objective: ObjTopK, K: 0}).TopK; got != nil {
 		t.Fatalf("k=0: got %v", got)
 	}
 }
@@ -88,17 +88,17 @@ func TestTopKOrdersAscending(t *testing.T) {
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	rng := rand.New(rand.NewSource(17))
 	q := randomQuery(v, rng, 2, 8, 40)
-	got := SolveTopK(tree, q, 5)
+	got := execOf(tree, q, Options{Objective: ObjTopK, K: 5}).TopK
 	for i := 1; i < len(got); i++ {
 		if got[i].Objective < got[i-1].Objective-1e-9 {
 			t.Fatalf("not ascending: %v", got)
 		}
 	}
-	// Top-1 agrees with Solve.
+	// Top-1 agrees with MinMax.
 	if len(got) > 0 {
-		single := Solve(tree, q)
+		single := execOf(tree, q, Options{}).MinMax
 		if !single.Found || !almostEq(single.Objective, got[0].Objective) {
-			t.Fatalf("top-1 %v disagrees with Solve %v", got[0], single)
+			t.Fatalf("top-1 %v disagrees with minmax %v", got[0], single)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func regressionCases() []regressionCase {
 	// stepping loop only reported progress when d_low strictly advanced, so
 	// the candidate's zero-distance coverage activated in the same dequeue
 	// round that flipped isFirst was never answer-checked; the client was
-	// later pruned against the existing room at 3.6055 and Solve returned
+	// later pruned against the existing room at 3.6055 and MinMax returned
 	// Found=false while baseline and brute returned the candidate at
 	// objective 0. Fixed in eaState.run (first-transition answer check);
 	// regression test: core.TestClientAtCandidateDoorZeroDistance.

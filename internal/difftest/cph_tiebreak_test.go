@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -49,9 +50,12 @@ func TestCPHTieBreakParity(t *testing.T) {
 	}
 
 	tree := vip.MustBuild(v, vip.DefaultOptions())
-	eff := core.Solve(tree, q)
-	base := core.SolveBaseline(tree, q)
-	for name, r := range map[string]core.Result{"efficient": eff, "baseline": base} {
+	for name, obj := range map[string]core.Objective{"efficient": core.ObjMinMax, "baseline": core.ObjBaseline} {
+		er, err := core.Exec(context.Background(), tree, q, core.Options{Objective: obj})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r := er.MinMax
 		if !r.Found || r.Answer != br.Answer || r.Objective != br.Objective {
 			t.Errorf("%s: answer=%d objective=%v, want answer=%d objective=%v (lowest-ID tie)",
 				name, r.Answer, r.Objective, br.Answer, br.Objective)

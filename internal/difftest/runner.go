@@ -88,6 +88,11 @@ func (e *Env) exec(q *core.Query, o core.Options) (core.ExecResult, error) {
 	return core.Exec(context.Background(), e.Tree, q, o)
 }
 
+// session runs one engine path through the warm Session.
+func (e *Env) session(q *core.Query, o core.Options) (core.ExecResult, error) {
+	return e.Session.Exec(context.Background(), q, o)
+}
+
 // runBatch pushes the query through the batch layer with one worker.
 func (e *Env) runBatch(bq batch.Query) (batch.Result, error) {
 	rep, err := batch.Run(context.Background(), e.Tree, []batch.Query{bq}, batch.Options{Workers: 1})
@@ -137,16 +142,15 @@ func (e *Env) checkMinMax(q *core.Query, obj core.Objective) *Mismatch {
 		return mm("fresh-vs-scratch", fmt.Sprintf("%+v vs %+v", fresh.MinMax, scratch.MinMax))
 	}
 	if obj == core.ObjMinMax {
-		sess := e.Session.Solve(q)
-		if !sameResult(fresh.MinMax, sess) {
-			return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.MinMax, sess))
+		sess, err := e.session(q, core.Options{Objective: obj})
+		if err != nil {
+			return mm("session", err.Error())
+		}
+		if !sameResult(fresh.MinMax, sess.MinMax) {
+			return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.MinMax, sess.MinMax))
 		}
 	}
-	bobj := batch.MinMax
-	if obj == core.ObjBaseline {
-		bobj = batch.Baseline
-	}
-	br, err := e.runBatch(batch.Query{Objective: bobj, Query: q})
+	br, err := e.runBatch(batch.Query{Objective: obj, Query: q})
 	if err != nil {
 		return mm("batch", err.Error())
 	}
@@ -240,11 +244,14 @@ func (e *Env) checkMinDist(q *core.Query) *Mismatch {
 	if !sameExt(fresh.Ext, scratch.Ext) {
 		return mm("fresh-vs-scratch", fmt.Sprintf("%+v vs %+v", fresh.Ext, scratch.Ext))
 	}
-	sess := e.Session.SolveMinDist(q)
-	if !sameExt(fresh.Ext, sess) {
-		return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.Ext, sess))
+	sess, err := e.session(q, core.Options{Objective: obj})
+	if err != nil {
+		return mm("session", err.Error())
 	}
-	br, err := e.runBatch(batch.Query{Objective: batch.MinDist, Query: q})
+	if !sameExt(fresh.Ext, sess.Ext) {
+		return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.Ext, sess.Ext))
+	}
+	br, err := e.runBatch(batch.Query{Objective: obj, Query: q})
 	if err != nil {
 		return mm("batch", err.Error())
 	}
@@ -299,11 +306,14 @@ func (e *Env) checkMaxSum(q *core.Query) *Mismatch {
 	if !sameExt(fresh.Ext, scratch.Ext) {
 		return mm("fresh-vs-scratch", fmt.Sprintf("%+v vs %+v", fresh.Ext, scratch.Ext))
 	}
-	sess := e.Session.SolveMaxSum(q)
-	if !sameExt(fresh.Ext, sess) {
-		return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.Ext, sess))
+	sess, err := e.session(q, core.Options{Objective: obj})
+	if err != nil {
+		return mm("session", err.Error())
 	}
-	br, err := e.runBatch(batch.Query{Objective: batch.MaxSum, Query: q})
+	if !sameExt(fresh.Ext, sess.Ext) {
+		return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.Ext, sess.Ext))
+	}
+	br, err := e.runBatch(batch.Query{Objective: obj, Query: q})
 	if err != nil {
 		return mm("batch", err.Error())
 	}
@@ -371,11 +381,14 @@ func (e *Env) checkTopK(q *core.Query, k int) *Mismatch {
 	if !sameRanking(fresh.TopK, scratch.TopK) {
 		return mm("fresh-vs-scratch", fmt.Sprintf("%v vs %v", fresh.TopK, scratch.TopK))
 	}
-	sess := e.Session.SolveTopK(q, k)
-	if !sameRanking(fresh.TopK, sess) {
-		return mm("fresh-vs-session", fmt.Sprintf("%v vs %v", fresh.TopK, sess))
+	sess, err := e.session(q, core.Options{Objective: obj, K: k})
+	if err != nil {
+		return mm("session", err.Error())
 	}
-	br, err := e.runBatch(batch.Query{Objective: batch.TopK, K: k, Query: q})
+	if !sameRanking(fresh.TopK, sess.TopK) {
+		return mm("fresh-vs-session", fmt.Sprintf("%v vs %v", fresh.TopK, sess.TopK))
+	}
+	br, err := e.runBatch(batch.Query{Objective: obj, K: k, Query: q})
 	if err != nil && k > 0 {
 		return mm("batch", err.Error())
 	}
@@ -475,9 +488,19 @@ func (e *Env) checkMulti(q *core.Query, k int) *Mismatch {
 	if !sameMulti(fresh.Multi, scratch.Multi) {
 		return mm("fresh-vs-scratch", fmt.Sprintf("%+v vs %+v", fresh.Multi, scratch.Multi))
 	}
-	sess := e.Session.SolveMulti(q, k)
-	if !sameMulti(fresh.Multi, sess) {
-		return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.Multi, sess))
+	sess, err := e.session(q, core.Options{Objective: obj, K: k})
+	if err != nil {
+		return mm("session", err.Error())
+	}
+	if !sameMulti(fresh.Multi, sess.Multi) {
+		return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.Multi, sess.Multi))
+	}
+	br, err := e.runBatch(batch.Query{Objective: obj, K: k, Query: q})
+	if err != nil {
+		return mm("batch", err.Error())
+	}
+	if !sameMulti(fresh.Multi, br.Multi) {
+		return mm("fresh-vs-batch", fmt.Sprintf("%+v vs %+v", fresh.Multi, br.Multi))
 	}
 
 	// Oracle greedy reference with resync: each engine pick must be within

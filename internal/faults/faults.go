@@ -3,7 +3,7 @@
 // Callers branch on the class with errors.Is and read details from the
 // wrapped message:
 //
-//	res, err := ix.SolveContext(ctx, q)
+//	a, err := ix.Query(ctx, q, ifls.QueryOptions{})
 //	switch {
 //	case errors.Is(err, faults.ErrCancelled):     // deadline or cancel; retry later
 //	case errors.Is(err, faults.ErrInvalidQuery):  // reject the request, 4xx

@@ -76,37 +76,21 @@ func FuzzQueryValidate(f *testing.F) {
 		verr := q.Validate(v) // must not panic; error is fine
 
 		ctx := context.Background()
-		if _, err := ix.SolveContext(ctx, q); (err != nil) != (verr != nil) {
-			t.Fatalf("SolveContext error %v inconsistent with Validate %v", err, verr)
-		} else if err != nil && !errors.Is(err, ifls.ErrInvalidQuery) {
-			t.Fatalf("SolveContext error %v does not wrap ErrInvalidQuery", err)
-		}
-		if _, err := ix.SolveBaselineContext(ctx, q); (err != nil) != (verr != nil) {
-			t.Fatalf("SolveBaselineContext error %v inconsistent with Validate %v", err, verr)
-		}
-		if _, err := ix.SolveMinDistContext(ctx, q); (err != nil) != (verr != nil) {
-			t.Fatalf("SolveMinDistContext error %v inconsistent with Validate %v", err, verr)
-		}
-		if _, err := ix.SolveMaxSumContext(ctx, q); (err != nil) != (verr != nil) {
-			t.Fatalf("SolveMaxSumContext error %v inconsistent with Validate %v", err, verr)
-		}
-		if _, err := ix.SolveTopKContext(ctx, q, k); err != nil && !errors.Is(err, ifls.ErrInvalidQuery) {
-			t.Fatalf("SolveTopKContext error %v does not wrap ErrInvalidQuery", err)
-		}
-		if _, err := ix.SolveMultiContext(ctx, q, k); err != nil && !errors.Is(err, ifls.ErrInvalidQuery) {
-			t.Fatalf("SolveMultiContext error %v does not wrap ErrInvalidQuery", err)
-		}
-
-		// The plain (non-context) methods must also never panic: they
-		// degrade to not-found results on bad input.
-		ix.Solve(q)
-		ix.SolveBaseline(q)
-		ix.SolveMinDist(q)
-		ix.SolveMaxSum(q)
-		ix.SolveTopK(q, k)
-		ix.SolveMulti(q, k)
 		sess := ix.NewSession()
-		sess.Solve(q)
-		sess.SolveTopK(q, k)
+		for _, obj := range []ifls.Objective{ifls.MinMax, ifls.Baseline, ifls.MinDist, ifls.MaxSum, ifls.TopK, ifls.Multi} {
+			o := ifls.QueryOptions{Objective: obj, K: k}
+			for path, query := range map[string]func() error{
+				"Index.Query":   func() error { _, err := ix.Query(ctx, q, o); return err },
+				"Session.Query": func() error { _, err := sess.Query(ctx, q, o); return err },
+			} {
+				err := query()
+				if (err != nil) != (verr != nil) {
+					t.Fatalf("%s(%v) error %v inconsistent with Validate %v", path, obj, err, verr)
+				}
+				if err != nil && !errors.Is(err, ifls.ErrInvalidQuery) {
+					t.Fatalf("%s(%v) error %v does not wrap ErrInvalidQuery", path, obj, err)
+				}
+			}
+		}
 	})
 }

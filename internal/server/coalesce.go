@@ -16,16 +16,16 @@ import (
 // Fn, and every client's identity and coordinates — as a canonical byte
 // string. Two requests coalesce if and only if their keys are equal, so
 // the key must determine the answer completely: it is the exact query, not
-// a hash of it, and collisions are impossible by construction. Every
-// variable-length field is length-prefixed so no byte value inside a field
-// (venue names are operator-controlled, not trusted) can shift the
+// a hash of it, and collisions are impossible by construction. The
+// objective is its one-byte parsed value (so "" and "minmax" coalesce);
+// every variable-length field is length-prefixed so no byte value inside a
+// field (venue names are operator-controlled, not trusted) can shift the
 // boundary between fields.
 func queryKey(venue string, q batch.Query) string {
 	b := make([]byte, 0, 64+len(venue)+4*(len(q.Query.Existing)+len(q.Query.Candidates))+24*len(q.Query.Clients))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(venue)))
 	b = append(b, venue...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(q.Objective)))
-	b = append(b, q.Objective...)
+	b = append(b, byte(q.Objective))
 	b = binary.LittleEndian.AppendUint32(b, uint32(q.K))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(q.Query.Existing)))
 	for _, f := range q.Query.Existing {
@@ -191,11 +191,13 @@ func (f *flight) leave(grace time.Duration, onReap func()) {
 			return
 		}
 		f.reaped = true
-		f.cancel()
-		f.mu.Unlock()
+		// Count the reap before cancelling, so whoever the cancellation
+		// wakes (the leader's handler, a drain) already sees it.
 		if onReap != nil {
 			onReap()
 		}
+		f.cancel()
+		f.mu.Unlock()
 	})
 }
 

@@ -21,7 +21,7 @@ import (
 
 // TestCoalescedMatchesSession is the headline correctness property: K
 // concurrent identical queries — forced onto one shared flight — all
-// return results byte-identical to an uncoalesced Session.Solve, with
+// return results byte-identical to an uncoalesced Session query, with
 // exactly one traversal executed and K-1 coalesce hits recorded. Run
 // under -race, this also proves the fan-out shares the result safely.
 func TestCoalescedMatchesSession(t *testing.T) {
@@ -31,7 +31,7 @@ func TestCoalescedMatchesSession(t *testing.T) {
 
 	// Hold the leader's flight open until all K-1 waiters have joined, so
 	// coalescing is deterministic rather than a race the test hopes to win.
-	key := queryKey("c3", toBatchQuery(c3Request()))
+	key := queryKey("c3", wireQuery(c3Request()))
 	release := make(chan struct{})
 	s.co.leaderGate = func(string) { <-release }
 	go func() {
@@ -58,7 +58,8 @@ func TestCoalescedMatchesSession(t *testing.T) {
 	wg.Wait()
 
 	tree := vip.MustBuild(v, vip.DefaultOptions())
-	want := core.NewSession(tree).Solve(toBatchQuery(c3Request()).Query)
+	ref, _ := core.NewSession(tree).Exec(context.Background(), wireQuery(c3Request()).Query, core.Options{})
+	want := ref.MinMax
 	leaders := 0
 	for i := 0; i < K; i++ {
 		if codes[i] != http.StatusOK {
@@ -104,7 +105,7 @@ func TestNearIdenticalDoNotCoalesce(t *testing.T) {
 	reqB := c3Request()
 	reqB.Clients[1].X = 24.5 // near-identical: one coordinate differs
 
-	if ka, kb := queryKey("c3", toBatchQuery(reqA)), queryKey("c3", toBatchQuery(reqB)); ka == kb {
+	if ka, kb := queryKey("c3", wireQuery(reqA)), queryKey("c3", wireQuery(reqB)); ka == kb {
 		t.Fatal("near-identical queries produced an equal fingerprint")
 	}
 
@@ -116,7 +117,8 @@ func TestNearIdenticalDoNotCoalesce(t *testing.T) {
 			t.Fatalf("status = %d: %s", w.Code, w.Body.String())
 		}
 		resp := decodeResponse(t, w)
-		want := session.Solve(toBatchQuery(req).Query)
+		ref, _ := session.Exec(context.Background(), wireQuery(req).Query, core.Options{})
+		want := ref.MinMax
 		if !resp.Found || *resp.Answer != int32(want.Answer) ||
 			math.Float64bits(*resp.Value) != math.Float64bits(want.Objective) {
 			t.Errorf("req %+v: got (%v,%v), want (%v,%v)", req.Clients[1], *resp.Answer, *resp.Value, want.Answer, want.Objective)
@@ -135,7 +137,7 @@ func TestNearIdenticalDoNotCoalesce(t *testing.T) {
 // to completion and serves the surviving clients a full answer.
 func TestWaiterCancelDoesNotCancelFlight(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
-	key := queryKey("c3", toBatchQuery(c3Request()))
+	key := queryKey("c3", wireQuery(c3Request()))
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	s.co.leaderGate = func(string) {

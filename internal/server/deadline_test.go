@@ -125,7 +125,7 @@ func TestFlightCarriesMaxDeadline(t *testing.T) {
 			}
 		}},
 	})
-	key := queryKey("c3", toBatchQuery(c3Request()))
+	key := queryKey("c3", wireQuery(c3Request()))
 	var gateOnce sync.Once
 	registered := make(chan struct{})
 	release := make(chan struct{})
@@ -224,7 +224,7 @@ func TestRejoinDisarmsReap(t *testing.T) {
 			}
 		}},
 	})
-	key := queryKey("c3", toBatchQuery(c3Request()))
+	key := queryKey("c3", wireQuery(c3Request()))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	body, err := json.Marshal(c3Request())

@@ -15,6 +15,7 @@ import (
 	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/geom"
 	"github.com/indoorspatial/ifls/internal/indoor"
+	"github.com/indoorspatial/ifls/internal/obs"
 )
 
 // StatusClientClosedRequest is the non-standard 499 status (nginx
@@ -302,7 +303,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	bq := toBatchQuery(req)
+	bq, err := toBatchQuery(req)
+	if err != nil {
+		// Rejected before batch.Execute, which would have counted it: count
+		// it here so every query-content rejection reports alike.
+		if s.opts.Metrics != nil {
+			s.opts.Metrics.ObserveQuery(obs.QueryObservation{Err: err})
+		}
+		s.writeError(w, err)
+		return
+	}
 	execute := func(ctx context.Context) batch.Result {
 		if hook := s.opts.Hooks.BeforeExecute; hook != nil {
 			if err := hook(ctx, req.Venue); err != nil {
@@ -343,13 +353,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, deadlineClass(res.Err))
 		return
 	}
-	writeJSON(w, http.StatusOK, toResponse(req, res, hit, time.Since(start)))
+	writeJSON(w, http.StatusOK, toResponse(req, bq, res, hit, time.Since(start)))
 }
 
-// toBatchQuery converts a wire request into the batch execution form.
-// Malformed content (unknown IDs, bad coordinates) is not checked here —
-// Query.Validate inside batch.Execute rejects it with ErrInvalidQuery.
-func toBatchQuery(req QueryRequest) batch.Query {
+// toBatchQuery converts a wire request into the batch execution form. It
+// rejects an objective outside the wire's five (ErrUnknownObjective: the
+// HTTP API has no multi-facility payload). Malformed content (unknown IDs,
+// bad coordinates) is not checked here — Query.Validate inside
+// batch.Execute rejects it with ErrInvalidQuery.
+func toBatchQuery(req QueryRequest) (batch.Query, error) {
+	obj, err := core.ParseObjective(req.Objective)
+	if err == nil && obj == core.ObjMulti {
+		err = fmt.Errorf("%w: %q is not served over HTTP", faults.ErrUnknownObjective, req.Objective)
+	}
+	if err != nil {
+		return batch.Query{}, err
+	}
 	q := &core.Query{
 		Existing:   make([]indoor.PartitionID, len(req.Existing)),
 		Candidates: make([]indoor.PartitionID, len(req.Candidates)),
@@ -368,49 +387,39 @@ func toBatchQuery(req QueryRequest) batch.Query {
 			Part: indoor.PartitionID(c.Partition),
 		}
 	}
-	return batch.Query{Objective: batch.Objective(req.Objective), K: req.K, Query: q}
+	return batch.Query{Objective: obj, K: req.K, Query: q}, nil
 }
 
-// toResponse renders one successful execution for the wire, selecting the
-// payload by the request's objective exactly as batch.Result populates it.
-func toResponse(req QueryRequest, res batch.Result, coalesced bool, elapsed time.Duration) QueryResponse {
+// toResponse renders one successful execution for the wire from the
+// payload the query's objective populated.
+func toResponse(req QueryRequest, bq batch.Query, res batch.Result, coalesced bool, elapsed time.Duration) QueryResponse {
+	out := res.Outcome(bq.Objective)
 	resp := QueryResponse{
 		Venue:     req.Venue,
-		Objective: req.Objective,
+		Objective: bq.Objective.String(),
+		Found:     out.Found,
+		Stats: StatsJSON{
+			DistanceCalcs: out.Stats.DistanceCalcs,
+			Retrievals:    out.Stats.Retrievals,
+			QueuePops:     out.Stats.QueuePops,
+			PrunedClients: out.Stats.PrunedClients,
+			RetainedBytes: out.Stats.RetainedBytes,
+		},
 		Coalesced: coalesced,
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
 	}
-	if resp.Objective == "" {
-		resp.Objective = string(batch.MinMax)
-	}
-	setAnswer := func(found bool, answer indoor.PartitionID, value float64, st core.Stats) {
-		resp.Found = found
-		resp.Stats = StatsJSON{
-			DistanceCalcs: st.DistanceCalcs,
-			Retrievals:    st.Retrievals,
-			QueuePops:     st.QueuePops,
-			PrunedClients: st.PrunedClients,
-			RetainedBytes: st.RetainedBytes,
-		}
-		if found {
-			a := int32(answer)
-			resp.Answer = &a
-			if !math.IsNaN(value) {
-				v := value
-				resp.Value = &v
-			}
-		}
-	}
-	switch batch.Objective(resp.Objective) {
-	case batch.MinMax, batch.Baseline:
-		setAnswer(res.MinMax.Found, res.MinMax.Answer, res.MinMax.Objective, res.MinMax.Stats)
-	case batch.MinDist, batch.MaxSum:
-		setAnswer(res.Ext.Improves, res.Ext.Answer, res.Ext.Objective, res.Ext.Stats)
-	case batch.TopK:
-		resp.Found = len(res.TopK) > 0
+	switch {
+	case bq.Objective == core.ObjTopK:
 		resp.Ranking = make([]RankedJSON, len(res.TopK))
 		for i, rc := range res.TopK {
 			resp.Ranking[i] = RankedJSON{Candidate: int32(rc.Candidate), Value: rc.Objective}
+		}
+	case out.Found:
+		a := int32(out.Answer)
+		resp.Answer = &a
+		if !math.IsNaN(out.Value) {
+			v := out.Value
+			resp.Value = &v
 		}
 	}
 	return resp

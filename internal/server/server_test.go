@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/indoorspatial/ifls/internal/batch"
 	"github.com/indoorspatial/ifls/internal/core"
 	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/indoor"
@@ -30,6 +31,16 @@ func newTestServer(t testing.TB, opts Options) (*Server, *indoor.Venue) {
 		t.Fatal(err)
 	}
 	return New(reg, opts), v
+}
+
+// wireQuery is toBatchQuery for a request the test knows names a served
+// objective.
+func wireQuery(req QueryRequest) batch.Query {
+	bq, err := toBatchQuery(req)
+	if err != nil {
+		panic(err)
+	}
+	return bq
 }
 
 // c3Request is a valid query against Corridor3: clients in rooms 1 and 3,
@@ -84,7 +95,7 @@ func decodeError(t testing.TB, w *httptest.ResponseRecorder) ErrorResponse {
 
 // TestQueryMatchesSession pins the serving path to the library: the HTTP
 // answer must be byte-identical (answer ID, objective bits) to a direct
-// Session.Solve on the same query.
+// Session query on the same query.
 func TestQueryMatchesSession(t *testing.T) {
 	s, v := newTestServer(t, Options{})
 	w := post(t, s.Handler(), c3Request())
@@ -95,8 +106,9 @@ func TestQueryMatchesSession(t *testing.T) {
 
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	req := c3Request()
-	q := toBatchQuery(req).Query
-	want := core.NewSession(tree).Solve(q)
+	q := wireQuery(req).Query
+	ref, _ := core.NewSession(tree).Exec(context.Background(), q, core.Options{})
+	want := ref.MinMax
 	if !want.Found || !resp.Found {
 		t.Fatalf("found = %v/%v, want both true", want.Found, resp.Found)
 	}
@@ -137,12 +149,15 @@ func TestObjectives(t *testing.T) {
 // TestStatusTable exercises every documented non-200 status code and its
 // stable error code — the SERVING.md contract.
 func TestStatusTable(t *testing.T) {
-	s, _ := newTestServer(t, Options{MaxBodyBytes: 256})
+	m := obs.NewMetrics()
+	s, _ := newTestServer(t, Options{MaxBodyBytes: 256, Metrics: m})
 
 	badQuery := c3Request()
 	badQuery.Candidates = []int32{99} // out of range -> ErrInvalidQuery
 	badObjective := c3Request()
 	badObjective.Objective = "fastest"
+	multiObjective := c3Request()
+	multiObjective.Objective = "multi" // a library objective with no wire payload
 
 	cases := []struct {
 		name   string
@@ -151,16 +166,22 @@ func TestStatusTable(t *testing.T) {
 		body   any
 		status int
 		code   string
+		// counted: the rejection is a query-content error that lands in
+		// the Metrics queries/errors counters; transport-level rejections
+		// (bad JSON, unknown venue, wrong method, oversized body) do not.
+		counted bool
 	}{
-		{"invalid query", http.MethodPost, "/v1/query", badQuery, http.StatusBadRequest, "invalid_query"},
-		{"unknown objective", http.MethodPost, "/v1/query", badObjective, http.StatusBadRequest, "unknown_objective"},
-		{"malformed json", http.MethodPost, "/v1/query", `{"venue":`, http.StatusBadRequest, "malformed_json"},
-		{"unknown venue", http.MethodPost, "/v1/query", QueryRequest{Venue: "nope", Candidates: []int32{0}}, http.StatusNotFound, "unknown_venue"},
-		{"method not allowed", http.MethodGet, "/v1/query", nil, http.StatusMethodNotAllowed, "method_not_allowed"},
-		{"body too large", http.MethodPost, "/v1/query", `{"venue":"c3","clients":[` + strings.Repeat(`{"id":1},`, 100) + `{}]}`, http.StatusRequestEntityTooLarge, "body_too_large"},
+		{"invalid query", http.MethodPost, "/v1/query", badQuery, http.StatusBadRequest, "invalid_query", true},
+		{"unknown objective", http.MethodPost, "/v1/query", badObjective, http.StatusBadRequest, "unknown_objective", true},
+		{"multi objective", http.MethodPost, "/v1/query", multiObjective, http.StatusBadRequest, "unknown_objective", true},
+		{"malformed json", http.MethodPost, "/v1/query", `{"venue":`, http.StatusBadRequest, "malformed_json", false},
+		{"unknown venue", http.MethodPost, "/v1/query", QueryRequest{Venue: "nope", Candidates: []int32{0}}, http.StatusNotFound, "unknown_venue", false},
+		{"method not allowed", http.MethodGet, "/v1/query", nil, http.StatusMethodNotAllowed, "method_not_allowed", false},
+		{"body too large", http.MethodPost, "/v1/query", `{"venue":"c3","clients":[` + strings.Repeat(`{"id":1},`, 100) + `{}]}`, http.StatusRequestEntityTooLarge, "body_too_large", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			before := m.Snapshot()
 			var w *httptest.ResponseRecorder
 			if tc.method == http.MethodPost {
 				w = post(t, s.Handler(), tc.body)
@@ -173,6 +194,14 @@ func TestStatusTable(t *testing.T) {
 			}
 			if got := decodeError(t, w).Code; got != tc.code {
 				t.Errorf("code = %q, want %q", got, tc.code)
+			}
+			want := int64(0)
+			if tc.counted {
+				want = 1
+			}
+			after := m.Snapshot()
+			if dq, de := after.Queries-before.Queries, after.Errors-before.Errors; dq != want || de != want {
+				t.Errorf("queries/errors delta = %d/%d, want %d/%d", dq, de, want, want)
 			}
 		})
 	}

@@ -1,12 +1,8 @@
 package ifls
 
 import (
-	"context"
-	"math"
 	"net/http"
-	"time"
 
-	"github.com/indoorspatial/ifls/internal/core"
 	"github.com/indoorspatial/ifls/internal/obs"
 	"github.com/indoorspatial/ifls/internal/pager"
 )
@@ -38,14 +34,14 @@ func NewMetrics() *Metrics { return obs.NewMetrics() }
 //	go http.ListenAndServe("localhost:6060", ifls.MetricsMux(m))
 func MetricsMux(m *Metrics) *http.ServeMux { return obs.NewMux(m) }
 
-// WithMetrics returns a shallow copy of the index whose Context solver
-// methods (SolveContext, SolveBaselineContext, SolveMinDistContext,
-// SolveMaxSumContext, SolveTopKContext) record per-query observations into
-// m: one span per instrumented stage (validate, locate, queue-pop, prune,
-// answer-check) and one aggregate observation per query. The receiver is
-// unchanged and both copies share the same underlying tree, so indexing
-// work is not repeated. Cancelled queries contribute error and latency
-// counts but no span events. A nil m returns an unobserved copy.
+// WithMetrics returns a shallow copy of the index whose Query records
+// per-query observations into m, on the same path the serving daemon uses
+// (internal/batch.Execute): one span per instrumented stage (validate,
+// locate, queue-pop, prune, answer-check) and one aggregate observation per
+// query. The receiver is unchanged and both copies share the same
+// underlying tree, so indexing work is not repeated. Cancelled queries
+// contribute error and latency counts but no span events. A nil m returns
+// an unobserved copy.
 func (ix *Index) WithMetrics(m *Metrics) *Index {
 	cp := *ix
 	cp.metrics = m
@@ -54,110 +50,3 @@ func (ix *Index) WithMetrics(m *Metrics) *Index {
 
 // Metrics returns the aggregate attached by WithMetrics, or nil.
 func (ix *Index) Metrics() *Metrics { return ix.metrics }
-
-// observeValidate validates q under the metrics clock: a rejection is
-// observed as an errored query; success charges the validate stage.
-func (ix *Index) observeValidate(q *Query, start time.Time) error {
-	if err := ix.validated(q); err != nil {
-		ix.metrics.ObserveQuery(obs.QueryObservation{Elapsed: time.Since(start), Err: err})
-		return err
-	}
-	ix.metrics.Event(obs.Span{Stage: obs.StageValidate, Elapsed: time.Since(start)})
-	return nil
-}
-
-// finishObserved closes out one observed query: a successful query's
-// buffered spans are merged into the aggregate stage counters, a failed
-// (including cancelled) query's partial trace is discarded, and the
-// per-query observation is recorded either way.
-func (ix *Index) finishObserved(tr *obs.Trace, q *Query, start time.Time, st core.Stats, found bool, finalGd float64, err error) {
-	if err == nil {
-		var c obs.Counting
-		tr.FlushTo(&c)
-		ix.metrics.MergeStages(c.Counts)
-	}
-	o := obs.QueryObservation{Elapsed: time.Since(start), Err: err}
-	if err == nil {
-		o.Clients = len(q.Clients)
-		o.Pruned = st.PrunedClients
-		o.DistanceCalcs = st.DistanceCalcs
-		o.QueuePops = st.QueuePops
-		o.Found = found
-		o.FinalGd = finalGd
-	}
-	ix.metrics.ObserveQuery(o)
-}
-
-func (ix *Index) solveContextObserved(ctx context.Context, q *Query) (r Result, err error) {
-	start := time.Now()
-	if verr := ix.observeValidate(q, start); verr != nil {
-		return notFound(), verr
-	}
-	var tr obs.Trace
-	if gerr := guard(func() { r, err = core.SolveObserved(ctx, ix.tree, q, &tr) }); gerr != nil {
-		ix.finishObserved(&tr, q, start, core.Stats{}, false, 0, gerr)
-		return notFound(), gerr
-	}
-	ix.finishObserved(&tr, q, start, r.Stats, r.Found, r.Objective, err)
-	return r, err
-}
-
-func (ix *Index) solveBaselineContextObserved(ctx context.Context, q *Query) (r Result, err error) {
-	start := time.Now()
-	if verr := ix.observeValidate(q, start); verr != nil {
-		return notFound(), verr
-	}
-	var tr obs.Trace
-	if gerr := guard(func() { r, err = core.SolveBaselineObserved(ctx, ix.tree, q, &tr) }); gerr != nil {
-		ix.finishObserved(&tr, q, start, core.Stats{}, false, 0, gerr)
-		return notFound(), gerr
-	}
-	ix.finishObserved(&tr, q, start, r.Stats, r.Found, r.Objective, err)
-	return r, err
-}
-
-func (ix *Index) solveMinDistContextObserved(ctx context.Context, q *Query) (r ExtResult, err error) {
-	start := time.Now()
-	if verr := ix.observeValidate(q, start); verr != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, verr
-	}
-	var tr obs.Trace
-	if gerr := guard(func() { r, err = core.SolveMinDistObserved(ctx, ix.tree, q, &tr) }); gerr != nil {
-		ix.finishObserved(&tr, q, start, core.Stats{}, false, 0, gerr)
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, gerr
-	}
-	ix.finishObserved(&tr, q, start, r.Stats, r.Improves, r.Objective, err)
-	return r, err
-}
-
-func (ix *Index) solveMaxSumContextObserved(ctx context.Context, q *Query) (r ExtResult, err error) {
-	start := time.Now()
-	if verr := ix.observeValidate(q, start); verr != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, verr
-	}
-	var tr obs.Trace
-	if gerr := guard(func() { r, err = core.SolveMaxSumObserved(ctx, ix.tree, q, &tr) }); gerr != nil {
-		ix.finishObserved(&tr, q, start, core.Stats{}, false, 0, gerr)
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, gerr
-	}
-	ix.finishObserved(&tr, q, start, r.Stats, r.Improves, r.Objective, err)
-	return r, err
-}
-
-func (ix *Index) solveTopKContextObserved(ctx context.Context, q *Query, k int) (r []RankedCandidate, err error) {
-	start := time.Now()
-	if verr := ix.observeValidate(q, start); verr != nil {
-		return nil, verr
-	}
-	var tr obs.Trace
-	if gerr := guard(func() { r, err = core.SolveTopKObserved(ctx, ix.tree, q, k, &tr) }); gerr != nil {
-		ix.finishObserved(&tr, q, start, core.Stats{}, false, 0, gerr)
-		return nil, gerr
-	}
-	finalGd := math.NaN()
-	if len(r) > 0 {
-		finalGd = r[0].Objective
-	}
-	ix.finishObserved(&tr, q, start, core.Stats{}, len(r) > 0, finalGd, err)
-	return r, err
-}

@@ -46,28 +46,13 @@ func TestWithMetricsObservesQueries(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	plain, err := ix.SolveContext(ctx, q)
-	if err != nil {
-		t.Fatalf("plain SolveContext: %v", err)
+	plain := answer(t, ix, q, ifls.QueryOptions{})
+	got := answer(t, obsIx, q, ifls.QueryOptions{})
+	if got.MinMax != plain.MinMax {
+		t.Fatalf("observed result %+v != plain %+v", got.MinMax, plain.MinMax)
 	}
-	got, err := obsIx.SolveContext(ctx, q)
-	if err != nil {
-		t.Fatalf("observed SolveContext: %v", err)
-	}
-	if got != plain {
-		t.Fatalf("observed result %+v != plain %+v", got, plain)
-	}
-	if _, err := obsIx.SolveBaselineContext(ctx, q); err != nil {
-		t.Fatalf("SolveBaselineContext: %v", err)
-	}
-	if _, err := obsIx.SolveMinDistContext(ctx, q); err != nil {
-		t.Fatalf("SolveMinDistContext: %v", err)
-	}
-	if _, err := obsIx.SolveMaxSumContext(ctx, q); err != nil {
-		t.Fatalf("SolveMaxSumContext: %v", err)
-	}
-	if _, err := obsIx.SolveTopKContext(ctx, q, 2); err != nil {
-		t.Fatalf("SolveTopKContext: %v", err)
+	for _, obj := range []ifls.Objective{ifls.Baseline, ifls.MinDist, ifls.MaxSum, ifls.TopK} {
+		answer(t, obsIx, q, ifls.QueryOptions{Objective: obj, K: 2})
 	}
 
 	s := m.Snapshot()
@@ -87,7 +72,7 @@ func TestWithMetricsObservesQueries(t *testing.T) {
 
 	// A rejected query is observed as an error, with no new spans.
 	before := m.Snapshot().Stages.Total()
-	if _, err := obsIx.SolveContext(ctx, nil); !errors.Is(err, ifls.ErrInvalidQuery) {
+	if _, err := obsIx.Query(ctx, nil, ifls.QueryOptions{}); !errors.Is(err, ifls.ErrInvalidQuery) {
 		t.Fatalf("nil query: err = %v, want ErrInvalidQuery", err)
 	}
 	s = m.Snapshot()
@@ -101,8 +86,8 @@ func TestWithMetricsObservesQueries(t *testing.T) {
 	// A cancelled query counts as a cancellation and leaves no spans.
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	before = s.Stages.Total() + 1 // +1: validate fires before the solver sees ctx
-	if _, err := obsIx.SolveContext(cancelled, q); !errors.Is(err, ifls.ErrCancelled) {
+	before = s.Stages.Total()
+	if _, err := obsIx.Query(cancelled, q, ifls.QueryOptions{}); !errors.Is(err, ifls.ErrCancelled) {
 		t.Fatalf("cancelled: err = %v, want ErrCancelled", err)
 	}
 	s = m.Snapshot()
@@ -117,9 +102,7 @@ func TestWithMetricsObservesQueries(t *testing.T) {
 func TestMetricsMuxServes(t *testing.T) {
 	ix, q, m := observedFixture(t)
 	obsIx := ix.WithMetrics(m)
-	if _, err := obsIx.SolveContext(context.Background(), q); err != nil {
-		t.Fatalf("SolveContext: %v", err)
-	}
+	answer(t, obsIx, q, ifls.QueryOptions{})
 
 	srv := httptest.NewServer(ifls.MetricsMux(m))
 	defer srv.Close()

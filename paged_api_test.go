@@ -29,7 +29,7 @@ func TestPublicPagedIndexFile(t *testing.T) {
 		Candidates: []ifls.PartitionID{rooms[2], rooms[3]},
 		Clients:    []ifls.Client{{ID: 0, Loc: ifls.Pt(15, 9, 0), Part: rooms[1]}},
 	}
-	want := ix.Solve(q)
+	want := answer(t, ix, q, ifls.QueryOptions{}).MinMax
 
 	dir := t.TempDir()
 	pagedPath := filepath.Join(dir, "office.vip")
@@ -49,7 +49,7 @@ func TestPublicPagedIndexFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenIndexFile (paged): %v", err)
 	}
-	got := paged.Solve(q)
+	got := answer(t, paged, q, ifls.QueryOptions{}).MinMax
 	if got.Found != want.Found || got.Answer != want.Answer || math.Abs(got.Objective-want.Objective) > 0 {
 		t.Fatalf("paged index disagrees: %+v vs %+v", got, want)
 	}
@@ -69,7 +69,7 @@ func TestPublicPagedIndexFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadIndex (paged stream): %v", err)
 	}
-	if got := mat.Solve(q); got.Answer != want.Answer {
+	if got := answer(t, mat, q, ifls.QueryOptions{}).MinMax; got.Answer != want.Answer {
 		t.Fatalf("materialized paged index disagrees: %+v vs %+v", got, want)
 	}
 
@@ -89,7 +89,7 @@ func TestPublicPagedIndexFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenIndexFile (monolithic): %v", err)
 	}
-	if got := mono.Solve(q); got.Answer != want.Answer {
+	if got := answer(t, mono, q, ifls.QueryOptions{}).MinMax; got.Answer != want.Answer {
 		t.Fatalf("monolithic index disagrees: %+v vs %+v", got, want)
 	}
 	if err := mono.Close(); err != nil {
