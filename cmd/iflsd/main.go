@@ -15,14 +15,15 @@
 //
 // Index files are written atomically (temp file + rename), so a crash
 // mid-save never leaves a half-written index. -saveindex emits the paged
-// (v3) format: tree structure in a verified envelope, distance matrices in
+// format: tree structure in a verified envelope, distance matrices in
 // individually-checksummed pages that fault in through an LRU cache
 // (-page-cache, -mmap) — so an -indexfile boot is query-ready in
 // milliseconds regardless of matrix size. On open, the structure is
 // verified (magic, version, checksum, deep validation) and a corrupt file
 // is refused at startup; a corrupt matrix page is caught by its CRC at
 // fault time and fails that query with a typed error instead of serving
-// garbage. Monolithic (v2) files load as before, fully materialized.
+// garbage. Files in the retired monolithic (version 2) format are refused
+// at startup; rebuild them with -saveindex.
 //
 // A quick session against a running daemon:
 //
@@ -59,7 +60,7 @@ func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	venueList := flag.String("venues", "MC", "comma-separated sample venues to serve (MC, CH, CPH, MZB); empty for none")
 	venueFiles := flag.String("venuefile", "", "comma-separated NAME=PATH venue JSON files to serve")
-	indexFiles := flag.String("indexfile", "", "comma-separated NAME=PATH saved indexes (Index.Save) to load instead of building")
+	indexFiles := flag.String("indexfile", "", "comma-separated NAME=PATH index files (written by -saveindex) to open instead of building")
 	lazy := flag.Bool("lazy", false, "build venue indexes on first query instead of at startup")
 	workers := flag.Int("workers", 0, "index build workers (0 = all cores)")
 	maxInFlight := flag.Int("max-inflight", 0, "per-venue admitted-query limit (0 = default 256, <0 = unlimited)")
@@ -68,7 +69,7 @@ func run() error {
 	queryTimeout := flag.Duration("query-timeout", 0, "server-side per-query deadline, 504 beyond it (0 = unbounded); must be below -drain-timeout")
 	reapGrace := flag.Duration("reap-grace", 0, "grace before an abandoned coalesced flight is cancelled (0 = default 100ms, negative = never reap)")
 	retryAfter := flag.Int("retry-after", 0, "Retry-After seconds sent with 429/503 responses (0 = default 1)")
-	saveIndexFiles := flag.String("saveindex", "", "comma-separated NAME=PATH destinations for built indexes (paged v3 format), written atomically")
+	saveIndexFiles := flag.String("saveindex", "", "comma-separated NAME=PATH destinations for built indexes (paged format), written atomically")
 	pageSize := flag.Int("page-size", 0, "page payload bytes for -saveindex files (0 = 64 KiB default; must be a positive multiple of 8)")
 	pageCache := flag.Int64("page-cache", 0, "page-cache byte budget for paged -indexfile indexes (0 = 64 MiB default, negative = unlimited)")
 	useMmap := flag.Bool("mmap", false, "mmap the page section of paged -indexfile indexes instead of reading pages on demand")
@@ -234,7 +235,7 @@ func run() error {
 	return nil
 }
 
-// saveIndexAtomic persists an index — in the paged (v3) format, so a later
+// saveIndexAtomic persists an index — in the paged format, so a later
 // -indexfile boot is query-ready without reading the matrix heap — with the
 // temp-file-and-rename dance: the bytes land in a temp file in the
 // destination directory, are synced to disk, and only then renamed over the

@@ -233,16 +233,11 @@ func NewIndexContext(ctx context.Context, v *Venue, opts IndexOptions) (*Index, 
 // Venue returns the indexed venue.
 func (ix *Index) Venue() *Venue { return ix.venue }
 
-// Save persists the index (structure and distance matrices) so a later
-// process can LoadIndex it without recomputing — the "indexed once offline"
-// deployment the paper assumes. The venue is persisted separately with
-// Venue.WriteJSON.
-func (ix *Index) Save(w io.Writer) error { return ix.tree.Save(w) }
-
-// LoadIndex restores an index previously written with Index.Save or
-// Index.SavePaged, bound to the venue it was built from. Both formats come
-// back fully materialized; to open a paged file lazily through the page
-// cache, use OpenIndexFile.
+// LoadIndex restores an index previously written with Index.SavePaged,
+// bound to the venue it was built from, fully materialized: every page is
+// verified and every matrix resident before it returns. To open the file
+// lazily through the page cache, use OpenIndexFile. Files in the retired
+// monolithic (version 2) format are refused with ErrCorruptIndex.
 func LoadIndex(r io.Reader, v *Venue) (*Index, error) {
 	t, err := vip.Load(r, v)
 	if err != nil {
@@ -258,13 +253,15 @@ type PagedSaveOptions struct {
 	PageSize int
 }
 
-// SavePaged persists the index in the paged (version 3) format: the tree
-// structure in a verified envelope, the distance matrices in fixed-size
-// individually-checksummed pages. A process that reopens the file with
-// OpenIndexFile is query-ready as soon as the structure is read — matrix
-// pages fault in lazily — which turns restart time from proportional-to-
-// matrix-heap into milliseconds. LoadIndex also accepts the format,
-// materializing it fully.
+// SavePaged persists the index (structure and distance matrices) so a
+// later process can reopen it without recomputing — the "indexed once
+// offline" deployment the paper assumes. The venue is persisted separately
+// with Venue.WriteJSON. The file holds the tree structure in a verified
+// envelope and the distance matrices in fixed-size individually-checksummed
+// pages. A process that reopens the file with OpenIndexFile is query-ready
+// as soon as the structure is read — matrix pages fault in lazily — which
+// turns restart time from proportional-to-matrix-heap into milliseconds;
+// LoadIndex reads the same file eagerly.
 func (ix *Index) SavePaged(w io.Writer, o PagedSaveOptions) error {
 	return ix.tree.SavePaged(w, vip.PagedSaveOptions{PageSize: o.PageSize})
 }
@@ -283,18 +280,18 @@ type PagedIndexOptions struct {
 	Metrics *Metrics
 }
 
-// OpenIndexFile opens a saved index file from disk, sniffing its format: a
-// paged (version 3) file opens lazily through an LRU page cache sized by o,
-// and the file stays open for the life of the index — release it with
-// Index.Close. A monolithic (version 2) file is fully materialized as with
-// LoadIndex, and o is irrelevant. Either way the returned index answers
-// queries identically; only residency and restart latency differ.
+// OpenIndexFile opens an index file written by SavePaged lazily: the file
+// opens through an LRU page cache sized by o and stays open for the life
+// of the index — release it with Index.Close. The returned index answers
+// queries identically to LoadIndex's; only residency and restart latency
+// differ. Files in the retired monolithic (version 2) format are refused
+// with ErrCorruptIndex.
 func OpenIndexFile(path string, v *Venue, o PagedIndexOptions) (*Index, error) {
 	po := vip.PagedOptions{CacheBytes: o.CacheBytes, Mmap: o.Mmap}
 	if o.Metrics != nil {
 		po.Metrics = o.Metrics
 	}
-	t, err := vip.OpenFile(path, v, po)
+	t, err := vip.OpenPagedFile(path, v, po)
 	if err != nil {
 		return nil, err
 	}

@@ -211,8 +211,8 @@ func TestPublicIndexSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := ix.SavePaged(&buf, ifls.PagedSaveOptions{}); err != nil {
+		t.Fatalf("SavePaged: %v", err)
 	}
 	loaded, err := ifls.LoadIndex(&buf, v)
 	if err != nil {

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/indoorspatial/ifls/internal/chaos"
 	"github.com/indoorspatial/ifls/internal/core"
-	"github.com/indoorspatial/ifls/internal/faultinject"
 	"github.com/indoorspatial/ifls/internal/faults"
 )
 
@@ -52,7 +52,7 @@ func TestPanicContainment(t *testing.T) {
 func TestMidBatchCancellation(t *testing.T) {
 	tree, queries := fixture(t, 16)
 	// Count the checkpoints one full batch polls, then trip in the middle.
-	total := faultinject.CountCheckpoints(func(ctx context.Context) {
+	total := chaos.CountCheckpoints(func(ctx context.Context) {
 		if _, err := Run(ctx, tree, queries, Options{Workers: 1}); err != nil {
 			t.Fatalf("counting run: %v", err)
 		}
@@ -60,7 +60,7 @@ func TestMidBatchCancellation(t *testing.T) {
 	if total < len(queries) {
 		t.Fatalf("batch polled only %d checkpoints for %d queries", total, len(queries))
 	}
-	c := faultinject.CancelAtCheckpoint(total / 2)
+	c := chaos.CancelAtCheckpoint(total / 2)
 	rep, err := Run(c, tree, queries, Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

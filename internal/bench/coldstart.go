@@ -12,22 +12,23 @@ import (
 )
 
 // coldStartTrials is how many open-and-query cycles ColdStart times per
-// format; the fastest is reported, the usual way to suppress scheduler and
+// reader; the fastest is reported, the usual way to suppress scheduler and
 // page-cache noise in a latency measurement.
 const coldStartTrials = 5
 
-// ColdStart measures restart latency of saved indexes: the wall time from
-// "process has a file path" to "first query answered", for the monolithic
-// v2 format (Load reads, checksums, and gob-decodes the whole matrix heap
-// before anything can run) versus the paged v3 format (only the tree
-// structure is read eagerly; matrix pages fault in on demand, so the first
-// query pays for exactly the pages it touches). The readiness probe is one
+// ColdStart measures restart latency of a saved index: the wall time from
+// "process has a file path" to "first query answered", for the eager
+// reader (vip.Load reads the whole file, verifies every page, and
+// materializes every matrix before anything can run) versus the lazy one
+// (vip.OpenPagedFile reads only the tree structure eagerly; matrix pages
+// fault in on demand, so the first query pays for exactly the pages it
+// touches). Both read the same file. The readiness probe is one
 // partition-to-partition distance between the venue's first two partitions
 // — a minimal real answer, so the column measures restart cost rather than
 // solver cost; the far-pair columns answer the venue's first-to-last
-// partition distance, whose cross-tree propagation work dominates both
-// formats equally and shows the formats converging once real query CPU is
-// in the denominator. The ratio column is v2-ready / v3-ready.
+// partition distance, whose cross-tree propagation work shows what the
+// lazy reader pays per query once real query CPU is in the denominator.
+// The ratio column is eager-ready / paged-ready.
 func ColdStart(w io.Writer, r *Runner, cfg Config) ([]Measurement, error) {
 	dir, err := os.MkdirTemp("", "ifls-coldstart-")
 	if err != nil {
@@ -35,9 +36,9 @@ func ColdStart(w io.Writer, r *Runner, cfg Config) ([]Measurement, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	writeHeader(w, "Cold start — restart-to-first-answer, saved index formats")
-	fmt.Fprintf(w, "%-6s %12s %12s %14s %14s %9s %12s %12s\n",
-		"venue", "v2-bytes", "v3-bytes", "v2-ready", "v3-ready", "ratio", "v2-farq", "v3-farq")
+	writeHeader(w, "Cold start — restart-to-first-answer, eager vs paged index reads")
+	fmt.Fprintf(w, "%-6s %12s %14s %14s %9s %12s %12s\n",
+		"venue", "bytes", "eager-ready", "paged-ready", "ratio", "eager-farq", "paged-farq")
 	for _, name := range cfg.Venues {
 		tree, err := r.Tree(name)
 		if err != nil {
@@ -47,27 +48,22 @@ func ColdStart(w io.Writer, r *Runner, cfg Config) ([]Measurement, error) {
 		if err != nil {
 			return nil, err
 		}
-		v2Path := filepath.Join(dir, name+".v2.vip")
-		v3Path := filepath.Join(dir, name+".v3.vip")
-		if err := saveTo(v2Path, tree.Save); err != nil {
-			return nil, err
-		}
-		if err := saveTo(v3Path, func(f io.Writer) error {
+		path := filepath.Join(dir, name+".vip")
+		if err := saveTo(path, func(f io.Writer) error {
 			return tree.SavePaged(f, vip.PagedSaveOptions{})
 		}); err != nil {
 			return nil, err
 		}
-		v2Size, v3Size := fileSize(v2Path), fileSize(v3Path)
 
 		probeA, probeB := indoor.PartitionID(0), indoor.PartitionID(1)
 		farA, farB := indoor.PartitionID(0), indoor.PartitionID(v.NumPartitions()-1)
 		wantNear := tree.DistPartitionToPartition(probeA, probeB)
 		wantFar := tree.DistPartitionToPartition(farA, farB)
 
-		var v2Far, v3Far time.Duration
-		v2Ready, err := bestOf(coldStartTrials, func() (time.Duration, error) {
+		var eagerFar, pagedFar time.Duration
+		eagerReady, err := bestOf(coldStartTrials, func() (time.Duration, error) {
 			start := time.Now()
-			f, err := os.Open(v2Path)
+			f, err := os.Open(path)
 			if err != nil {
 				return 0, err
 			}
@@ -77,22 +73,22 @@ func ColdStart(w io.Writer, r *Runner, cfg Config) ([]Measurement, error) {
 				return 0, err
 			}
 			if got := t.DistPartitionToPartition(probeA, probeB); got != wantNear {
-				return 0, fmt.Errorf("coldstart %s: v2 answer %v, want %v", name, got, wantNear)
+				return 0, fmt.Errorf("coldstart %s: eager answer %v, want %v", name, got, wantNear)
 			}
 			ready := time.Since(start)
 			farStart := time.Now()
 			if got := t.DistPartitionToPartition(farA, farB); got != wantFar {
-				return 0, fmt.Errorf("coldstart %s: v2 far answer %v, want %v", name, got, wantFar)
+				return 0, fmt.Errorf("coldstart %s: eager far answer %v, want %v", name, got, wantFar)
 			}
-			v2Far = time.Since(farStart)
+			eagerFar = time.Since(farStart)
 			return ready, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		v3Ready, err := bestOf(coldStartTrials, func() (time.Duration, error) {
+		pagedReady, err := bestOf(coldStartTrials, func() (time.Duration, error) {
 			start := time.Now()
-			t, err := vip.OpenPagedFile(v3Path, v, vip.PagedOptions{})
+			t, err := vip.OpenPagedFile(path, v, vip.PagedOptions{})
 			if err != nil {
 				return 0, err
 			}
@@ -100,15 +96,15 @@ func ColdStart(w io.Writer, r *Runner, cfg Config) ([]Measurement, error) {
 			ready := time.Since(start)
 			farStart := time.Now()
 			gotFar := t.DistPartitionToPartition(farA, farB)
-			v3Far = time.Since(farStart)
+			pagedFar = time.Since(farStart)
 			if err := t.Close(); err != nil {
 				return 0, err
 			}
 			if got != wantNear {
-				return 0, fmt.Errorf("coldstart %s: v3 answer %v, want %v", name, got, wantNear)
+				return 0, fmt.Errorf("coldstart %s: paged answer %v, want %v", name, got, wantNear)
 			}
 			if gotFar != wantFar {
-				return 0, fmt.Errorf("coldstart %s: v3 far answer %v, want %v", name, gotFar, wantFar)
+				return 0, fmt.Errorf("coldstart %s: paged far answer %v, want %v", name, gotFar, wantFar)
 			}
 			return ready, nil
 		})
@@ -117,12 +113,12 @@ func ColdStart(w io.Writer, r *Runner, cfg Config) ([]Measurement, error) {
 		}
 
 		ratio := 0.0
-		if v3Ready > 0 {
-			ratio = float64(v2Ready) / float64(v3Ready)
+		if pagedReady > 0 {
+			ratio = float64(eagerReady) / float64(pagedReady)
 		}
-		fmt.Fprintf(w, "%-6s %12d %12d %14s %14s %8.1fx %12s %12s\n",
-			name, v2Size, v3Size, v2Ready.Round(time.Microsecond), v3Ready.Round(time.Microsecond), ratio,
-			v2Far.Round(time.Microsecond), v3Far.Round(time.Microsecond))
+		fmt.Fprintf(w, "%-6s %12d %14s %14s %8.1fx %12s %12s\n",
+			name, fileSize(path), eagerReady.Round(time.Microsecond), pagedReady.Round(time.Microsecond), ratio,
+			eagerFar.Round(time.Microsecond), pagedFar.Round(time.Microsecond))
 	}
 	return nil, nil
 }

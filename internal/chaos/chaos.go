@@ -18,6 +18,9 @@
 // scheduler; what stays reproducible is the decision distribution, and
 // Stats reports exactly what was injected so assertions never guess.
 //
+// Below the serving layer, CancelAtCheckpoint (checkpoint.go) injects
+// cancellation at an exact solver checkpoint, so tests can sweep it.
+//
 // The package deliberately depends on nothing above the standard library:
 // the serving layer must not import its own fault injector.
 package chaos

@@ -6,8 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/indoorspatial/ifls/internal/chaos"
 	"github.com/indoorspatial/ifls/internal/d2d"
-	"github.com/indoorspatial/ifls/internal/faultinject"
 	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/testvenue"
 	"github.com/indoorspatial/ifls/internal/vip"
@@ -73,7 +73,7 @@ func TestCancelMidSolve(t *testing.T) {
 	solvers, _ := cancelSolvers(t)
 	for name, solve := range solvers {
 		t.Run(name, func(t *testing.T) {
-			total := faultinject.CountCheckpoints(func(ctx context.Context) {
+			total := chaos.CountCheckpoints(func(ctx context.Context) {
 				if err := solve(ctx); err != nil {
 					t.Fatalf("non-tripping counting context errored: %v", err)
 				}
@@ -86,7 +86,7 @@ func TestCancelMidSolve(t *testing.T) {
 				if n < 1 {
 					continue
 				}
-				c := faultinject.CancelAtCheckpoint(n)
+				c := chaos.CancelAtCheckpoint(n)
 				err := solve(c)
 				if err == nil {
 					t.Fatalf("trip at checkpoint %d/%d: want error, got answer", n, total)

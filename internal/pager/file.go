@@ -7,8 +7,8 @@ import (
 )
 
 // FilePager serves pages with positioned reads from an io.ReaderAt — an
-// open file in production, a bytes.Reader in tests and in the monolithic
-// fallback path. Every ReadPage issues one pread of PageSize+PageCRCSize
+// open file in production, a bytes.Reader in tests and in the eager
+// vip.Load path. Every ReadPage issues one pread of PageSize+PageCRCSize
 // bytes and verifies the checksum before returning; the returned payload
 // is a fresh heap slice, so it stays valid for as long as the caller
 // holds it, independent of the pager's lifetime.

@@ -212,7 +212,7 @@ func TestChaosCorruptRead(t *testing.T) {
 	v := testvenue.Corridor3()
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	var buf bytes.Buffer
-	if err := tree.Save(&buf); err != nil {
+	if err := tree.SavePaged(&buf, vip.PagedSaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 10; seed++ {

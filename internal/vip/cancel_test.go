@@ -5,7 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/indoorspatial/ifls/internal/faultinject"
+	"github.com/indoorspatial/ifls/internal/chaos"
 	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/testvenue"
 )
@@ -36,7 +36,7 @@ func TestBuildContextMidBuildCancel(t *testing.T) {
 	v := testvenue.Grid(testvenue.GridParams{Cols: 8, Levels: 2, InterRoomDoors: true})
 	opts := DefaultOptions()
 	opts.Workers = 1
-	total := faultinject.CountCheckpoints(func(ctx context.Context) {
+	total := chaos.CountCheckpoints(func(ctx context.Context) {
 		if _, err := BuildContext(ctx, v, opts); err != nil {
 			t.Fatalf("non-tripping build errored: %v", err)
 		}
@@ -45,7 +45,7 @@ func TestBuildContextMidBuildCancel(t *testing.T) {
 		t.Fatalf("Build polled only %d checkpoints", total)
 	}
 	for _, n := range []int{1, total / 2, total} {
-		c := faultinject.CancelAtCheckpoint(n)
+		c := chaos.CancelAtCheckpoint(n)
 		if _, err := BuildContext(c, v, opts); !errors.Is(err, faults.ErrCancelled) {
 			t.Fatalf("trip at checkpoint %d/%d: got %v, want ErrCancelled", n, total, err)
 		}
@@ -61,7 +61,7 @@ func TestBuildContextMidBuildCancelParallel(t *testing.T) {
 	opts.Workers = 4
 	// Trip early; the exact checkpoint a worker observes is scheduling
 	// dependent, but the outcome must always be a clean ErrCancelled.
-	c := faultinject.CancelAtCheckpoint(3)
+	c := chaos.CancelAtCheckpoint(3)
 	if _, err := BuildContext(c, v, opts); !errors.Is(err, faults.ErrCancelled) {
 		t.Fatalf("parallel mid-build cancel: got %v, want ErrCancelled", err)
 	}

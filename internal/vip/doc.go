@@ -35,7 +35,7 @@
 //     fill out across Options.Workers goroutines and joins them before
 //     returning; the result is bit-identical for every worker count.
 //   - *Tree is immutable after Build/Load returns and safe for unlimited
-//     concurrent readers: distance queries, facility searches, Save, and
+//     concurrent readers: distance queries, facility searches, SavePaged, and
 //     MemoryFootprint may all run at once from many goroutines against one
 //     shared tree.
 //   - *Explorer and *FacilitySet are per-caller values: an Explorer memoizes

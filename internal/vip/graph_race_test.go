@@ -20,11 +20,7 @@ import (
 func TestGraphConcurrentFirstUse(t *testing.T) {
 	v := testvenue.Grid(testvenue.GridParams{Cols: 5, Levels: 2, InterRoomDoors: true})
 	built := MustBuild(v, Options{LeafFanout: 2, NodeFanout: 2, Vivid: true})
-	var buf bytes.Buffer
-	if err := built.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), v)
+	loaded, err := Load(bytes.NewReader(savePagedBytes(t, built, 0)), v)
 	if err != nil {
 		t.Fatal(err)
 	}

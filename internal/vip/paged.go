@@ -1,25 +1,11 @@
 package vip
 
-// Version-3 paged index files. The v2 format (serialize.go) stores the
-// whole tree — structure and every distance-matrix cell — in one gob
-// payload that Load must read, checksum, and decode before the first query
-// can run. For large venues the matrices dominate that payload by orders
-// of magnitude, so restart latency is dominated by bytes the first query
-// will never touch.
-//
-// The v3 format keeps the verified envelope for the part that must be
-// resident — the tree structure — and moves the matrix cells into a page
-// heap of fixed-size, individually-checksummed pages that fault in lazily
-// through an LRU cache (internal/pager):
-//
-//	offset          size  field
-//	0               8     magic "IFLSVIP\x00"
-//	8               4     format version, uint32 little-endian (3)
-//	12              8     structure payload length n, uint64 little-endian
-//	20              4     CRC-32C of the structure payload
-//	24              n     gob-encoded treeGobV3 (structure only, no cells)
-//	24+n            ...   page section: NumPages × (PageSize payload +
-//	                      4-byte CRC-32C trailer); final page zero-padded
+// The page heap of an index file (the format is described in
+// serialize.go). For large venues the matrices dominate an index by orders
+// of magnitude, so restart latency would be dominated by bytes the first
+// query never touches if they had to be read up front. The matrix cells
+// therefore live in fixed-size, individually-checksummed pages that fault
+// in lazily through an LRU cache (internal/pager).
 //
 // The page heap is a flat array of float64 cells in little-endian byte
 // order. No per-matrix offsets are stored: the layout is a deterministic
@@ -30,7 +16,7 @@ package vip
 // alone. PageSize must be a positive multiple of 8 so no cell ever
 // straddles a page boundary.
 //
-// OpenPaged validates the structure exactly as hard as v2 Load does and
+// OpenPaged validates the structure exactly as hard as Load does and
 // returns a queryable tree in O(structure) time; matrix pages are read,
 // CRC-verified, and decoded only when a query first touches them. A page
 // that fails verification at fault time panics with an error wrapping
@@ -54,9 +40,6 @@ import (
 	"github.com/indoorspatial/ifls/internal/pager"
 )
 
-// pagedFormatVersion is the envelope version of paged index files.
-const pagedFormatVersion = 3
-
 // DefaultPageSize is the page payload size SavePaged uses when the caller
 // does not choose one: 64 KiB amortizes the 4-byte trailer and the per-page
 // CRC pass while keeping single-matrix faults from dragging in megabytes.
@@ -64,7 +47,7 @@ const DefaultPageSize = 64 << 10
 
 // DefaultPageCacheBytes is the page-cache budget OpenPaged uses when the
 // caller passes zero: 64 MiB holds the full working set of every benchmark
-// venue while staying far below a resident v2 index for large ones.
+// venue while staying far below a fully resident index for large ones.
 const DefaultPageCacheBytes = 64 << 20
 
 // maxPageSize bounds the page size accepted from a file header; anything
@@ -73,37 +56,6 @@ const maxPageSize = 1 << 27
 
 // cellSize is the on-disk size of one distance cell (a float64).
 const cellSize = 8
-
-// treeGobV3 is the structure-only payload of a v3 index file: treeGob
-// minus every matrix, plus the page geometry and the derived cell count
-// (stored so the reader can cross-check its own layout walk against the
-// writer's before trusting any page math).
-type treeGobV3 struct {
-	Version     int
-	VenueName   string
-	Partitions  int
-	Doors       int
-	Opts        Options
-	Root        NodeID
-	LeafOf      []NodeID
-	Depth       []int
-	Nodes       []nodeGobV3
-	PageSize    int
-	MatrixCells int64
-}
-
-// nodeGobV3 mirrors nodeGob without the matrix fields.
-type nodeGobV3 struct {
-	ID       NodeID
-	Parent   NodeID
-	Children []NodeID
-	Parts    []indoor.PartitionID
-	Leaf     bool
-	Doors    []indoor.DoorID
-	Access   []indoor.DoorID
-	UDoors   []indoor.DoorID
-	AncIDs   []NodeID
-}
 
 // matDesc locates one matrix in the page heap: its first cell index and
 // its dimensions. Descriptors are derived, never stored.
@@ -372,11 +324,13 @@ func validatePageSize(ps int) error {
 	return nil
 }
 
-// SavePaged serializes the tree in the version-3 paged format (see the
-// package comment at the top of this file): a checksummed structure
-// payload followed by the matrix page heap. Like Save, it is read-only,
-// safe to call concurrently with queries, and deterministic — the same
-// tree and page size always encode to the same bytes.
+// SavePaged serializes the tree in the index file format (see
+// serialize.go): a checksummed structure payload followed by the matrix
+// page heap. It is read-only, safe to call concurrently with queries, and
+// deterministic — the same tree and page size always encode to the same
+// bytes regardless of Options.Workers (the worker count is a build-time
+// knob, not a property of the index, and is cleared before encoding); tests
+// rely on this to prove parallel construction exact.
 //
 // SavePaged works on paged trees too (matrices fault in one at a time);
 // in that case a page failing verification surfaces as an
@@ -404,7 +358,7 @@ func (t *Tree) SavePaged(w io.Writer, o PagedSaveOptions) (err error) {
 
 	opts := t.opts
 	opts.Workers = 0
-	out := treeGobV3{
+	out := treeGob{
 		Version:     gobVersion,
 		VenueName:   t.venue.Name,
 		Partitions:  t.venue.NumPartitions(),
@@ -417,7 +371,7 @@ func (t *Tree) SavePaged(w io.Writer, o PagedSaveOptions) (err error) {
 		MatrixCells: t.layoutMatrices(false),
 	}
 	for _, nd := range t.nodes {
-		out.Nodes = append(out.Nodes, nodeGobV3{
+		out.Nodes = append(out.Nodes, nodeGob{
 			ID: nd.id, Parent: nd.parent, Children: nd.children,
 			Parts: nd.parts, Leaf: nd.leaf,
 			Doors: nd.doors, Access: nd.access,
@@ -428,7 +382,7 @@ func (t *Tree) SavePaged(w io.Writer, o PagedSaveOptions) (err error) {
 	if err := gob.NewEncoder(&payload).Encode(out); err != nil {
 		return fmt.Errorf("vip: encoding tree structure: %w", err)
 	}
-	header := make([]byte, 24)
+	header := make([]byte, headerSize)
 	copy(header, indexMagic[:])
 	binary.LittleEndian.PutUint32(header[8:], pagedFormatVersion)
 	binary.LittleEndian.PutUint64(header[12:], uint64(payload.Len()))
@@ -482,11 +436,11 @@ func newPageStore(src pager.PageSource, o PagedOptions) *pageStore {
 	}
 }
 
-// OpenPaged opens a version-3 paged index from any io.ReaderAt holding the
-// complete file image (size bytes), binding it to venue v. The structure
-// payload is read, verified, and validated as strictly as v2 Load
-// validates its payload; the matrix pages are only bounds-checked against
-// the file size here and fault in lazily on first use.
+// OpenPaged opens an index from any io.ReaderAt holding the complete file
+// image (size bytes), binding it to venue v. The structure payload is
+// read, verified, and validated exactly as Load does; the matrix pages are
+// only bounds-checked against the file size here and fault in lazily on
+// first use.
 //
 // The returned tree is safe for concurrent readers immediately. The caller
 // keeps ownership of r: closing the tree does not close it. Use
@@ -504,9 +458,10 @@ func OpenPaged(r io.ReaderAt, size int64, v *indoor.Venue, o PagedOptions) (*Tre
 	return t, nil
 }
 
-// OpenPagedFile opens a version-3 paged index file from disk. The file
-// stays open for the life of the returned tree (page faults read from it);
-// call Tree.Close to release it.
+// OpenPagedFile opens an index file from disk lazily. The file stays open
+// for the life of the returned tree (page faults read from it); call
+// Tree.Close to release it. This is the serving-layer entry point for
+// -indexfile style restarts.
 func OpenPagedFile(path string, v *indoor.Venue, o PagedOptions) (*Tree, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -544,36 +499,6 @@ func OpenPagedFile(path string, v *indoor.Venue, o PagedOptions) (*Tree, error) 
 	return t, nil
 }
 
-// OpenFile opens a saved index file in whichever format it carries. A
-// version-3 paged file opens lazily through the page cache (OpenPagedFile,
-// honouring o); any other content goes through Load, which materializes the
-// whole index — or refuses it with the usual typed errors. This is the
-// serving-layer entry point for -indexfile style restarts: callers get the
-// fast paged path when the file supports it without committing to one
-// format on disk.
-func OpenFile(path string, v *indoor.Venue, o PagedOptions) (*Tree, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("vip: opening index file: %w", err)
-	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(f, hdr[:]); err == nil &&
-		bytes.Equal(hdr[:8], indexMagic[:]) &&
-		binary.LittleEndian.Uint32(hdr[8:]) == pagedFormatVersion {
-		f.Close()
-		return OpenPagedFile(path, v, o)
-	}
-	// Not a paged file (or too short to tell): hand the whole stream to
-	// Load for a full verdict.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("vip: rewinding index file: %w", err)
-	}
-	t, err := Load(f, v)
-	f.Close()
-	return t, err
-}
-
 // openPagedStructure reads and validates everything up to (but not
 // including) the page section: envelope, structure payload, decoded
 // structure, layout cross-check, and file-size check. It returns the tree
@@ -583,25 +508,22 @@ func openPagedStructure(r io.ReaderAt, size int64, v *indoor.Venue) (*Tree, page
 	fail := func(err error) (*Tree, pager.Params, int64, error) {
 		return nil, pager.Params{}, 0, err
 	}
-	if size < 24 {
+	if size < headerSize {
 		return fail(corrupt("index file is %d bytes, smaller than the header", size))
 	}
-	header := make([]byte, 24)
+	header := make([]byte, headerSize)
 	if _, err := r.ReadAt(header, 0); err != nil {
 		return fail(corrupt("index header unreadable: %v", err))
 	}
-	if !bytes.Equal(header[:8], indexMagic[:]) {
-		return fail(corrupt("bad magic %q (not an IFLS index file)", header[:8]))
+	structLen, err := checkHeader(header)
+	if err != nil {
+		return fail(err)
 	}
-	if ver := binary.LittleEndian.Uint32(header[8:]); ver != pagedFormatVersion {
-		return fail(corrupt("index format version %d is not the paged format (%d)", ver, pagedFormatVersion))
-	}
-	structLen := binary.LittleEndian.Uint64(header[12:])
-	if structLen == 0 || structLen >= maxIndexPayload || int64(structLen) > size-24 {
+	if int64(structLen) > size-headerSize {
 		return fail(corrupt("implausible structure payload length %d", structLen))
 	}
 	payload := make([]byte, structLen)
-	if _, err := r.ReadAt(payload, 24); err != nil {
+	if _, err := r.ReadAt(payload, headerSize); err != nil {
 		return fail(corrupt("index structure truncated: %v", err))
 	}
 	if sum := crc32.Checksum(payload, castagnoli); sum != binary.LittleEndian.Uint32(header[20:]) {
@@ -609,7 +531,7 @@ func openPagedStructure(r io.ReaderAt, size int64, v *indoor.Venue) (*Tree, page
 			sum, binary.LittleEndian.Uint32(header[20:])))
 	}
 
-	var in treeGobV3
+	var in treeGob
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&in); err != nil {
 		return fail(corrupt("decoding tree structure: %v", err))
 	}
@@ -627,21 +549,7 @@ func openPagedStructure(r io.ReaderAt, size int64, v *indoor.Venue) (*Tree, page
 	if in.MatrixCells < 0 {
 		return fail(corrupt("negative matrix cell count %d", in.MatrixCells))
 	}
-	// Reuse the v2 structural validator via a matrix-free shim.
-	shim := treeGob{
-		Version: in.Version, VenueName: in.VenueName,
-		Partitions: in.Partitions, Doors: in.Doors,
-		Opts: in.Opts, Root: in.Root, LeafOf: in.LeafOf, Depth: in.Depth,
-	}
-	for _, ng := range in.Nodes {
-		shim.Nodes = append(shim.Nodes, nodeGob{
-			ID: ng.ID, Parent: ng.Parent, Children: ng.Children,
-			Parts: ng.Parts, Leaf: ng.Leaf,
-			Doors: ng.Doors, Access: ng.Access,
-			UDoors: ng.UDoors, AncIDs: ng.AncIDs,
-		})
-	}
-	if err := validateTreeStructure(&shim, v); err != nil {
+	if err := validateTreeStructure(&in, v); err != nil {
 		return fail(err)
 	}
 
@@ -676,44 +584,17 @@ func openPagedStructure(r io.ReaderAt, size int64, v *indoor.Venue) (*Tree, page
 		PageSize: in.PageSize,
 		NumPages: pager.NumPagesFor(in.MatrixCells*cellSize, in.PageSize),
 	}
-	secOff := int64(24) + int64(structLen)
+	secOff := int64(headerSize) + int64(structLen)
 	if want := secOff + params.SectionLen(); size != want {
-		return fail(corrupt("index file is %d bytes, v3 layout wants %d", size, want))
+		return fail(corrupt("index file is %d bytes, layout wants %d", size, want))
 	}
 	return t, params, secOff, nil
 }
 
-// loadPagedStream is Load's v3 path: the 24-byte header has already been
-// consumed from r. It slurps the remaining stream (bounded by
-// maxIndexPayload), opens it paged with a throwaway cache, and
-// materializes every matrix so the result matches v2 Load's eager,
-// fully-validated, fully-resident contract.
-func loadPagedStream(header []byte, r io.Reader, v *indoor.Venue) (*Tree, error) {
-	rest, err := io.ReadAll(io.LimitReader(r, maxIndexPayload))
-	if err != nil {
-		return nil, corrupt("reading paged index stream: %v", err)
-	}
-	if int64(len(rest)) == maxIndexPayload {
-		return nil, corrupt("paged index stream exceeds the %d-byte in-memory limit (open it with OpenPagedFile)", maxIndexPayload)
-	}
-	all := append(append([]byte(nil), header...), rest...)
-	// CacheBytes 1: materializeAll reads the heap once, mostly
-	// sequentially, so caching pages in front of a full materialization
-	// would only double peak memory.
-	t, err := OpenPaged(bytes.NewReader(all), int64(len(all)), v, PagedOptions{CacheBytes: 1})
-	if err != nil {
-		return nil, err
-	}
-	if err := t.materializeAll(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // materializeAll faults every matrix into the node slices and detaches the
-// page store, turning a paged tree into a resident one. This is the v3
-// path of Load: it preserves Load's eager contract (every page verified,
-// every cell validated before the tree is returned).
+// page store, turning a paged tree into a resident one. Load uses it to
+// keep its eager contract (every page verified, every cell validated
+// before the tree is returned).
 func (t *Tree) materializeAll() error {
 	ps := t.pages
 	if ps == nil {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/indoorspatial/ifls/internal/faults"
@@ -110,8 +112,8 @@ func TestPagedRoundTripIdentical(t *testing.T) {
 }
 
 // TestPagedSaveDeterministic: SavePaged emits identical bytes on every call,
-// and a paged tree re-exports through both Save and SavePaged to exactly the
-// bytes the resident original produces.
+// and a paged tree re-exports to exactly the bytes the resident original
+// produces.
 func TestPagedSaveDeterministic(t *testing.T) {
 	v := testvenue.Grid(testvenue.GridParams{Cols: 5, Levels: 1, InterRoomDoors: true})
 	orig := MustBuild(v, Options{LeafFanout: 2, NodeFanout: 2, Vivid: true})
@@ -129,19 +131,9 @@ func TestPagedSaveDeterministic(t *testing.T) {
 	if d3 := savePagedBytes(t, loaded, 256); !bytes.Equal(d1, d3) {
 		t.Fatal("SavePaged of a paged tree diverges from the original")
 	}
-	var v2orig, v2paged bytes.Buffer
-	if err := orig.Save(&v2orig); err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.Save(&v2paged); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v2orig.Bytes(), v2paged.Bytes()) {
-		t.Fatal("v2 re-export of a paged tree diverges from the original")
-	}
 }
 
-// TestLoadReadsPagedStream: Load transparently accepts a v3 stream and
+// TestLoadReadsPagedStream: Load reads the same stream OpenPaged does and
 // returns a fully resident, fully validated tree.
 func TestLoadReadsPagedStream(t *testing.T) {
 	v := testvenue.Grid(testvenue.GridParams{Cols: 4, Levels: 2, InterRoomDoors: true})
@@ -152,7 +144,7 @@ func TestLoadReadsPagedStream(t *testing.T) {
 		t.Fatalf("Load(v3 stream): %v", err)
 	}
 	if loaded.Paged() {
-		t.Fatal("Load returned a paged tree; the fallback must materialize")
+		t.Fatal("Load returned a paged tree; it must materialize")
 	}
 	if err := loaded.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -184,7 +176,6 @@ func TestOpenPagedRejects(t *testing.T) {
 	}
 	corruptCases := map[string]func([]byte) []byte{
 		"bad magic":       func(d []byte) []byte { d[0] = 'X'; return d },
-		"v2 version":      func(d []byte) []byte { binary.LittleEndian.PutUint32(d[8:], 2); return d },
 		"structure flip":  func(d []byte) []byte { d[30] ^= 0x08; return d },
 		"truncated tail":  func(d []byte) []byte { return d[:len(d)-10] },
 		"truncated head":  func(d []byte) []byte { return d[:20] },
@@ -300,16 +291,71 @@ func TestSavePagedRejectsBadPageSize(t *testing.T) {
 	}
 }
 
-// TestLoadPayloadLengthBoundary: a v2 header declaring exactly the
-// allocation cap (1<<31) must be rejected as corrupt before any allocation
-// is attempted — the bound is exclusive.
+// headerOnly serves header and fails the test on any read past it: the
+// proof that a reader refused a file from its header alone.
+type headerOnly struct {
+	t      *testing.T
+	header []byte
+}
+
+func (h *headerOnly) Read(p []byte) (int, error) {
+	if len(h.header) == 0 {
+		h.t.Error("reader went past the header")
+		return 0, io.ErrUnexpectedEOF
+	}
+	n := copy(p, h.header)
+	h.header = h.header[n:]
+	return n, nil
+}
+
+func (h *headerOnly) ReadAt(p []byte, off int64) (int, error) {
+	if off+int64(len(p)) > int64(len(h.header)) {
+		h.t.Errorf("reader went past the header (read of %d bytes at %d)", len(p), off)
+		return 0, io.ErrUnexpectedEOF
+	}
+	return copy(p, h.header[off:]), nil
+}
+
+// TestLoadPayloadLengthBoundary: a header declaring exactly the allocation
+// cap (1<<31) must be rejected as corrupt before any payload is read or
+// allocated — the bound is exclusive.
 func TestLoadPayloadLengthBoundary(t *testing.T) {
-	header := make([]byte, 24)
+	header := make([]byte, headerSize)
 	copy(header, indexMagic[:])
-	binary.LittleEndian.PutUint32(header[8:], indexFormatVersion)
-	binary.LittleEndian.PutUint64(header[12:], 1<<31)
-	_, err := Load(bytes.NewReader(header), testvenue.TwoRooms())
+	binary.LittleEndian.PutUint32(header[8:], pagedFormatVersion)
+	binary.LittleEndian.PutUint64(header[12:], maxIndexPayload)
+	_, err := Load(&headerOnly{t: t, header: header}, testvenue.TwoRooms())
 	if !errors.Is(err, faults.ErrCorruptIndex) {
 		t.Fatalf("boundary payload length: err = %v, want ErrCorruptIndex", err)
+	}
+}
+
+// TestRefuseMonolithicV2: a file whose header says version 2 (the retired
+// monolithic format) is refused by every reader from the header alone,
+// with ErrCorruptIndex and the command that rebuilds it.
+func TestRefuseMonolithicV2(t *testing.T) {
+	data, tree := savedTree(t)
+	binary.LittleEndian.PutUint32(data[8:], monolithicFormatVersion)
+	v := tree.Venue()
+	path := filepath.Join(t.TempDir(), "v2.vip")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	header := data[:headerSize]
+	readers := map[string]func() (*Tree, error){
+		"Load": func() (*Tree, error) { return Load(&headerOnly{t: t, header: header}, v) },
+		"OpenPaged": func() (*Tree, error) {
+			return OpenPaged(&headerOnly{t: t, header: header}, int64(len(data)), v, PagedOptions{})
+		},
+		"OpenPagedFile": func() (*Tree, error) { return OpenPagedFile(path, v, PagedOptions{}) },
+	}
+	for name, open := range readers {
+		tr, err := open()
+		if tr != nil {
+			t.Errorf("%s returned a tree for a v2 file", name)
+		}
+		if !errors.Is(err, faults.ErrCorruptIndex) || !strings.Contains(err.Error(), "-saveindex") {
+			t.Errorf("%s: err = %v, want ErrCorruptIndex naming -saveindex", name, err)
+		}
 	}
 }

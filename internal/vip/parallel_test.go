@@ -8,14 +8,11 @@ import (
 	"github.com/indoorspatial/ifls/internal/testvenue"
 )
 
-// saveBytes serializes a tree for byte-level comparison.
+// saveBytes serializes a tree for byte-level comparison. The small page
+// size is irrelevant to the cells; it only keeps the zero padding short.
 func saveBytes(t *testing.T, tree *Tree) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := tree.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	return buf.Bytes()
+	return savePagedBytes(t, tree, 64)
 }
 
 // TestBuildWorkersByteIdentical proves parallel construction exact: the

@@ -3,57 +3,70 @@ package vip
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/indoor"
 )
 
 // The paper indexes the venue once offline and reuses the index across
-// queries. Save/Load persist a built tree — its structure and all
-// distance matrices — so a process can load the index without re-running
-// the construction Dijkstras. The venue itself is serialized separately
-// (indoor JSON); Load verifies the tree matches the venue it is loaded
-// against.
+// queries. SavePaged persists a built tree — its structure and all
+// distance matrices — so a process can Load (eager) or OpenPaged (lazy)
+// the index without re-running the construction Dijkstras. The venue
+// itself is serialized separately (indoor JSON); both readers verify the
+// tree matches the venue it is opened against.
 //
 // # Index file format
 //
 // Because index files are loaded at process startup and a silently corrupt
 // index would serve wrong distances for every query, the on-disk format is
-// a self-verifying envelope around the gob payload:
+// a self-verifying envelope around the tree structure, followed by a heap
+// of individually-checksummed matrix pages (see paged.go):
 //
 //	offset  size  field
 //	0       8     magic "IFLSVIP\x00"
-//	8       4     format version, uint32 little-endian (currently 2)
-//	12      8     payload length in bytes, uint64 little-endian
-//	20      4     CRC-32C (Castagnoli) of the payload, uint32 little-endian
-//	24      n     gob-encoded treeGob payload
+//	8       4     format version, uint32 little-endian (3)
+//	12      8     structure payload length n, uint64 little-endian
+//	20      4     CRC-32C (Castagnoli) of the structure payload
+//	24      n     gob-encoded treeGob (structure only, no cells)
+//	24+n    ...   page section: NumPages × (PageSize payload + 4-byte
+//	              CRC-32C trailer); final page zero-padded
 //
-// Load verifies the envelope (magic, version, length, checksum), decodes
-// the payload, and then deep-validates the decoded structure — reference
-// ranges, matrix dimensions, distance values — before constructing a Tree.
-// Every integrity failure is classified faults.ErrCorruptIndex; loading an
-// index against the wrong venue is faults.ErrInvalidOptions (the file is
-// fine, the pairing is not). A failed Load never returns a partial tree.
+// Both readers verify the envelope (magic, version, length, checksum),
+// decode the structure, deep-validate it (reference ranges, ancestor
+// chains), cross-check the derived matrix layout against the recorded cell
+// count, and check the file size against the page geometry before
+// constructing a Tree. Page CRCs and cell values (non-negative, non-NaN;
+// +Inf is legal) are verified as pages are read. Every integrity failure is
+// classified faults.ErrCorruptIndex; opening an index against the wrong
+// venue is faults.ErrInvalidOptions (the file is fine, the pairing is
+// not). A failed open never returns a partial tree.
+//
+// Version 2 — one monolithic gob payload carrying every matrix inline — is
+// no longer read. Its header is refused before any payload byte is read,
+// with a message naming the command that rebuilds the file.
 
-// treeGob mirrors Tree for gob encoding.
+// treeGob is the structure payload of an index file: the tree minus every
+// matrix, plus the page geometry and the derived cell count (stored so the
+// reader can cross-check its own layout walk against the writer's before
+// trusting any page math).
 type treeGob struct {
-	Version    int
-	VenueName  string
-	Partitions int
-	Doors      int
-	Opts       Options
-	Root       NodeID
-	LeafOf     []NodeID
-	Depth      []int
-	Nodes      []nodeGob
+	Version     int
+	VenueName   string
+	Partitions  int
+	Doors       int
+	Opts        Options
+	Root        NodeID
+	LeafOf      []NodeID
+	Depth       []int
+	Nodes       []nodeGob
+	PageSize    int
+	MatrixCells int64
 }
 
+// nodeGob is one tree node of the structure payload.
 type nodeGob struct {
 	ID       NodeID
 	Parent   NodeID
@@ -62,230 +75,119 @@ type nodeGob struct {
 	Leaf     bool
 	Doors    []indoor.DoorID
 	Access   []indoor.DoorID
-	Full     [][]float64
 	UDoors   []indoor.DoorID
-	UMat     [][]float64
 	AncIDs   []NodeID
-	Anc      [][][]float64
 }
 
 // gobVersion is the payload schema version carried inside the gob.
 const gobVersion = 1
 
-// indexFormatVersion is the envelope version in the file header. Version 1
-// was a bare gob stream with no integrity header; version 2 added the
-// magic/version/length/CRC envelope.
-const indexFormatVersion = 2
+// pagedFormatVersion is the envelope version in the file header. Version 1
+// was a bare gob stream with no integrity header, version 2 a monolithic
+// gob under the magic/version/length/CRC envelope; version 3 moved the
+// matrices into the page heap.
+const pagedFormatVersion = 3
+
+// monolithicFormatVersion is the retired version-2 envelope, refused with a
+// rebuild hint.
+const monolithicFormatVersion = 2
+
+// headerSize is the fixed envelope length preceding the structure payload.
+const headerSize = 24
 
 // indexMagic is the 8-byte file signature. The trailing NUL keeps the
 // magic from ever being a prefix of valid UTF-8 text formats.
 var indexMagic = [8]byte{'I', 'F', 'L', 'S', 'V', 'I', 'P', 0}
 
-// maxIndexPayload caps the declared payload size Load will allocate for.
-// The largest real venue indexes are hundreds of megabytes; a header
-// declaring this much or more is corrupt (or adversarial), not large. The
-// bound is exclusive and additionally clamped to the platform int range in
-// Load, so a hostile header can never make the allocation size overflow on
-// 32-bit builds.
+// maxIndexPayload caps the declared structure length a reader will
+// allocate for, and the stream size Load slurps into memory. The bound is
+// exclusive: a header declaring this much or more is corrupt (or
+// adversarial), not large.
 const maxIndexPayload = 1 << 31
 
-// castagnoli is the CRC-32C table used for payload checksums (the same
-// polynomial used by iSCSI and ext4 — hardware-accelerated on amd64/arm64).
+// castagnoli is the CRC-32C table used for the structure checksum (the
+// same polynomial used by iSCSI and ext4 — hardware-accelerated on
+// amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Save serializes the tree: a checksummed envelope (see the package
-// comment above treeGob) around a Go-version-independent gob payload.
-//
-// Save is a read-only operation and is safe to call concurrently with
-// queries on the same tree. Its output is deterministic: two trees built
-// from the same venue with the same fanout/vivid options encode to the
-// same bytes regardless of Options.Workers (the worker count is a
-// build-time knob, not a property of the index, and is cleared before
-// encoding) — tests rely on this to prove parallel construction exact.
-//
-// Save also re-exports paged trees (OpenPaged) to the monolithic v2
-// format, faulting each matrix in one at a time; a page failing
-// verification surfaces as an ErrCorruptIndex-classified error.
-func (t *Tree) Save(w io.Writer) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if e, ok := p.(error); ok && errors.Is(e, faults.ErrCorruptIndex) {
-				err = e
-				return
-			}
-			panic(p)
-		}
-	}()
-	opts := t.opts
-	opts.Workers = 0
-	out := treeGob{
-		Version:    gobVersion,
-		VenueName:  t.venue.Name,
-		Partitions: t.venue.NumPartitions(),
-		Doors:      t.venue.NumDoors(),
-		Opts:       opts,
-		Root:       t.root,
-		LeafOf:     t.leafOf,
-		Depth:      t.depth,
-	}
-	for _, nd := range t.nodes {
-		full, uMat, anc := nd.full, nd.uMat, nd.anc
-		if t.pages != nil {
-			if nd.leaf {
-				full = t.fullMat(nd)
-				anc = make([][][]float64, len(nd.ancIDs))
-				for k := range nd.ancIDs {
-					anc[k] = t.ancestorMat(nd, k)
-				}
-			} else {
-				uMat = t.unionMat(nd)
-			}
-		}
-		out.Nodes = append(out.Nodes, nodeGob{
-			ID: nd.id, Parent: nd.parent, Children: nd.children,
-			Parts: nd.parts, Leaf: nd.leaf,
-			Doors: nd.doors, Access: nd.access, Full: full,
-			UDoors: nd.uDoors, UMat: uMat,
-			AncIDs: nd.ancIDs, Anc: anc,
-		})
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(out); err != nil {
-		return fmt.Errorf("vip: encoding tree: %w", err)
-	}
-	header := make([]byte, 24)
-	copy(header, indexMagic[:])
-	binary.LittleEndian.PutUint32(header[8:], indexFormatVersion)
-	binary.LittleEndian.PutUint64(header[12:], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(header[20:], crc32.Checksum(payload.Bytes(), castagnoli))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("vip: writing index header: %w", err)
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("vip: writing index payload: %w", err)
-	}
-	return nil
-}
 
 // corrupt wraps a description into the ErrCorruptIndex class.
 func corrupt(format string, a ...any) error {
 	return fmt.Errorf("%w: %s", faults.ErrCorruptIndex, fmt.Sprintf(format, a...))
 }
 
-// Load restores a tree previously written with Save and binds it to
+// checkHeader verifies the envelope's magic and version and returns the
+// declared structure payload length, bounded by maxIndexPayload. It needs
+// only the header bytes, so a retired or foreign file is refused before any
+// payload is read.
+func checkHeader(header []byte) (uint64, error) {
+	if !bytes.Equal(header[:8], indexMagic[:]) {
+		return 0, corrupt("bad magic %q (not an IFLS index file)", header[:8])
+	}
+	switch ver := binary.LittleEndian.Uint32(header[8:]); ver {
+	case pagedFormatVersion:
+	case monolithicFormatVersion:
+		return 0, corrupt("index format version 2 (monolithic) is no longer supported; " +
+			"rebuild the file with: iflsd -venues NAME -saveindex NAME=PATH -build-only")
+	default:
+		return 0, corrupt("unsupported index format version %d (this build reads %d)", ver, pagedFormatVersion)
+	}
+	structLen := binary.LittleEndian.Uint64(header[12:])
+	if structLen == 0 || structLen >= maxIndexPayload {
+		return 0, corrupt("implausible structure payload length %d", structLen)
+	}
+	return structLen, nil
+}
+
+// Load restores a tree previously written with SavePaged and binds it to
 // venue v, which must be the same venue the tree was built from (verified
 // by name and by partition/door counts; a mismatch is ErrInvalidOptions).
-// Any integrity failure — truncation, bit flips, header tampering, decoded
-// structure that fails validation — returns ErrCorruptIndex and no tree.
+// Any integrity failure — truncation, bit flips, header tampering, a
+// structure that fails validation, a bad page or cell — returns
+// ErrCorruptIndex and no tree.
 //
-// Like Build, Load fully initializes the tree before returning, so the
-// returned *Tree is immediately safe for concurrent readers. The one
-// exception to eager initialization is the door-to-door graph, which Load
-// drops (it is not serialized); Tree.Graph rebuilds it on first use behind
-// a sync.Once, keeping that path concurrency-safe too.
-//
-// Load reads both supported formats: the monolithic v2 envelope and the
-// paged v3 format (see paged.go). A v3 stream is slurped into memory and
-// every matrix materialized eagerly, so the returned tree is fully
-// resident either way — callers that want lazy paging must use
-// OpenPaged/OpenPagedFile instead. The in-memory fallback caps the stream
-// at maxIndexPayload bytes; larger v3 files must be opened paged.
+// Load is the eager reader: the stream is slurped into memory (at most
+// maxIndexPayload bytes; larger files must be opened with OpenPagedFile),
+// every page verified and every matrix materialized, so the returned tree
+// is fully resident and immediately safe for concurrent readers. The one
+// exception to eager initialization is the door-to-door graph, which is
+// not serialized; Tree.Graph rebuilds it on first use behind a sync.Once,
+// keeping that path concurrency-safe too.
 func Load(r io.Reader, v *indoor.Venue) (*Tree, error) {
-	header := make([]byte, 24)
+	header := make([]byte, headerSize)
 	if _, err := io.ReadFull(r, header); err != nil {
 		return nil, corrupt("index header truncated: %v", err)
 	}
-	if !bytes.Equal(header[:8], indexMagic[:]) {
-		return nil, corrupt("bad magic %q (not an IFLS index file)", header[:8])
-	}
-	switch ver := binary.LittleEndian.Uint32(header[8:]); ver {
-	case indexFormatVersion:
-	case pagedFormatVersion:
-		return loadPagedStream(header, r, v)
-	default:
-		return nil, corrupt("unsupported index format version %d (this build reads %d and %d)",
-			ver, indexFormatVersion, pagedFormatVersion)
-	}
-	size := binary.LittleEndian.Uint64(header[12:])
-	if size == 0 || size >= maxIndexPayload || size > uint64(math.MaxInt) {
-		return nil, corrupt("implausible payload length %d", size)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, corrupt("index payload truncated: %v", err)
-	}
-	if sum := crc32.Checksum(payload, castagnoli); sum != binary.LittleEndian.Uint32(header[20:]) {
-		return nil, corrupt("payload checksum mismatch (got %08x, header says %08x)",
-			sum, binary.LittleEndian.Uint32(header[20:]))
-	}
-
-	var in treeGob
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&in); err != nil {
-		return nil, corrupt("decoding tree: %v", err)
-	}
-	if in.Version != gobVersion {
-		return nil, corrupt("unsupported tree payload version %d", in.Version)
-	}
-	if in.VenueName != v.Name || in.Partitions != v.NumPartitions() || in.Doors != v.NumDoors() {
-		return nil, fmt.Errorf("%w: tree was built for venue %q (%d partitions, %d doors), got %q (%d, %d)",
-			faults.ErrInvalidOptions,
-			in.VenueName, in.Partitions, in.Doors, v.Name, v.NumPartitions(), v.NumDoors())
-	}
-	if err := validateTreeGob(&in, v); err != nil {
+	if _, err := checkHeader(header); err != nil {
 		return nil, err
 	}
-
-	t := &Tree{
-		venue:  v,
-		opts:   in.Opts,
-		root:   in.Root,
-		leafOf: in.LeafOf,
-		depth:  in.Depth,
+	rest, err := io.ReadAll(io.LimitReader(r, maxIndexPayload))
+	if err != nil {
+		return nil, corrupt("reading index stream: %v", err)
 	}
-	for _, ng := range in.Nodes {
-		nd := &node{
-			id: ng.ID, parent: ng.Parent, children: ng.Children,
-			parts: ng.Parts, leaf: ng.Leaf,
-			doors: ng.Doors, access: ng.Access, full: ng.Full,
-			uDoors: ng.UDoors, uMat: ng.UMat,
-			ancIDs: ng.AncIDs, anc: ng.Anc,
-		}
-		if nd.leaf {
-			nd.doorIdx = denseIdx(t.venue.NumDoors(), nd.doors)
-		} else {
-			nd.uIdx = denseIdx(t.venue.NumDoors(), nd.uDoors)
-		}
-		t.nodes = append(t.nodes, nd)
+	if int64(len(rest)) == maxIndexPayload {
+		return nil, corrupt("index stream exceeds the %d-byte in-memory limit (open it with OpenPagedFile)", maxIndexPayload)
 	}
-	if err := t.CheckInvariants(); err != nil {
-		return nil, corrupt("loaded tree invalid: %v", err)
+	all := append(header, rest...)
+	// CacheBytes 1 keeps no page resident, so peak memory is the stream
+	// plus the matrices; the price is that a page is re-read and
+	// re-checksummed once for every matrix it spans.
+	t, err := OpenPaged(bytes.NewReader(all), int64(len(all)), v, PagedOptions{CacheBytes: 1})
+	if err != nil {
+		return nil, err
 	}
-	// Rebuild the door graph lazily used by Graph()/path queries.
-	t.graph = nil
+	if err := t.materializeAll(); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
-// validateTreeGob deep-validates a decoded payload before any Tree is
-// constructed from it: every node/partition/door reference must be in
-// range, every matrix must have the dimensions its door lists imply, and
-// every distance must be a non-negative, non-NaN float (+Inf is legal — it
-// encodes unreachable door pairs in disconnected venues). Range checks run
-// here, before CheckInvariants, because the invariant checker indexes
-// slices by decoded IDs and would panic on out-of-range values instead of
-// returning an error.
-func validateTreeGob(in *treeGob, v *indoor.Venue) error {
-	if err := validateTreeStructure(in, v); err != nil {
-		return err
-	}
-	return validateTreeMatrices(in, v)
-}
-
-// validateTreeStructure checks everything except the matrices: reference
-// ranges, ID/array consistency, and the ancestor-list shape. It is shared
-// by the v2 path (followed by validateTreeMatrices) and the v3 paged path
-// (where no matrices exist at load time — the page layout is derived
-// entirely from this structure, so the ancestor checks here are what make
-// the derived cell offsets trustworthy).
+// validateTreeStructure deep-validates a decoded structure payload before
+// any Tree is constructed from it: reference ranges, ID/array consistency,
+// and the ancestor-list shape. Range checks run here, before
+// CheckInvariants, because the invariant checker indexes slices by decoded
+// IDs and would panic on out-of-range values instead of returning an error.
+// The page layout is derived entirely from this structure, so the ancestor
+// checks here are what make the derived cell offsets trustworthy.
 func validateTreeStructure(in *treeGob, v *indoor.Venue) error {
 	nNodes := len(in.Nodes)
 	if nNodes == 0 {
@@ -382,52 +284,6 @@ func validateTreeStructure(in *treeGob, v *indoor.Venue) error {
 					return corrupt("node %d: parent chain cycles", i)
 				}
 				a = in.Nodes[a].Parent
-			}
-		}
-	}
-	return nil
-}
-
-// validateTreeMatrices checks the matrices of a monolithic (v2) payload:
-// dimensions implied by the door lists, and cell values. Paged payloads
-// perform the value checks lazily, cell by cell, as pages fault in.
-func validateTreeMatrices(in *treeGob, v *indoor.Venue) error {
-	matrix := func(what string, i int, m [][]float64, rows, cols int) error {
-		if len(m) != rows {
-			return corrupt("node %d: %s matrix has %d rows, want %d", i, what, len(m), rows)
-		}
-		for r, row := range m {
-			if len(row) != cols {
-				return corrupt("node %d: %s matrix row %d has %d columns, want %d", i, what, r, len(row), cols)
-			}
-			for c, d := range row {
-				if math.IsNaN(d) || d < 0 {
-					return corrupt("node %d: %s[%d][%d] = %v (distances are non-negative, non-NaN)", i, what, r, c, d)
-				}
-			}
-		}
-		return nil
-	}
-	for i, ng := range in.Nodes {
-		// Every leaf carries its door×door matrix; every internal node its
-		// union-door matrix (fillMatrices allocates both unconditionally).
-		if ng.Leaf {
-			if err := matrix("full", i, ng.Full, len(ng.Doors), len(ng.Doors)); err != nil {
-				return err
-			}
-		} else {
-			if err := matrix("union", i, ng.UMat, len(ng.UDoors), len(ng.UDoors)); err != nil {
-				return err
-			}
-		}
-		if len(ng.Anc) != len(ng.AncIDs) {
-			return corrupt("node %d: %d ancestor matrices for %d ancestor ids", i, len(ng.Anc), len(ng.AncIDs))
-		}
-		for k := range ng.AncIDs {
-			// Ancestor matrix: rows are the leaf's doors, columns the
-			// ancestor's access doors.
-			if err := matrix("ancestor", i, ng.Anc[k], len(ng.Doors), len(in.Nodes[ng.AncIDs[k]].Access)); err != nil {
-				return err
 			}
 		}
 	}

@@ -13,13 +13,9 @@ import (
 func TestSerializeRoundTrip(t *testing.T) {
 	v := testvenue.Grid(testvenue.GridParams{Cols: 6, Levels: 2, InterRoomDoors: true})
 	orig := MustBuild(v, Options{LeafFanout: 3, NodeFanout: 2, Vivid: true})
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	loaded, err := Load(&buf, v)
+	loaded, err := Load(bytes.NewReader(savePagedBytes(t, orig, 0)), v)
 	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
 	if loaded.NumNodes() != orig.NumNodes() || loaded.Root() != orig.Root() {
 		t.Fatalf("shape mismatch after round trip")
@@ -48,11 +44,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 func TestSerializeIPTreeRoundTrip(t *testing.T) {
 	v := testvenue.Corridor3()
 	orig := MustBuild(v, Options{LeafFanout: 2, NodeFanout: 2, Vivid: false})
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf, v)
+	loaded, err := Load(bytes.NewReader(savePagedBytes(t, orig, 0)), v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +63,7 @@ func TestReadFromRejectsWrongVenue(t *testing.T) {
 	v1 := testvenue.Corridor3()
 	v2 := testvenue.TwoRooms()
 	tree := MustBuild(v1, DefaultOptions())
-	var buf bytes.Buffer
-	if err := tree.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf, v2); err == nil {
+	if _, err := Load(bytes.NewReader(savePagedBytes(t, tree, 0)), v2); err == nil {
 		t.Fatal("expected error loading tree against a different venue")
 	}
 }

@@ -40,8 +40,8 @@ type Options struct {
 	// forces the sequential path. The resulting tree is identical — bit
 	// for bit — for every worker count, because each matrix row is
 	// written exactly once by the one worker that owns its source door.
-	// Workers is a build-time knob only: it is not serialized by Save and
-	// has no effect on queries.
+	// Workers is a build-time knob only: it is not serialized by SavePaged
+	// and has no effect on queries.
 	Workers int
 }
 
@@ -117,11 +117,11 @@ type Tree struct {
 	opts      Options
 	nodes     []*node
 	root      NodeID
-	// pages is non-nil for trees opened from a version-3 paged index
-	// file: distance-matrix cells live in fixed-size on-disk pages and
-	// fault in through an LRU cache on first use (see paged.go). Resident
-	// trees (Build, v2 Load) leave it nil and keep matrices in the node
-	// slices.
+	// pages is non-nil for trees opened lazily from an index file
+	// (OpenPaged/OpenPagedFile): distance-matrix cells live in fixed-size
+	// on-disk pages and fault in through an LRU cache on first use (see
+	// paged.go). Resident trees (Build, Load) leave it nil and keep
+	// matrices in the node slices.
 	pages *pageStore
 	// leafOf maps each partition to its leaf node.
 	leafOf []NodeID

@@ -2,9 +2,12 @@ package ifls_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	ifls "github.com/indoorspatial/ifls"
@@ -13,8 +16,7 @@ import (
 // TestPublicPagedIndexFile exercises the paged on-disk index through the
 // public API: SavePaged to a file, OpenIndexFile under a starved page cache,
 // identical answers to the resident index, nonzero cache activity in the
-// attached Metrics, clean Close. A monolithic (v2) file opened through the
-// same entry point must behave identically, just fully materialized.
+// attached Metrics, clean Close; LoadIndex reads the same file eagerly.
 func TestPublicPagedIndexFile(t *testing.T) {
 	v, rooms := buildOffice(t)
 	ix, err := ifls.NewIndex(v)
@@ -72,27 +74,40 @@ func TestPublicPagedIndexFile(t *testing.T) {
 	if got := answer(t, mat, q, ifls.QueryOptions{}).MinMax; got.Answer != want.Answer {
 		t.Fatalf("materialized paged index disagrees: %+v vs %+v", got, want)
 	}
+}
 
-	// OpenIndexFile on a monolithic (v2) file: same answers, Close a no-op.
-	monoPath := filepath.Join(dir, "office-v2.vip")
-	mf, err := os.Create(monoPath)
+// TestPublicRefusesV2Index: a file whose header says version 2 (the
+// retired monolithic format) is refused by both public readers with
+// ErrCorruptIndex and a message naming the -saveindex rebuild.
+func TestPublicRefusesV2Index(t *testing.T) {
+	v, _ := buildOffice(t)
+	ix, err := ifls.NewIndex(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Save(mf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	if err := mf.Close(); err != nil {
+	var buf bytes.Buffer
+	if err := ix.SavePaged(&buf, ifls.PagedSaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	mono, err := ifls.OpenIndexFile(monoPath, v, ifls.PagedIndexOptions{})
-	if err != nil {
-		t.Fatalf("OpenIndexFile (monolithic): %v", err)
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint32(data[8:], 2)
+	path := filepath.Join(t.TempDir(), "office-v2.vip")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got := answer(t, mono, q, ifls.QueryOptions{}).MinMax; got.Answer != want.Answer {
-		t.Fatalf("monolithic index disagrees: %+v vs %+v", got, want)
+	readers := map[string]func() (*ifls.Index, error){
+		"LoadIndex": func() (*ifls.Index, error) { return ifls.LoadIndex(bytes.NewReader(data), v) },
+		"OpenIndexFile": func() (*ifls.Index, error) {
+			return ifls.OpenIndexFile(path, v, ifls.PagedIndexOptions{})
+		},
 	}
-	if err := mono.Close(); err != nil {
-		t.Fatalf("Close on resident index: %v", err)
+	for name, open := range readers {
+		got, err := open()
+		if got != nil {
+			t.Errorf("%s returned an index for a v2 file", name)
+		}
+		if !errors.Is(err, ifls.ErrCorruptIndex) || !strings.Contains(err.Error(), "-saveindex") {
+			t.Errorf("%s: err = %v, want ErrCorruptIndex naming -saveindex", name, err)
+		}
 	}
 }
