@@ -4,9 +4,7 @@ import (
 	"context"
 	"math"
 	"sort"
-	"time"
 
-	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/indoor"
 	"github.com/indoorspatial/ifls/internal/obs"
 	"github.com/indoorspatial/ifls/internal/vip"
@@ -42,38 +40,12 @@ func solveBaseline(ctx context.Context, t *vip.Tree, q *Query, rec obs.Recorder)
 	if m == 0 || len(q.Candidates) == 0 {
 		return noResult(), nil
 	}
-	// Checkpoints poll ctx.Err() only when the context can be cancelled, so
-	// the background-context path is identical to the plain solver.
-	poll := ctx != nil && ctx.Done() != nil
-	cancelled := func() error {
-		if !poll {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return faults.Cancelled(err)
-		}
-		return nil
-	}
+	// p polls ctx only when it can be cancelled, so the background-context
+	// path is identical to the plain solver; its recorder hooks are guarded
+	// by a nil comparison at each call site.
+	var p probe
+	p.bind(ctx, rec)
 	feSet := vip.NewFacilitySet(t.Venue(), q.Existing)
-	res := Result{Answer: indoor.NoPartition}
-
-	// emit forwards one span event (with the counters snapshot) to the
-	// recorder; the disabled path is a nil comparison at each call site.
-	var obsStart time.Time
-	if rec != nil {
-		obsStart = time.Now()
-	}
-	emit := func(stage obs.Stage, gd float64) {
-		rec.Event(obs.Span{
-			Stage:         stage,
-			Elapsed:       time.Since(obsStart),
-			DistanceCalcs: res.Stats.DistanceCalcs,
-			Retrievals:    res.Stats.Retrievals,
-			QueuePops:     res.Stats.QueuePops,
-			PrunedClients: res.Stats.PrunedClients,
-			Gd:            gd,
-		})
-	}
 
 	// Step 1: nearest existing facility for every client, sorted by
 	// descending distance (the paper's list Ls). Each search's internal
@@ -86,20 +58,20 @@ func solveBaseline(ctx context.Context, t *vip.Tree, q *Query, rec obs.Recorder)
 	var search vip.SearchStats
 	ls := make([]entry, m)
 	for i, c := range q.Clients {
-		if err := cancelled(); err != nil {
-			return Result{}, err
+		if p.cancelled() {
+			return Result{}, p.err
 		}
 		_, d := t.NearestFacilityCounted(c.Loc, c.Part, feSet, &search)
 		ls[i] = entry{client: i, dist: d}
-		if rec != nil {
-			res.Stats.DistanceCalcs = search.DistanceCalcs
-			res.Stats.QueuePops = search.QueuePops
-			emit(obs.StageLocate, d)
-			emit(obs.StageQueuePop, d)
+		if p.rec != nil {
+			p.stats.DistanceCalcs = search.DistanceCalcs
+			p.stats.QueuePops = search.QueuePops
+			p.emit(obs.StageLocate, d)
+			p.emit(obs.StageQueuePop, d)
 		}
 	}
-	res.Stats.DistanceCalcs = search.DistanceCalcs
-	res.Stats.QueuePops = search.QueuePops
+	p.stats.DistanceCalcs = search.DistanceCalcs
+	p.stats.QueuePops = search.QueuePops
 	sort.SliceStable(ls, func(i, j int) bool { return ls[i].dist > ls[j].dist })
 
 	// dist returns iDist(client, candidate), computing and caching it with
@@ -115,29 +87,29 @@ func solveBaseline(ctx context.Context, t *vip.Tree, q *Query, rec obs.Recorder)
 		c := q.Clients[ci]
 		d := t.DistPointToPartition(c.Loc, c.Part, n)
 		cache[key] = d
-		res.Stats.DistanceCalcs++
-		res.Stats.Retrievals++
+		p.stats.DistanceCalcs++
+		p.stats.Retrievals++
 		return d
 	}
 
 	// Step 2: initial candidate answer set from the worst-off client.
 	ca := make([]indoor.PartitionID, 0, len(q.Candidates))
 	for _, n := range q.Candidates {
-		if err := cancelled(); err != nil {
-			return Result{}, err
+		if p.cancelled() {
+			return Result{}, p.err
 		}
 		if dist(ls[0].client, n) < ls[0].dist {
 			ca = append(ca, n)
 		}
 	}
-	res.Stats.ConsideredClients = 1
+	p.stats.ConsideredClients = 1
 	caPrev := ca
 
 	// Step 3: refinement, one client at a time in descending NN distance.
 	i := 1
 	for i < m && len(ca) > 1 {
-		if err := cancelled(); err != nil {
-			return Result{}, err
+		if p.cancelled() {
+			return Result{}, p.err
 		}
 		caPrev = ca
 		li := ls[i]
@@ -162,31 +134,31 @@ func solveBaseline(ctx context.Context, t *vip.Tree, q *Query, rec obs.Recorder)
 			ca = kept
 		}
 		i++
-		res.Stats.ConsideredClients++
-		if rec != nil {
+		p.stats.ConsideredClients++
+		if p.rec != nil {
 			// One span per refinement round: the baseline's analog of a
 			// pruning pass, at the round's NN-distance horizon.
-			emit(obs.StagePrune, li.dist)
+			p.emit(obs.StagePrune, li.dist)
 		}
 	}
 
 	// Step 5: Find_Ans.
-	if rec != nil {
-		emit(obs.StageAnswerCheck, ls[0].dist)
+	if p.rec != nil {
+		p.emit(obs.StageAnswerCheck, ls[0].dist)
 	}
 	if len(ca) == 0 {
 		ca = caPrev
 	}
 	if len(ca) == 0 {
 		// No candidate improves even the worst-off client.
-		res.Stats.RetainedBytes = baselineRetained(len(cache), m)
-		return Result{Found: false, Answer: indoor.NoPartition, Objective: math.NaN(), Stats: res.Stats}, nil
+		p.stats.RetainedBytes = baselineRetained(len(cache), m)
+		return Result{Found: false, Answer: indoor.NoPartition, Objective: math.NaN(), Stats: p.stats}, nil
 	}
 	considered := i
 	best, bestObj := indoor.NoPartition, math.Inf(1)
 	for _, n := range ca {
-		if err := cancelled(); err != nil {
-			return Result{}, err
+		if p.cancelled() {
+			return Result{}, p.err
 		}
 		obj := 0.0
 		for j := 0; j < considered; j++ {
@@ -214,14 +186,11 @@ func solveBaseline(ctx context.Context, t *vip.Tree, q *Query, rec obs.Recorder)
 		}
 	}
 	if bestObj >= ls[0].dist {
-		res.Stats.RetainedBytes = baselineRetained(len(cache), m)
-		return Result{Found: false, Answer: indoor.NoPartition, Objective: math.NaN(), Stats: res.Stats}, nil
+		p.stats.RetainedBytes = baselineRetained(len(cache), m)
+		return Result{Found: false, Answer: indoor.NoPartition, Objective: math.NaN(), Stats: p.stats}, nil
 	}
-	res.Found = true
-	res.Answer = best
-	res.Objective = bestObj
-	res.Stats.RetainedBytes = baselineRetained(len(cache), m)
-	return res, nil
+	p.stats.RetainedBytes = baselineRetained(len(cache), m)
+	return Result{Found: true, Answer: best, Objective: bestObj, Stats: p.stats}, nil
 }
 
 // baselineRetained estimates the baseline's simultaneously-held state: the

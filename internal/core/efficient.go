@@ -3,23 +3,12 @@ package core
 import (
 	"context"
 	"math"
-	"time"
 
-	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/indoor"
 	"github.com/indoorspatial/ifls/internal/obs"
 	"github.com/indoorspatial/ifls/internal/pq"
 	"github.com/indoorspatial/ifls/internal/vip"
 )
-
-// eaEntry is a traversal queue entry: a client partition paired with either
-// a tree node or a facility partition.
-type eaEntry struct {
-	part  indoor.PartitionID // client partition p
-	node  vip.NodeID
-	fac   indoor.PartitionID
-	isFac bool
-}
 
 // eaEvent is a retrieved (client, facility, distance) triple; events drive
 // the d_low stepping.
@@ -31,20 +20,10 @@ type eaEvent struct {
 }
 
 // eaState answers an ObjMinMax (and ObjTopK) query with the paper's
-// efficient approach (Algorithms 2 and 3). Existing facilities and
-// candidate locations are indexed together on one VIP-tree and the nearest
-// facilities of all clients are found incrementally with a single bottom-up
-// best-first traversal:
+// efficient approach (Algorithms 2 and 3): the shared bottom-up traversal
+// finds the nearest facilities of all clients incrementally, and this
+// objective turns its retrievals into the MinMax answer:
 //
-//   - clients are grouped by partition — the queue holds (partition, entity)
-//     pairs keyed by iMinD, and one Explorer per partition serves every
-//     client in it (per-client values differ only in door offsets, which
-//     realizes the paper's single-door fast path for free);
-//   - Gd, the priority of the last dequeued entry, is the global bound: every
-//     facility within Gd of a client partition has been retrieved;
-//   - clients whose nearest existing facility is within the bound are pruned
-//     (Lemma 5.1) — no further candidate retrievals or distance computations
-//     are spent on them;
 //   - once every remaining client has at least one retrieved facility
 //     (isFirst), the verified horizon d_low advances through the retrieved
 //     distances in sorted steps (increaseDist), pruning clients and checking
@@ -52,47 +31,31 @@ type eaEvent struct {
 //     client within d_low. The first covering candidate is the answer and
 //     d_low is the exact objective value.
 //
-// All solver state is flat and ID-indexed: facility roles, candidate
-// indexes, per-partition client lists, and visited-node marks live in dense
-// epoch-stamped columns on the backing Scratch (a private one when the
-// caller supplies none), and the stepping loops run on monotone bucket
-// queues. The state is call-local over a read-only tree and query, so
-// concurrent runs (on the same or different trees) are safe without
-// synchronization.
+// Its per-client and per-candidate columns live on the backing Scratch
+// beside the traversal's, and the stepping loops run on monotone bucket
+// queues.
 //
 // Cancellation: run checks the bound context at every queue dequeue and
 // every d_low step, so a cancel or deadline returns a faults.Cancelled error
 // (wrapping ctx.Err()) within a bounded number of per-partition retrievals.
 type eaState struct {
-	t     *vip.Tree
-	q     *Query
-	venue *indoor.Venue
-	res   Result
-
-	active      []bool
-	activeCount int
-	offsets     [][]float64
+	traversal
 
 	// Per-client knowledge.
-	bestExist    []float64 // nearest retrieved existing facility
 	minRetrieved []float64 // nearest retrieved facility of any kind
 	candCount    []int32   // retrieved candidate pairs (memory metric)
 	activated    [][]int32 // candidate indexes activated (dist <= dlow)
 
-	// Per-candidate coverage at the current d_low.
+	// Per-candidate coverage at the current d_low, indexed like
+	// traversal.cands.
 	covered []int32 // number of active clients with activated pair
 	// maxCovered upper-bounds max(covered); checkAnswer skips its scan
 	// while maxCovered < activeCount. Stale after pruning, which only
 	// costs an occasional wasted scan.
 	maxCovered int32
 
-	queue  *pq.Bucket[eaEntry]
 	events *pq.Bucket[eaEvent]
 
-	// pruneHeap orders clients by their best retrieved existing-facility
-	// distance (lazy entries; stale ones are skipped), so prune(bound)
-	// costs O(pruned) amortized instead of a full scan per bound advance.
-	pruneHeap *pq.Bucket[int32]
 	// satHeap orders clients by their best retrieved distance of any
 	// kind; unsatisfied counts active clients with nothing retrieved
 	// within the bound yet, making checkList O(1) amortized.
@@ -100,150 +63,45 @@ type eaState struct {
 	satisfied   []bool
 	unsatisfied int
 
-	gd, dlow float64
-	isFirst  bool
-
-	// ctx is non-nil only when the run's context is cancellable
-	// (ctx.Done() != nil); checkpoints are skipped entirely otherwise. err
-	// records the first observed cancellation.
-	ctx context.Context
-	err error
-
-	// rec is the per-query span recorder; nil when observability is
-	// disabled, in which case every hook site is a single nil comparison
-	// and the run allocates exactly as much as an unobserved one.
-	// obsStart anchors the spans' monotonic Elapsed offsets.
-	rec      obs.Recorder
-	obsStart time.Time
+	dlow    float64
+	isFirst bool
 
 	// Top-k mode (ObjTopK): when topK > 0 the run records every
 	// covering candidate with its exact objective instead of stopping at
 	// the first.
 	topK   int
 	ranked []RankedCandidate
-
-	// sc is the backing Scratch: the caller's pooled one, or a run-private
-	// one when none was supplied — both run the same code path. Its dense
-	// columns hold the facility roles, client grouping, and visited marks.
-	sc *Scratch
-
-	// cache resolves partitions to explorers: the Scratch's run-local
-	// cache, or Session's persistent one.
-	cache *explorerCache
-
-	// curPart is the source partition of the entry being expanded; it
-	// routes the vip.Frontier hook calls back to the right traversal.
-	curPart indoor.PartitionID
 }
 
-// newEAState resets the MinMax traversal state held by sc (a private Scratch
-// is created when sc is nil, so fresh and pooled runs share one code path).
-// Dense columns reset by epoch bump, slices by truncation — lengths reset,
-// capacity retained, result-bearing slices (ranked) never pooled because
-// they escape to the caller.
-func newEAState(t *vip.Tree, q *Query, sc *Scratch) *eaState {
+// newEAState resets the MinMax state held by o.Scratch (a private Scratch is
+// created when it is nil, so fresh and pooled runs share one code path) and
+// binds the run's context, recorder and explorer cache. Result-bearing
+// slices (ranked) are never pooled because they escape to the caller.
+func newEAState(ctx context.Context, t *vip.Tree, q *Query, o Options) *eaState {
+	sc := o.Scratch
 	if sc == nil {
 		sc = NewScratch()
 	}
 	m := len(q.Clients)
 	s := &sc.ea
-	s.t, s.q, s.venue = t, q, t.Venue()
-	s.res = Result{}
-	s.sc = sc
-	sc.claim(t)
-	s.cache = &sc.explorers
-	s.active = resize(s.active, m)
-	s.activeCount = m
-	s.offsets = resizeLists(s.offsets, m)
-	s.bestExist = resize(s.bestExist, m)
+	s.traversal.reset(ctx, t, q, o, sc)
 	s.minRetrieved = resize(s.minRetrieved, m)
 	s.candCount = resize(s.candCount, m)
 	s.activated = resizeLists(s.activated, m)
-	s.covered = resize(s.covered, len(q.Candidates))
+	s.covered = resize(s.covered, len(s.cands))
 	s.maxCovered = 0
-	s.queue, s.events = &sc.queue, &sc.events
-	s.pruneHeap, s.satHeap = &sc.pruneHeap, &sc.satHeap
+	s.events, s.satHeap = &sc.events, &sc.satHeap
 	s.satisfied = resize(s.satisfied, m)
-	s.gd, s.dlow = 0, 0
+	s.dlow = 0
 	s.isFirst = false
-	s.ctx, s.err = nil, nil
-	s.rec, s.obsStart = nil, time.Time{}
 	s.topK = 0
 	s.ranked = nil // escapes via finishTopK; never pooled
 	s.unsatisfied = m
-	for _, f := range q.Existing {
-		sc.markPart(f, pfExist)
-	}
-	for i, f := range q.Candidates {
-		if !sc.partHas(f, pfCand) {
-			sc.markPart(f, pfCand)
-			sc.partCand[f] = int32(i)
-		}
-	}
 	inf := math.Inf(1)
 	for i := range q.Clients {
-		s.active[i] = true
-		s.bestExist[i] = inf
 		s.minRetrieved[i] = inf
 	}
 	return s
-}
-
-// bindContext arms the cancellation checkpoints. Background-like contexts
-// (Done() == nil) are not stored: they can never cancel, so the run skips
-// checkpoint work entirely.
-func (s *eaState) bindContext(ctx context.Context) {
-	if ctx != nil && ctx.Done() != nil {
-		s.ctx = ctx
-	}
-}
-
-// bindRecorder attaches a per-query span recorder and anchors the span
-// timestamps. A nil recorder leaves the state on the exact unobserved code
-// path (the emit hooks reduce to one nil comparison each).
-func (s *eaState) bindRecorder(rec obs.Recorder) {
-	if rec != nil {
-		s.rec = rec
-		s.obsStart = time.Now()
-	}
-}
-
-// emit sends one span event to the bound recorder. Callers on hot paths
-// guard with s.rec != nil so the disabled path never pays the call.
-func (s *eaState) emit(stage obs.Stage, gd float64) {
-	if s.rec == nil {
-		return
-	}
-	s.rec.Event(obs.Span{
-		Stage:         stage,
-		Elapsed:       time.Since(s.obsStart),
-		DistanceCalcs: s.res.Stats.DistanceCalcs,
-		Retrievals:    s.res.Stats.Retrievals,
-		QueuePops:     s.res.Stats.QueuePops,
-		PrunedClients: s.res.Stats.PrunedClients,
-		Gd:            gd,
-	})
-}
-
-// cancelled is the cancellation checkpoint: it polls the bound context and
-// latches the first error into s.err. With no cancellable context bound it
-// is a single nil comparison.
-func (s *eaState) cancelled() bool {
-	if s.ctx == nil {
-		return false
-	}
-	if s.err != nil {
-		return true
-	}
-	if err := s.ctx.Err(); err != nil {
-		s.err = faults.Cancelled(err)
-		return true
-	}
-	return false
-}
-
-func (s *eaState) explorer(p indoor.PartitionID) *vip.Explorer {
-	return s.cache.get(s.t, p)
 }
 
 // retrieve records facility f for client ci at distance d. The traversal
@@ -251,7 +109,7 @@ func (s *eaState) explorer(p indoor.PartitionID) *vip.Explorer {
 // per source and every facility lives in exactly one leaf — so the event
 // pushes need no per-pair dedup.
 func (s *eaState) retrieve(ci int32, f indoor.PartitionID, d float64) {
-	s.res.Stats.Retrievals++
+	s.stats.Retrievals++
 	if d < s.minRetrieved[ci] {
 		s.minRetrieved[ci] = d
 		if !s.satisfied[ci] {
@@ -260,10 +118,7 @@ func (s *eaState) retrieve(ci int32, f indoor.PartitionID, d float64) {
 	}
 	fl := s.sc.partFlags(f)
 	if fl&pfExist != 0 {
-		if d < s.bestExist[ci] {
-			s.bestExist[ci] = d
-			s.pruneHeap.Push(ci, d)
-		}
+		s.noteExisting(ci, d)
 		s.events.Push(eaEvent{client: ci, fac: f, dist: d}, d)
 	}
 	if fl&pfCand != 0 {
@@ -272,49 +127,18 @@ func (s *eaState) retrieve(ci int32, f indoor.PartitionID, d float64) {
 	}
 }
 
-// pruneClient removes client ci from C, rolling its activations out of the
-// candidate coverage counters.
-func (s *eaState) pruneClient(ci int32) {
-	if !s.active[ci] {
-		return
-	}
-	s.active[ci] = false
-	s.activeCount--
-	s.res.Stats.PrunedClients++
-	if s.rec != nil {
-		s.emit(obs.StagePrune, s.gd)
-	}
-	if !s.satisfied[ci] {
-		s.satisfied[ci] = true
-		s.unsatisfied--
-	}
-	for _, k := range s.activated[ci] {
-		s.covered[k]--
-	}
-	s.sc.removeClient(s.q.Clients[ci].Part, ci)
-}
-
-// prune applies Lemma 5.1 at the given bound: a client whose retrieved
-// nearest existing facility is within the bound cannot be improved by any
-// candidate, so it leaves C. The lazy heap makes the amortized cost
-// proportional to the clients actually pruned.
-//
-// Entries are lazy: every bestExist improvement pushes a fresh entry, so
-// the heap may hold several keys per client. A client is pruned only
-// against its live key (the one equal to its current bestExist) — a stale
-// larger key popped later is skipped, never used as pruning evidence. The
-// live key is always present for an active client because pops happen only
-// here and a popped live key prunes immediately.
+// prune applies Lemma 5.1 at the given bound (see traversal.nextPruned) and
+// rolls each pruned client's activations out of the candidate coverage
+// counters.
 func (s *eaState) prune(bound float64) {
-	for !s.pruneHeap.Empty() {
-		if _, d := s.pruneHeap.Peek(); d > bound {
-			return
+	for ci, ok := s.nextPruned(bound); ok; ci, ok = s.nextPruned(bound) {
+		if !s.satisfied[ci] {
+			s.satisfied[ci] = true
+			s.unsatisfied--
 		}
-		ci, d := s.pruneHeap.Pop()
-		if !s.active[ci] || d != s.bestExist[ci] {
-			continue // stale key: re-pushed smaller, or already pruned
+		for _, k := range s.activated[ci] {
+			s.covered[k]--
 		}
-		s.pruneClient(ci)
 	}
 }
 
@@ -386,7 +210,7 @@ func (s *eaState) checkAnswer(bound float64) (indoor.PartitionID, bool) {
 		return indoor.NoPartition, false
 	}
 	best := indoor.NoPartition
-	for k, n := range s.q.Candidates {
+	for k, n := range s.cands {
 		if s.covered[k] != int32(s.activeCount) {
 			continue
 		}
@@ -435,29 +259,16 @@ func (s *eaState) run() (Result, error) {
 	if s.cancelled() {
 		return Result{}, s.err
 	}
-	sc := s.sc
 
 	// Algorithm 2 preamble: a client inside a facility partition retrieves
 	// it at distance zero.
 	for ci, c := range q.Clients {
-		if sc.partFlags(c.Part)&(pfExist|pfCand) != 0 {
+		if s.Wanted(c.Part) {
 			s.retrieve(int32(ci), c.Part, 0)
 		}
 	}
 	s.prune(0)
-	for ci, c := range q.Clients {
-		if s.active[ci] {
-			sc.addClient(c.Part, int32(ci))
-		}
-	}
-	for ci, c := range q.Clients {
-		if s.active[ci] {
-			s.offsets[ci] = s.explorer(c.Part).PointOffsetsAppend(s.offsets[ci][:0], c.Loc)
-		}
-	}
-	if s.rec != nil {
-		s.emit(obs.StageLocate, 0)
-	}
+	s.group()
 	s.isFirst = s.checkList(0)
 	if s.isFirst {
 		s.drainEvents(0)
@@ -466,48 +277,16 @@ func (s *eaState) run() (Result, error) {
 		}
 	}
 
-	// Algorithm 3: seed the traversal queue with each populated
-	// partition's leaf node, in client order (the touched-partition list
-	// preserves first-client order, so seeding is deterministic and every
-	// counter downstream is too).
-	for _, pp := range sc.parts {
-		p := indoor.PartitionID(pp)
-		if len(sc.clientsOf[p]) == 0 {
-			continue
+	// Algorithm 3: the bottom-up traversal, one round per global bound Gd.
+	s.seed()
+	for s.nextBound() {
+		for e, ok := s.next(); ok; e, ok = s.next() {
+			for _, ci := range s.sc.clientsOf[e.part] {
+				s.retrieve(ci, e.fac, s.distance(e.part, ci, e.fac))
+			}
 		}
-		leaf := s.t.Leaf(p)
-		s.markVisited(p, leaf)
-		s.queue.Push(eaEntry{part: p, node: leaf}, 0)
-	}
-
-	for !s.queue.Empty() {
-		if s.cancelled() {
+		if s.err != nil {
 			return Result{}, s.err
-		}
-		entry, prio := s.queue.Pop()
-		s.res.Stats.QueuePops++
-		s.gd = prio
-		if len(sc.clientsOf[entry.part]) > 0 {
-			s.process(entry)
-		}
-		// Consume all entries at the same priority before evaluating the
-		// bound, so "retrieved within Gd" includes ties at Gd.
-		for !s.queue.Empty() {
-			if _, np := s.queue.Peek(); np > prio {
-				break
-			}
-			if s.cancelled() {
-				return Result{}, s.err
-			}
-			e2, _ := s.queue.Pop()
-			s.res.Stats.QueuePops++
-			if len(sc.clientsOf[e2.part]) > 0 {
-				s.process(e2)
-			}
-		}
-		if s.rec != nil {
-			// One span per global-bound advance: all ties at Gd consumed.
-			s.emit(obs.StageQueuePop, s.gd)
 		}
 
 		if !s.isFirst {
@@ -577,7 +356,7 @@ func (s *eaState) answerCheck() (Result, bool) {
 	}
 	if s.topK > 0 {
 		if s.collectCovering() {
-			return s.res, true
+			return Result{}, true
 		}
 		return Result{}, false
 	}
@@ -587,82 +366,35 @@ func (s *eaState) answerCheck() (Result, bool) {
 	return Result{}, false
 }
 
-func (s *eaState) markVisited(p indoor.PartitionID, n vip.NodeID) bool {
-	return s.sc.visit(p, n)
-}
-
-// eaState implements vip.Frontier for the traversal source set by process:
-// Tree.Expand drives the bottom-up expansion rule and these hooks queue the
-// resulting nodes and facility partitions.
-
-// Visit marks a node visited for the current source partition.
-func (s *eaState) Visit(n vip.NodeID) bool { return s.markVisited(s.curPart, n) }
-
-// PushNode enqueues a tree node for the current source partition.
-func (s *eaState) PushNode(n vip.NodeID, prio float64) {
-	s.queue.Push(eaEntry{part: s.curPart, node: n}, prio)
-}
-
-// Wanted reports whether a facility partition participates in the query.
-func (s *eaState) Wanted(f indoor.PartitionID) bool {
-	return s.sc.partFlags(f)&(pfExist|pfCand) != 0
-}
-
-// PushFacility enqueues a facility partition for the current source.
-func (s *eaState) PushFacility(f indoor.PartitionID, prio float64) {
-	s.queue.Push(eaEntry{part: s.curPart, fac: f, isFac: true}, prio)
-}
-
-// process expands a dequeued entry: a facility partition is retrieved for
-// the partition's remaining clients; a tree node expands through
-// vip.Tree.Expand (parent, then leaf partitions or children — the order the
-// solver's determinism relies on).
-func (s *eaState) process(entry eaEntry) {
-	p := entry.part
-	e := s.explorer(p)
-	if entry.isFac {
-		for _, ci := range s.sc.clientsOf[p] {
-			d := e.PointToPartition(s.offsets[ci], entry.fac)
-			s.res.Stats.DistanceCalcs++
-			s.retrieve(ci, entry.fac, d)
-		}
-		return
-	}
-	s.curPart = p
-	s.t.Expand(e, p, entry.node, s)
-}
-
-// retainedBytes estimates the solver's simultaneously-held state: explorer
-// distance vectors, per-client retrieval bookkeeping (each retrieved
-// candidate pair transits the event queue as a 16-byte record), visited-node
-// stamps, and the live queues.
+// retainedBytes estimates the solver's simultaneously-held state: the
+// traversal's, per-client retrieval bookkeeping (each retrieved candidate
+// pair transits the event queue as a 16-byte record), the event queue, and
+// one coverage counter per listed candidate.
 func (s *eaState) retainedBytes() int {
-	total := s.cache.retainedBytes()
+	total := s.traversalBytes()
 	const pairEntry = 16
 	for ci := range s.q.Clients {
 		total += int(s.candCount[ci])*pairEntry + len(s.activated[ci])*4 + len(s.offsets[ci])*8 + 64
 	}
-	total += s.sc.visitCount * 4
-	total += s.queue.Len()*32 + s.events.Len()*40
-	total += len(s.covered) * 4
+	total += s.events.Len() * 40
+	total += len(s.q.Candidates) * 4
 	return total
 }
 
 func (s *eaState) finish(answer indoor.PartitionID) Result {
-	s.res.Stats.RetainedBytes = s.retainedBytes()
-	s.res.Answer = answer
+	res := Result{Answer: answer, Stats: s.stats}
+	res.Stats.RetainedBytes = s.retainedBytes()
 	if answer == indoor.NoPartition {
-		s.res.Found = false
-		s.res.Objective = math.NaN()
-		return s.res
+		res.Objective = math.NaN()
+		return res
 	}
-	s.res.Found = true
-	s.res.Objective = s.dlow
+	res.Found = true
+	res.Objective = s.dlow
 	// d_low equals the chosen candidate's exact objective, except in the
 	// degenerate case where the answer was found during the preamble
 	// (every remaining client sits inside the candidate partition).
 	if s.dlow == 0 {
-		s.res.Objective = 0
+		res.Objective = 0
 	}
-	return s.res
+	return res
 }

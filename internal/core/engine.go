@@ -224,13 +224,7 @@ func emptyInput(q *Query, o Options) bool {
 }
 
 func execMinMax(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult, error) {
-	s := newEAState(t, q, o.Scratch)
-	if o.explorers != nil {
-		s.cache = o.explorers
-	}
-	s.bindContext(ctx)
-	s.bindRecorder(o.Recorder)
-	r, err := s.run()
+	r, err := newEAState(ctx, t, q, o).run()
 	if err != nil {
 		return ExecResult{}, err
 	}
@@ -250,62 +244,31 @@ func execBaseline(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecRe
 }
 
 func execMinDist(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult, error) {
-	res := ExtResult{}
-	sc := o.Scratch
-	if sc == nil {
-		sc = NewScratch() // one private Scratch shared by objective and state
-	}
-	obj := newMinDistObj(len(q.Clients), sc)
-	s := newExtState(t, q, obj, &res.Stats, sc)
-	if o.explorers != nil {
-		s.cache = o.explorers
-	}
-	s.bindContext(ctx)
-	s.bindRecorder(o.Recorder)
-	obj.init(s.cands)
-	k, err := s.run()
+	s := newExtState(ctx, t, q, o)
+	obj := newMinDistObj(s)
+	k, err := s.run(obj)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	res.Answer = s.cands[k]
-	res.Objective = obj.sumExact[k]
-	res.Improves = obj.capturedAny[k]
-	res.Stats.RetainedBytes = s.retainedBytes() + obj.tab.retainedBytes()
-	return ExecResult{Ext: res}, nil
+	return ExecResult{Ext: ExtResult{
+		Answer: s.cands[k], Objective: obj.sumExact[k], Improves: obj.capturedAny[k], Stats: s.finalStats(),
+	}}, nil
 }
 
 func execMaxSum(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult, error) {
-	res := ExtResult{}
-	sc := o.Scratch
-	if sc == nil {
-		sc = NewScratch() // one private Scratch shared by objective and state
-	}
-	obj := newMaxSumObj(len(q.Clients), sc)
-	s := newExtState(t, q, obj, &res.Stats, sc)
-	if o.explorers != nil {
-		s.cache = o.explorers
-	}
-	s.bindContext(ctx)
-	s.bindRecorder(o.Recorder)
-	obj.init(s.cands)
-	k, err := s.run()
+	s := newExtState(ctx, t, q, o)
+	obj := newMaxSumObj(s)
+	k, err := s.run(obj)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	res.Answer = s.cands[k]
-	res.Objective = float64(obj.captured[k])
-	res.Improves = obj.captured[k] > 0
-	res.Stats.RetainedBytes = s.retainedBytes() + obj.tab.retainedBytes()
-	return ExecResult{Ext: res}, nil
+	return ExecResult{Ext: ExtResult{
+		Answer: s.cands[k], Objective: float64(obj.captured[k]), Improves: obj.captured[k] > 0, Stats: s.finalStats(),
+	}}, nil
 }
 
 func execTopK(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult, error) {
-	s := newEAState(t, q, o.Scratch)
-	if o.explorers != nil {
-		s.cache = o.explorers
-	}
-	s.bindContext(ctx)
-	s.bindRecorder(o.Recorder)
+	s := newEAState(ctx, t, q, o)
 	s.topK = o.K
 	if _, err := s.run(); err != nil {
 		return ExecResult{}, err

@@ -30,23 +30,16 @@ type maxSumObj struct {
 	decided  []int
 }
 
-// newMaxSumObj resets the MaxSum candidate bookkeeping held by sc (a private
-// Scratch is created when sc is nil); see newEAState for the reset contract.
-func newMaxSumObj(m int, sc *Scratch) *maxSumObj {
-	if sc == nil {
-		sc = NewScratch()
-	}
-	o := &sc.ms
-	o.tab.reset(m, &sc.pending)
-	return o
-}
-
-func (o *maxSumObj) init(cands []indoor.PartitionID) {
-	o.ids = cands
-	nc := len(cands)
-	o.tab.initCands(nc)
+// newMaxSumObj resets the MaxSum candidate bookkeeping held by the run's
+// Scratch; see newMinDistObj.
+func newMaxSumObj(s *extState) *maxSumObj {
+	nc := len(s.cands)
+	o := &s.sc.ms
+	o.tab.reset(len(s.q.Clients), nc, &s.sc.pending)
+	o.ids = s.cands
 	o.captured = resize(o.captured, nc)
 	o.decided = resize(o.decided, nc)
+	return o
 }
 
 func (o *maxSumObj) decide(k int, captures bool) {
@@ -55,6 +48,8 @@ func (o *maxSumObj) decide(k int, captures bool) {
 		o.captured[k]++
 	}
 }
+
+func (o *maxSumObj) retainedBytes() int { return o.tab.retainedBytes() }
 
 func (o *maxSumObj) retrieved(ci, k int, d, gd float64) {
 	o.tab.add(ci, k, d)

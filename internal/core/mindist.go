@@ -34,29 +34,19 @@ type minDistObj struct {
 	dNN          []float64
 }
 
-// newMinDistObj resets the MinDist candidate bookkeeping held by sc (a
-// private Scratch is created when sc is nil); see newEAState for the reset
-// contract.
-func newMinDistObj(m int, sc *Scratch) *minDistObj {
-	if sc == nil {
-		sc = NewScratch()
-	}
-	o := &sc.md
-	o.tab.reset(m, &sc.pending)
+// newMinDistObj resets the MinDist candidate bookkeeping held by the run's
+// Scratch, sized to its clients and deduplicated candidates (whose IDs it
+// keeps for the lowest-ID tie-break).
+func newMinDistObj(s *extState) *minDistObj {
+	m, nc := len(s.q.Clients), len(s.cands)
+	o := &s.sc.md
+	o.tab.reset(m, nc, &s.sc.pending)
+	o.ids = s.cands
 	o.dNN = resize(o.dNN, m)
-	return o
-}
-
-// init sizes the per-candidate accumulators and records the candidate IDs
-// (index-aligned with the traversal's deduplicated candidate list) for the
-// lowest-ID tie-break.
-func (o *minDistObj) init(cands []indoor.PartitionID) {
-	nc := len(cands)
-	o.ids = cands
-	o.tab.initCands(nc)
 	o.sumExact = resize(o.sumExact, nc)
 	o.settledCount = resize(o.settledCount, nc)
 	o.capturedAny = resize(o.capturedAny, nc)
+	return o
 }
 
 func (o *minDistObj) settle(k int, contribution float64, captured bool) {
@@ -66,6 +56,8 @@ func (o *minDistObj) settle(k int, contribution float64, captured bool) {
 		o.capturedAny[k] = true
 	}
 }
+
+func (o *minDistObj) retainedBytes() int { return o.tab.retainedBytes() }
 
 func (o *minDistObj) retrieved(ci, k int, d, gd float64) {
 	o.tab.add(ci, k, d)

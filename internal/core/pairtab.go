@@ -45,20 +45,14 @@ type pairTab struct {
 	rowTick  uint32
 }
 
-// reset prepares the table for m clients, wiring the run's pending queue
-// (reset by Scratch.claim). Pair lists truncate in place, capacity retained
-// up to the Scratch trim bounds.
-func (pt *pairTab) reset(m int, pending *pq.Bucket[pendPair]) {
-	pt.m = m
+// reset prepares the table for m clients and nc deduplicated candidates,
+// wiring the run's pending queue (reset by Scratch.claim). Pair lists
+// truncate in place, capacity retained up to the Scratch trim bounds.
+func (pt *pairTab) reset(m, nc int, pending *pq.Bucket[pendPair]) {
+	pt.m, pt.nc = m, nc
 	pt.pending = pending
 	pt.pairs = resizeLists(pt.pairs, m)
 	pt.clientDone = resize(pt.clientDone, m)
-}
-
-// initCands sizes the candidate-indexed scratch row once the traversal's
-// deduplicated candidate list is known.
-func (pt *pairTab) initCands(nc int) {
-	pt.nc = nc
 	pt.rowDist = resize(pt.rowDist, nc)
 	pt.rowDone = resize(pt.rowDone, nc)
 	pt.rowStamp = resize(pt.rowStamp, nc)
@@ -74,7 +68,7 @@ func (pt *pairTab) add(ci, k int, d float64) {
 
 // stampRow loads client ci's pairs into the candidate-indexed row under a
 // fresh tick; rowHas then answers "was this candidate retrieved for ci" in
-// O(1). Ticks are per-run (initCands zeroes them), so they cannot wrap.
+// O(1). Ticks are per-run (reset zeroes them), so they cannot wrap.
 func (pt *pairTab) stampRow(ci int) {
 	pt.rowTick++
 	for _, pr := range pt.pairs[ci] {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/indoorspatial/ifls/internal/indoor"
@@ -23,7 +24,7 @@ func pruneFixture(t *testing.T) *eaState {
 		Candidates: rooms[1:2],
 		Clients:    []Client{clientIn(v, rooms[2], 0), clientIn(v, rooms[3], 1)},
 	}
-	return newEAState(tree, q, nil)
+	return newEAState(context.Background(), tree, q, Options{})
 }
 
 // TestPruneSkipsStaleLargerKey: a key pushed before the client's bestExist
@@ -42,8 +43,8 @@ func TestPruneSkipsStaleLargerKey(t *testing.T) {
 	if !s.active[0] {
 		t.Fatal("client pruned against a stale key (5) that no longer equals bestExist (2)")
 	}
-	if s.res.Stats.PrunedClients != 0 {
-		t.Fatalf("PrunedClients = %d, want 0", s.res.Stats.PrunedClients)
+	if s.stats.PrunedClients != 0 {
+		t.Fatalf("PrunedClients = %d, want 0", s.stats.PrunedClients)
 	}
 }
 
@@ -63,15 +64,15 @@ func TestPruneRePushedClientPrunedOnce(t *testing.T) {
 	if s.active[0] {
 		t.Fatal("client not pruned against its live key (2 <= bound 3)")
 	}
-	if s.res.Stats.PrunedClients != 1 {
-		t.Fatalf("PrunedClients = %d, want 1", s.res.Stats.PrunedClients)
+	if s.stats.PrunedClients != 1 {
+		t.Fatalf("PrunedClients = %d, want 1", s.stats.PrunedClients)
 	}
 
 	// Bound now covers the stale key too: it must be skipped, not
 	// double-counted.
 	s.prune(10)
-	if s.res.Stats.PrunedClients != 1 {
-		t.Fatalf("after draining stale key: PrunedClients = %d, want 1", s.res.Stats.PrunedClients)
+	if s.stats.PrunedClients != 1 {
+		t.Fatalf("after draining stale key: PrunedClients = %d, want 1", s.stats.PrunedClients)
 	}
 }
 
@@ -85,10 +86,8 @@ func TestExtPruneStaleKeyParity(t *testing.T) {
 		Candidates: rooms[1:2],
 		Clients:    []Client{clientIn(v, rooms[2], 0), clientIn(v, rooms[3], 1)},
 	}
-	var stats Stats
-	obj := newMinDistObj(len(q.Clients), nil)
-	obj.init(q.Candidates[:1])
-	s := newExtState(tree, q, obj, &stats, nil)
+	s := newExtState(context.Background(), tree, q, Options{})
+	s.obj = newMinDistObj(s)
 
 	s.bestExist[0] = 5
 	s.pruneHeap.Push(0, 5)
@@ -103,8 +102,8 @@ func TestExtPruneStaleKeyParity(t *testing.T) {
 	if s.active[0] {
 		t.Fatal("extState did not prune against the live key")
 	}
-	if stats.PrunedClients != 1 {
-		t.Fatalf("PrunedClients = %d, want 1", stats.PrunedClients)
+	if s.stats.PrunedClients != 1 {
+		t.Fatalf("PrunedClients = %d, want 1", s.stats.PrunedClients)
 	}
 }
 

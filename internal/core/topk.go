@@ -54,7 +54,7 @@ func (s *eaState) collectCovering() bool {
 	if s.maxCovered < int32(s.activeCount) {
 		return false
 	}
-	for kIdx, n := range s.q.Candidates {
+	for kIdx, n := range s.cands {
 		if s.covered[kIdx] != int32(s.activeCount) || s.sc.partHas(n, pfRanked) {
 			continue
 		}
