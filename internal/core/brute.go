@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"github.com/indoorspatial/ifls/internal/d2d"
@@ -28,15 +27,6 @@ type BruteResult struct {
 // no-pruning reference point in ablation benchmarks. State is call-local
 // and the graph is immutable; concurrent calls are safe.
 func SolveBrute(g *d2d.Graph, q *Query) BruteResult {
-	r, _ := SolveBruteContext(context.Background(), g, q)
-	return r
-}
-
-// SolveBruteContext is SolveBrute with cooperative cancellation: the context
-// is polled once per client partition while the distance matrix fills (the
-// dominant cost). A cancelled context yields a zero BruteResult and an error
-// wrapping both faults.ErrCancelled and the context's own error.
-func SolveBruteContext(ctx context.Context, g *d2d.Graph, q *Query) (BruteResult, error) {
 	m := len(q.Clients)
 	res := BruteResult{Result: noResult()}
 	res.Objectives = make([]float64, len(q.Candidates))
@@ -44,12 +34,9 @@ func SolveBruteContext(ctx context.Context, g *d2d.Graph, q *Query) (BruteResult
 		// With no clients every candidate trivially achieves objective 0;
 		// no candidate strictly improves the (empty) status quo.
 		res.StatusQuo = 0
-		return res, nil
+		return res
 	}
-	distTo, nnExist, err := clientFacilityDistancesContext(ctx, g, q)
-	if err != nil {
-		return BruteResult{}, err
-	}
+	distTo, nnExist := clientFacilityDistances(g, q)
 	statusQuo := 0.0
 	for _, d := range nnExist {
 		if d > statusQuo {
@@ -81,5 +68,5 @@ func SolveBruteContext(ctx context.Context, g *d2d.Graph, q *Query) (BruteResult
 		res.Objective = bestObj
 	}
 	res.Stats.DistanceCalcs = m * (len(q.Existing) + len(q.Candidates))
-	return res, nil
+	return res
 }

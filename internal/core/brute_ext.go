@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"github.com/indoorspatial/ifls/internal/d2d"
-	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/indoor"
 )
 
@@ -27,15 +25,6 @@ type BruteExtResult struct {
 // matrix (facilities = Existing ++ Candidates) plus each client's exact
 // nearest-existing distance.
 func clientFacilityDistances(g *d2d.Graph, q *Query) (distTo [][]float64, nnExist []float64) {
-	distTo, nnExist, _ = clientFacilityDistancesContext(context.Background(), g, q)
-	return distTo, nnExist
-}
-
-// clientFacilityDistancesContext is clientFacilityDistances with cooperative
-// cancellation: the context is polled once per client partition (the unit of
-// Dijkstra work) before its door expansions run.
-func clientFacilityDistancesContext(ctx context.Context, g *d2d.Graph, q *Query) (distTo [][]float64, nnExist []float64, err error) {
-	poll := ctx != nil && ctx.Done() != nil
 	v := g.Venue()
 	m := len(q.Clients)
 	facs := make([]indoor.PartitionID, 0, len(q.Existing)+len(q.Candidates))
@@ -47,11 +36,6 @@ func clientFacilityDistancesContext(ctx context.Context, g *d2d.Graph, q *Query)
 		byPart[c.Part] = append(byPart[c.Part], i)
 	}
 	for part, idxs := range byPart {
-		if poll {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, nil, faults.Cancelled(cerr)
-			}
-		}
 		doors := v.Partition(part).Doors
 		doorDist := make([][]float64, len(doors))
 		for di, d := range doors {
@@ -92,7 +76,7 @@ func clientFacilityDistancesContext(ctx context.Context, g *d2d.Graph, q *Query)
 		}
 		nnExist[ci] = best
 	}
-	return distTo, nnExist, nil
+	return distTo, nnExist
 }
 
 // SolveBruteMinDist evaluates the MinDist objective of every candidate

@@ -7,20 +7,18 @@ import (
 	"testing"
 
 	"github.com/indoorspatial/ifls/internal/chaos"
-	"github.com/indoorspatial/ifls/internal/d2d"
 	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/testvenue"
 	"github.com/indoorspatial/ifls/internal/vip"
 )
 
 // cancelSolvers enumerates every context-aware query path — each Exec
-// objective plus the brute-force oracle — through a uniform closure so one
-// table drives the whole cancellation contract.
+// objective — through a uniform closure so one table drives the whole
+// cancellation contract.
 func cancelSolvers(t *testing.T) (map[string]func(ctx context.Context) error, *Query) {
 	t.Helper()
 	v := testvenue.Grid(testvenue.GridParams{Cols: 6, Levels: 2, InterRoomDoors: true})
 	tree := vip.MustBuild(v, vip.DefaultOptions())
-	g := d2d.New(v)
 	q := randomQuery(v, rand.New(rand.NewSource(11)), 4, 8, 60)
 	exec := func(o Options) func(ctx context.Context) error {
 		return func(ctx context.Context) error {
@@ -35,10 +33,6 @@ func cancelSolvers(t *testing.T) (map[string]func(ctx context.Context) error, *Q
 		"maxsum":    exec(Options{Objective: ObjMaxSum}),
 		"topk":      exec(Options{Objective: ObjTopK, K: 3}),
 		"multi":     exec(Options{Objective: ObjMulti, K: 2}),
-		"brute": func(ctx context.Context) error {
-			_, err := SolveBruteContext(ctx, g, q)
-			return err
-		},
 	}, q
 }
 

@@ -1,3 +1,9 @@
+// Package pq implements the priority queue behind every best-first search in
+// this repository: Dijkstra over the door graph, the VIP-tree top-down
+// nearest-neighbor and range searches, the masked Dijkstra of the temporal
+// oracle, and the bottom-up traversal and stepping loops of the IFLS
+// solvers. Bucket is its one queue type; entries live in flat slices of
+// concrete type, so a push allocates nothing once capacity is warm.
 package pq
 
 import (
@@ -6,9 +12,8 @@ import (
 	"slices"
 )
 
-// Bucket is a monotone bucket queue (a radix heap) with the same ordering
-// contract as Queue: ascending priority, FIFO among equal priorities. It is
-// built for best-first loops whose pushes never fall below the last popped
+// Bucket is a monotone bucket queue (a radix heap) ordered by ascending
+// priority, FIFO among equal priorities. It is built for best-first loops whose pushes never fall below the last popped
 // priority — Dijkstra over the door graph and the bottom-up IFLS stepping
 // loop are both monotone in this sense — where it replaces O(log n) heap
 // sift-downs with O(1) amortized bucket appends.
@@ -34,7 +39,14 @@ type Bucket[T any] struct {
 	seq     uint64 // global insertion counter; equal priorities pop FIFO
 	b0head  int    // bucket 0 consumed prefix; live entries are buckets[0][b0head:]
 	buckets [65][]entry[T]
-	fb      Quad[T] // entries pushed below last; keys strictly < all bucketed keys
+	fb      quad[T] // entries pushed below last; keys strictly < all bucketed keys
+}
+
+// entry is one queued value with its priority and insertion sequence.
+type entry[T any] struct {
+	value    T
+	priority float64
+	seq      uint64 // insertion order; ties break FIFO for determinism
 }
 
 // NewBucket returns an empty monotone bucket queue with capacity hint n for

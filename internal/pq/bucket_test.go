@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// minQueue is the shared contract of Queue, Quad and Bucket, so the property
-// tests can drive all three through one harness.
+// minQueue is the shared contract of Bucket, its quad fallback and the
+// naive reference queue, so the property tests can drive all three through
+// one harness.
 type minQueue interface {
 	Push(v int, priority float64)
 	Pop() (int, float64)
@@ -18,10 +19,51 @@ type minQueue interface {
 }
 
 var (
-	_ minQueue = (*Queue[int])(nil)
-	_ minQueue = (*Quad[int])(nil)
+	_ minQueue = (*naiveQueue)(nil)
+	_ minQueue = (*quad[int])(nil)
 	_ minQueue = (*Bucket[int])(nil)
 )
+
+// naiveQueue is the test oracle: an unordered slice scanned linearly for
+// the minimum (priority, insertion order). It shares no structure with
+// Bucket or quad, so agreement with it is independent evidence.
+type naiveQueue struct {
+	items []naiveItem
+	seq   int
+}
+
+type naiveItem struct {
+	v, seq int
+	p      float64
+}
+
+func (q *naiveQueue) Push(v int, p float64) {
+	q.seq++
+	q.items = append(q.items, naiveItem{v: v, seq: q.seq, p: p})
+}
+
+func (q *naiveQueue) min() int {
+	m := 0
+	for i, it := range q.items {
+		if b := q.items[m]; it.p < b.p || (it.p == b.p && it.seq < b.seq) {
+			m = i
+		}
+	}
+	return m
+}
+
+func (q *naiveQueue) Peek() (int, float64) { it := q.items[q.min()]; return it.v, it.p }
+
+func (q *naiveQueue) Pop() (int, float64) {
+	i := q.min()
+	it := q.items[i]
+	q.items = append(q.items[:i], q.items[i+1:]...)
+	return it.v, it.p
+}
+
+func (q *naiveQueue) Len() int    { return len(q.items) }
+func (q *naiveQueue) Empty() bool { return len(q.items) == 0 }
+func (q *naiveQueue) Reset()      { q.items = q.items[:0] }
 
 // runLockstep drives ref and got through an identical randomized push/pop
 // schedule and asserts byte-identical pop sequences. monotone restricts
@@ -30,7 +72,7 @@ var (
 func runLockstep(t *testing.T, name string, mk func() minQueue, seed int64, monotone bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	ref := New[int](0)
+	ref := &naiveQueue{}
 	got := mk()
 	floor := math.Inf(-1)
 	next := 0
@@ -85,6 +127,9 @@ func runLockstep(t *testing.T, name string, mk func() minQueue, seed int64, mono
 	}
 }
 
+// The lockstep tests below check Bucket and its quad fallback against
+// naiveQueue, the reference queue, on monotone and arbitrary schedules.
+
 func TestBucketMatchesQueueMonotone(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		runLockstep(t, "Bucket/monotone", func() minQueue { return NewBucket[int](8) }, seed, true)
@@ -99,13 +144,13 @@ func TestBucketMatchesQueueNonMonotone(t *testing.T) {
 
 func TestQuadMatchesQueueMonotone(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		runLockstep(t, "Quad/monotone", func() minQueue { return NewQuad[int](8) }, seed, true)
+		runLockstep(t, "quad/monotone", func() minQueue { return &quad[int]{} }, seed, true)
 	}
 }
 
 func TestQuadMatchesQueueNonMonotone(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		runLockstep(t, "Quad/nonmonotone", func() minQueue { return &Quad[int]{} }, seed, false)
+		runLockstep(t, "quad/nonmonotone", func() minQueue { return &quad[int]{} }, seed, false)
 	}
 }
 
@@ -117,8 +162,7 @@ func TestEqualPriorityFIFO(t *testing.T) {
 		name string
 		mk   func() minQueue
 	}{
-		{"Queue", func() minQueue { return New[int](0) }},
-		{"Quad", func() minQueue { return NewQuad[int](0) }},
+		{"Quad", func() minQueue { return &quad[int]{} }},
 		{"Bucket", func() minQueue { return NewBucket[int](0) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,8 +188,8 @@ func TestEqualPriorityFIFO(t *testing.T) {
 
 // TestStaleEntrySkip exercises the decrease-key-by-reinsertion discipline the
 // Dijkstra and stepping loops use: obsolete entries stay queued and are
-// skipped on pop via a freshness check. All three queues must surface the
-// same accepted (fresh) sequence.
+// skipped on pop via a freshness check. Bucket and quad must surface the
+// reference queue's accepted (fresh) sequence.
 func TestStaleEntrySkip(t *testing.T) {
 	type op struct {
 		v int
@@ -182,12 +226,12 @@ func TestStaleEntrySkip(t *testing.T) {
 		}
 		return out
 	}
-	want := drain(New[int](0))
+	want := drain(&naiveQueue{})
 	for _, tc := range []struct {
 		name string
 		q    minQueue
 	}{
-		{"Quad", NewQuad[int](0)},
+		{"Quad", &quad[int]{}},
 		{"Bucket", NewBucket[int](0)},
 	} {
 		got := drain(tc.q)
@@ -210,8 +254,7 @@ func TestBucketReset(t *testing.T) {
 		name string
 		q    minQueue
 	}{
-		{"Queue", New[int](0)},
-		{"Quad", NewQuad[int](0)},
+		{"Quad", &quad[int]{}},
 		{"Bucket", NewBucket[int](0)},
 	} {
 		q := tc.q
@@ -257,8 +300,7 @@ func TestBucketNegativeAndZeroKeys(t *testing.T) {
 	}
 }
 
-func BenchmarkQueueMonotone(b *testing.B)  { benchMonotone(b, New[int](1024)) }
-func BenchmarkQuadMonotone(b *testing.B)   { benchMonotone(b, NewQuad[int](1024)) }
+func BenchmarkQuadMonotone(b *testing.B)   { benchMonotone(b, &quad[int]{}) }
 func BenchmarkBucketMonotone(b *testing.B) { benchMonotone(b, NewBucket[int](1024)) }
 
 // benchMonotone simulates the stepping-loop access pattern: pops strictly

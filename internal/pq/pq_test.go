@@ -8,14 +8,14 @@ import (
 )
 
 func TestEmptyQueue(t *testing.T) {
-	q := New[int](0)
+	q := NewBucket[int](0)
 	if q.Len() != 0 || !q.Empty() {
 		t.Fatalf("new queue not empty: len=%d", q.Len())
 	}
 }
 
 func TestZeroValueUsable(t *testing.T) {
-	var q Queue[string]
+	var q Bucket[string]
 	q.Push("a", 2)
 	q.Push("b", 1)
 	if v, p := q.Pop(); v != "b" || p != 1 {
@@ -24,7 +24,7 @@ func TestZeroValueUsable(t *testing.T) {
 }
 
 func TestPopOrder(t *testing.T) {
-	q := New[int](8)
+	q := NewBucket[int](8)
 	prios := []float64{5, 1, 4, 2, 8, 0, 3, 9, 7, 6}
 	for i, p := range prios {
 		q.Push(i, p)
@@ -43,7 +43,7 @@ func TestPopOrder(t *testing.T) {
 }
 
 func TestFIFOTieBreak(t *testing.T) {
-	q := New[int](4)
+	q := NewBucket[int](4)
 	for i := 0; i < 10; i++ {
 		q.Push(i, 1.0)
 	}
@@ -56,7 +56,7 @@ func TestFIFOTieBreak(t *testing.T) {
 }
 
 func TestPeek(t *testing.T) {
-	q := New[string](2)
+	q := NewBucket[string](2)
 	q.Push("x", 3)
 	q.Push("y", 1)
 	if v, p := q.Peek(); v != "y" || p != 1 {
@@ -68,7 +68,7 @@ func TestPeek(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	q := New[int](4)
+	q := NewBucket[int](4)
 	q.Push(1, 1)
 	q.Push(2, 2)
 	q.Reset()
@@ -87,13 +87,13 @@ func TestPopEmptyPanics(t *testing.T) {
 			t.Fatal("expected panic popping empty queue")
 		}
 	}()
-	New[int](0).Pop()
+	NewBucket[int](0).Pop()
 }
 
 func TestHeapPropertyRandom(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := New[int](int(n))
+		q := NewBucket[int](int(n))
 		want := make([]float64, 0, n)
 		for i := 0; i < int(n); i++ {
 			p := rng.Float64() * 1000
@@ -116,7 +116,7 @@ func TestHeapPropertyRandom(t *testing.T) {
 
 func TestInterleavedPushPop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	q := New[float64](16)
+	q := NewBucket[float64](16)
 	lastPopped := -1.0
 	inserted := 0
 	popped := 0
@@ -152,7 +152,7 @@ func BenchmarkPushPop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := New[int](64)
+		q := NewBucket[int](64)
 		for j, p := range prios {
 			q.Push(j, p)
 		}

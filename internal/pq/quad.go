@@ -1,31 +1,26 @@
 package pq
 
-// Quad is a 4-ary min-heap with the same ordering contract as Queue:
-// ascending priority, FIFO among equal priorities. A 4-ary layout halves the
-// tree height of a binary heap and keeps sift-down children on one cache
-// line, which measurably helps the solver's non-monotone queues. The zero
-// value is an empty, ready-to-use queue. Not safe for concurrent use.
-type Quad[T any] struct {
+// quad is a 4-ary min-heap with Bucket's ordering contract: ascending
+// priority, FIFO among equal priorities. It is Bucket's fallback for pushes
+// below the last popped priority. A 4-ary layout halves the tree height of a
+// binary heap and keeps sift-down children on one cache line. The zero value
+// is an empty, ready-to-use queue. Not safe for concurrent use.
+type quad[T any] struct {
 	items []entry[T]
 	seq   uint64
 }
 
-// NewQuad returns an empty 4-ary heap with capacity hint n.
-func NewQuad[T any](n int) *Quad[T] {
-	return &Quad[T]{items: make([]entry[T], 0, n)}
-}
-
 // Len returns the number of queued items.
-func (q *Quad[T]) Len() int { return len(q.items) }
+func (q *quad[T]) Len() int { return len(q.items) }
 
 // Empty reports whether the queue has no items.
-func (q *Quad[T]) Empty() bool { return len(q.items) == 0 }
+func (q *quad[T]) Empty() bool { return len(q.items) == 0 }
 
 // Cap returns the capacity of the underlying storage (for trim policies).
-func (q *Quad[T]) Cap() int { return cap(q.items) }
+func (q *quad[T]) Cap() int { return cap(q.items) }
 
 // Push inserts value with the given priority.
-func (q *Quad[T]) Push(value T, priority float64) {
+func (q *quad[T]) Push(value T, priority float64) {
 	q.seq++
 	q.items = append(q.items, entry[T]{value: value, priority: priority, seq: q.seq})
 	q.up(len(q.items) - 1)
@@ -33,7 +28,7 @@ func (q *Quad[T]) Push(value T, priority float64) {
 
 // Pop removes and returns the item with the smallest priority. It panics on
 // an empty queue; callers check Len or Empty first.
-func (q *Quad[T]) Pop() (T, float64) {
+func (q *quad[T]) Pop() (T, float64) {
 	top := q.items[0]
 	last := len(q.items) - 1
 	q.items[0] = q.items[last]
@@ -45,18 +40,18 @@ func (q *Quad[T]) Pop() (T, float64) {
 }
 
 // Peek returns the smallest-priority item without removing it.
-func (q *Quad[T]) Peek() (T, float64) {
+func (q *quad[T]) Peek() (T, float64) {
 	top := q.items[0]
 	return top.value, top.priority
 }
 
 // Reset empties the queue, retaining the underlying storage.
-func (q *Quad[T]) Reset() {
+func (q *quad[T]) Reset() {
 	q.items = q.items[:0]
 	q.seq = 0
 }
 
-func (q *Quad[T]) less(i, j int) bool {
+func (q *quad[T]) less(i, j int) bool {
 	a, b := q.items[i], q.items[j]
 	if a.priority != b.priority {
 		return a.priority < b.priority
@@ -64,7 +59,7 @@ func (q *Quad[T]) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (q *Quad[T]) up(i int) {
+func (q *quad[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 4
 		if !q.less(i, parent) {
@@ -75,7 +70,7 @@ func (q *Quad[T]) up(i int) {
 	}
 }
 
-func (q *Quad[T]) down(i int) {
+func (q *quad[T]) down(i int) {
 	n := len(q.items)
 	for {
 		first := 4*i + 1

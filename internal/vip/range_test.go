@@ -78,7 +78,4 @@ func TestRangeFacilitiesEdgeCases(t *testing.T) {
 	if got := tree.RangeFacilities(p, 2, fs, 1e9); len(got) != 2 {
 		t.Fatalf("huge radius = %v", got)
 	}
-	if n := tree.CountWithin(p, 2, fs, 1e9); n != 2 {
-		t.Fatalf("CountWithin = %d", n)
-	}
 }
