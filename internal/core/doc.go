@@ -15,6 +15,10 @@
 //   - ObjTopK and ObjMulti — top-k and greedy multi-facility variants
 //     following the k-location literature the paper surveys.
 //
+// Every objective but the baseline runs the same bottom-up traversal (the
+// traversal type); the objectives differ only in how they score its
+// retrievals, prune clients, and decide at each bound.
+//
 // Session runs the same Exec over caches that persist across queries. The
 // SolveBrute* functions are an independent exact oracle on the door-to-door
 // graph, used for correctness testing.
