@@ -32,69 +32,80 @@ type Stats struct {
 	CachedPages int
 }
 
-// Cache is an LRU page cache over a PageSource with a byte budget: Page
-// returns the requested page from memory when resident, otherwise faults
-// it in from the source and evicts least-recently-used pages until the
-// budget holds again. A budget smaller than one page effectively disables
-// caching (every fault reads the source) but stays correct — returned
-// payloads are immutable and remain valid after eviction.
+// Cache is an LRU cache of decoded pages over a PageSource with a byte
+// budget: Page returns the requested page from memory when resident,
+// otherwise faults it in — one read, one checksum, one call of the decode
+// hook — and evicts least-recently-used pages until the budget holds
+// again. Each resident page is charged its payload size (PageSize bytes)
+// whatever its decoded form. A budget smaller than one page effectively
+// disables caching (every call reads and decodes its page) but stays
+// correct — decoded pages are immutable and remain valid after eviction.
 //
-// Safe for concurrent use. Faults read the source outside the lock, so a
+// Safe for concurrent use. Faults read and decode outside the lock, so a
 // slow read never blocks hits on other pages; concurrent faults on the
 // same page may each read it once (the duplicates are dropped, counted in
-// PagesRead but not cached twice).
-type Cache struct {
+// PagesRead but not cached twice). A decode error is returned to the
+// caller and nothing is cached, so the next call on that page reads and
+// decodes it again.
+type Cache[P any] struct {
 	src     PageSource
 	budget  int64
 	metrics Metrics
+	decode  func(i int, payload []byte) (P, error)
+	charge  int64 // bytes charged per resident page
 
 	mu      sync.Mutex
-	ll      *list.List // front = most recently used; values are *cacheEntry
+	ll      *list.List // front = most recently used; values are *cacheEntry[P]
 	entries map[int]*list.Element
 	used    int64
 
 	hits, misses, evictions, pagesRead atomic.Int64
 }
 
-// cacheEntry is one resident page.
-type cacheEntry struct {
-	page    int
-	payload []byte
+// cacheEntry is one resident decoded page.
+type cacheEntry[P any] struct {
+	page int
+	val  P
 }
 
 // NewCache returns an LRU cache over src holding at most budgetBytes of
-// page payloads (0 or negative caches nothing). Counter events go to m
-// when non-nil.
-func NewCache(src PageSource, budgetBytes int64, m Metrics) *Cache {
-	return &Cache{
+// pages (0 or negative caches nothing). decode turns page i's verified
+// payload into the cached value; it runs once per fault, must not retain
+// payload (an mmap source's payloads die with the mapping), and must
+// return a value callers may share read-only across goroutines. Counter
+// events go to m when non-nil.
+func NewCache[P any](src PageSource, budgetBytes int64, m Metrics, decode func(i int, payload []byte) (P, error)) *Cache[P] {
+	return &Cache[P]{
 		src:     src,
 		budget:  budgetBytes,
 		metrics: m,
+		decode:  decode,
+		charge:  int64(src.Params().PageSize),
 		ll:      list.New(),
 		entries: map[int]*list.Element{},
 	}
 }
 
 // Source returns the underlying page source.
-func (c *Cache) Source() PageSource { return c.src }
+func (c *Cache[P]) Source() PageSource { return c.src }
 
 // Budget returns the configured byte budget.
-func (c *Cache) Budget() int64 { return c.budget }
+func (c *Cache[P]) Budget() int64 { return c.budget }
 
-// Page returns page i's payload, from the cache or the source. The
-// returned slice is immutable and stays valid after eviction (FilePager
-// sources; see MmapPager.Close for the mapping caveat).
-func (c *Cache) Page(i int) ([]byte, error) {
+// Page returns page i decoded, from the cache or from the source. A read
+// or checksum failure returns the source's error; a decode failure returns
+// the hook's error. Neither is cached.
+func (c *Cache[P]) Page(i int) (P, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[i]; ok {
 		c.ll.MoveToFront(el)
-		payload := el.Value.(*cacheEntry).payload
+		val := el.Value.(*cacheEntry[P]).val
 		c.mu.Unlock()
 		c.hits.Add(1)
 		if c.metrics != nil {
 			c.metrics.PageCacheHit()
 		}
-		return payload, nil
+		return val, nil
 	}
 	c.mu.Unlock()
 
@@ -102,25 +113,30 @@ func (c *Cache) Page(i int) ([]byte, error) {
 	if c.metrics != nil {
 		c.metrics.PageCacheMiss()
 	}
+	var zero P
 	payload, err := c.src.ReadPage(i)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	c.pagesRead.Add(1)
 	if c.metrics != nil {
 		c.metrics.PageRead()
 	}
+	val, err := c.decode(i, payload)
+	if err != nil {
+		return zero, err
+	}
 
 	c.mu.Lock()
 	if _, ok := c.entries[i]; !ok && c.budget > 0 {
-		c.entries[i] = c.ll.PushFront(&cacheEntry{page: i, payload: payload})
-		c.used += int64(len(payload))
+		c.entries[i] = c.ll.PushFront(&cacheEntry[P]{page: i, val: val})
+		c.used += c.charge
 		for c.used > c.budget && c.ll.Len() > 0 {
 			back := c.ll.Back()
-			ent := back.Value.(*cacheEntry)
+			ent := back.Value.(*cacheEntry[P])
 			c.ll.Remove(back)
 			delete(c.entries, ent.page)
-			c.used -= int64(len(ent.payload))
+			c.used -= c.charge
 			c.evictions.Add(1)
 			if c.metrics != nil {
 				c.metrics.PageCacheEviction()
@@ -128,11 +144,11 @@ func (c *Cache) Page(i int) ([]byte, error) {
 		}
 	}
 	c.mu.Unlock()
-	return payload, nil
+	return val, nil
 }
 
 // Stats returns a copy of the cache's counters.
-func (c *Cache) Stats() Stats {
+func (c *Cache[P]) Stats() Stats {
 	c.mu.Lock()
 	bytes, pages := c.used, c.ll.Len()
 	c.mu.Unlock()
@@ -147,7 +163,7 @@ func (c *Cache) Stats() Stats {
 }
 
 // Close drops all resident pages and closes the source.
-func (c *Cache) Close() error {
+func (c *Cache[P]) Close() error {
 	c.mu.Lock()
 	c.ll.Init()
 	c.entries = map[int]*list.Element{}

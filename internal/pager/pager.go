@@ -5,10 +5,12 @@
 // It is the storage substrate of the paged index store: a section of a file
 // is divided into fixed-size pages, each followed on disk by its own
 // CRC-32C, so a page can be read, verified, and cached independently of
-// every other page. Callers fault pages in lazily through a Cache; pages
-// that fall out of the budget are dropped and re-read (and re-verified) on
-// the next fault. The package knows nothing about what the bytes mean —
-// internal/vip lays distance matrices over the page space.
+// every other page. Callers fault pages in lazily through a Cache, which
+// decodes each page once, at fault time, through a caller-supplied hook
+// and keeps the decoded form; pages that fall out of the budget are
+// dropped and re-read, re-verified and re-decoded on the next fault. The
+// package knows nothing about what the bytes mean — internal/vip lays
+// distance matrices over the page space and decodes pages into cells.
 //
 // Two sources are provided: FilePager reads pages with positioned reads
 // (pread) from any io.ReaderAt, and MmapPager (unix-only) maps the section
@@ -16,10 +18,9 @@
 // per-page checksum on every read.
 //
 // Concurrency: PageSource implementations and the Cache are safe for
-// concurrent use. Page payloads returned by either are immutable — callers
-// must treat them as read-only, and in exchange may hold them across cache
-// evictions (an evicted page's bytes stay valid; the cache merely forgets
-// them).
+// concurrent use. Page payloads and decoded pages are immutable — callers
+// must treat them as read-only, and in exchange may hold a decoded page
+// across cache evictions (it stays valid; the cache merely forgets it).
 package pager
 
 import (

@@ -96,6 +96,9 @@ func TestFilePagerDetectsCorruption(t *testing.T) {
 	}
 }
 
+// rawPage is the identity decode hook: the cache holds the payload itself.
+func rawPage(_ int, payload []byte) ([]byte, error) { return payload, nil }
+
 func TestCacheLRUBudget(t *testing.T) {
 	payload := make([]byte, 4*64) // exactly 4 pages
 	for i := range payload {
@@ -103,7 +106,7 @@ func TestCacheLRUBudget(t *testing.T) {
 	}
 	section, p := buildSection(t, payload, 64)
 	fp, _ := NewFilePager(bytes.NewReader(section), 0, p, nil)
-	c := NewCache(fp, 2*64, nil) // room for 2 pages
+	c := NewCache(fp, 2*64, nil, rawPage) // room for 2 pages
 
 	for _, i := range []int{0, 1, 0, 1} {
 		if _, err := c.Page(i); err != nil {
@@ -135,7 +138,7 @@ func TestCacheZeroBudgetStillServes(t *testing.T) {
 	payload := bytes.Repeat([]byte{1, 2, 3, 4}, 64)
 	section, p := buildSection(t, payload, 64)
 	fp, _ := NewFilePager(bytes.NewReader(section), 0, p, nil)
-	c := NewCache(fp, 0, nil)
+	c := NewCache(fp, 0, nil, rawPage)
 	for i := 0; i < p.NumPages; i++ {
 		if _, err := c.Page(i); err != nil {
 			t.Fatal(err)
@@ -154,7 +157,7 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 	section, p := buildSection(t, payload, 32)
 	fp, _ := NewFilePager(bytes.NewReader(section), 0, p, nil)
-	c := NewCache(fp, 8*32, nil)
+	c := NewCache(fp, 8*32, nil, rawPage)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -176,6 +179,40 @@ func TestCacheConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestCacheDecodeErrorNotCached: a page whose decode hook fails returns
+// the hook's error on every call — each call reads and decodes the page
+// again — and never occupies the cache; healthy pages still cache.
+func TestCacheDecodeErrorNotCached(t *testing.T) {
+	payload := bytes.Repeat([]byte{7}, 3*64)
+	section, p := buildSection(t, payload, 64)
+	fp, _ := NewFilePager(bytes.NewReader(section), 0, p, nil)
+	errBad := errors.New("bad page")
+	decodes := 0
+	c := NewCache(fp, 1<<20, nil, func(i int, payload []byte) ([]byte, error) {
+		decodes++
+		if i == 1 {
+			return nil, errBad
+		}
+		return payload, nil
+	})
+	for rep := 0; rep < 3; rep++ {
+		if _, err := c.Page(1); !errors.Is(err, errBad) {
+			t.Fatalf("rep %d: err = %v, want the decode error", rep, err)
+		}
+	}
+	if st := c.Stats(); st.CachedPages != 0 || st.Misses != 3 || st.PagesRead != 3 {
+		t.Fatalf("failed decodes left state behind: %+v", st)
+	}
+	for rep := 0; rep < 2; rep++ {
+		if _, err := c.Page(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.CachedPages != 1 || st.Hits != 1 || decodes != 4 {
+		t.Fatalf("healthy page: %+v after %d decodes, want 1 cached page, 1 hit, 4 decodes", st, decodes)
+	}
 }
 
 func TestMmapPagerRoundTrip(t *testing.T) {

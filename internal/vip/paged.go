@@ -101,154 +101,128 @@ func (t *Tree) layoutMatrices(assign bool) int64 {
 }
 
 // pageStore is a paged tree's connection to its on-disk matrix cells: an
-// LRU cache over the page section plus the geometry needed to turn cell
-// offsets into page indexes.
+// LRU cache of decoded pages over the page section. Each page is read,
+// CRC-checked, and decoded into validated cells once per fault; row reads
+// are then views into the cached cells.
 type pageStore struct {
-	cache    *pager.Cache
-	pageSize int
+	cache        *pager.Cache[[]float64]
+	cellsPerPage int64
 }
 
-// matrixErr materializes the matrix at d from the page heap, verifying
-// every page it touches and every decoded cell. The returned matrix is a
-// fresh allocation owned by the caller.
-func (ps *pageStore) matrixErr(d matDesc) ([][]float64, error) {
-	m := make([][]float64, d.rows)
-	n := int(d.cells())
-	if n == 0 {
-		for i := range m {
-			m[i] = nil
+// decodePageCells decodes little-endian cells from payload into dst, which
+// holds heap cells [first, first+len(dst)), validating every one: finite
+// and non-negative, or +Inf, never NaN.
+func decodePageCells(dst []float64, payload []byte, first int64) error {
+	for i := range dst {
+		f := math.Float64frombits(binary.LittleEndian.Uint64(payload[i*cellSize:]))
+		if math.IsNaN(f) || f < 0 {
+			return fmt.Errorf("paged matrix cell %d = %v (distances are non-negative, non-NaN)", first+int64(i), f)
 		}
-		return m, nil
-	}
-	backing := make([]float64, n)
-	for i := range m {
-		m[i] = backing[i*d.cols : (i+1)*d.cols]
-	}
-	if err := ps.decodeCells(backing, d.off); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// decodeCells fills dst with heap cells [start, start+len(dst)), faulting
-// the covering pages through the cache and validating every cell (finite
-// non-negative or +Inf, never NaN) as it decodes.
-func (ps *pageStore) decodeCells(dst []float64, start int64) error {
-	byteOff := start * cellSize
-	for ci := 0; ci < len(dst); {
-		pos := byteOff + int64(ci)*cellSize
-		pg := int(pos / int64(ps.pageSize))
-		payload, err := ps.cache.Page(pg)
-		if err != nil {
-			return corrupt("matrix page fault: %v", err)
-		}
-		for off := int(pos - int64(pg)*int64(ps.pageSize)); off+cellSize <= ps.pageSize && ci < len(dst); off += cellSize {
-			f := math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-			if math.IsNaN(f) || f < 0 {
-				return corrupt("paged matrix cell %d = %v (distances are non-negative, non-NaN)", start+int64(ci), f)
-			}
-			dst[ci] = f
-			ci++
-		}
+		dst[i] = f
 	}
 	return nil
 }
 
-// sparseRows materializes only rows idx of matrix d, returned in a slice
-// indexed like the complete matrix — m[ri] is row ri for every ri in idx,
-// nil elsewhere — so call sites index it exactly as they would the resident
-// matrix. Queries touch a handful of rows of matrices that can run to
-// megabytes; decoding per row instead of per matrix is what keeps a paged
-// tree's query cost proportional to the doors involved, not to matrix
-// size. Panics with an ErrCorruptIndex-wrapping error on verification
-// failure, like matrix.
-func (ps *pageStore) sparseRows(d matDesc, idx []int) [][]float64 {
-	m := make([][]float64, d.rows)
-	if d.cols == 0 {
-		return m
-	}
-	backing := make([]float64, len(idx)*d.cols)
-	for i, ri := range idx {
-		if m[ri] != nil {
-			continue // duplicate request; already decoded
-		}
-		row := backing[i*d.cols : (i+1)*d.cols]
-		if err := ps.decodeCells(row, d.off+int64(ri)*int64(d.cols)); err != nil {
-			panic(err)
-		}
-		m[ri] = row
-	}
-	return m
+// pageCells returns the heap cell range [lo, hi) page pg holds, for a heap
+// of cells cells: the final page's zero padding is not part of the heap
+// and is neither decoded nor validated.
+func pageCells(pg int, cellsPerPage, cells int64) (lo, hi int64) {
+	lo = int64(pg) * cellsPerPage
+	return lo, min(lo+cellsPerPage, cells)
 }
 
-// matrix is matrixErr for the query hot path: integrity failures panic
-// with the ErrCorruptIndex-wrapping error instead of returning it, because
-// the Explorer call chain has no error returns. The serving layer's
-// recover shield (internal/batch) catches the panic and fails the one
-// request as a corrupt-index error.
-func (ps *pageStore) matrix(d matDesc) [][]float64 {
-	m, err := ps.matrixErr(d)
+// newPageStore wraps src in an LRU cache of decoded pages per the options;
+// cells is the heap's cell count.
+func newPageStore(src pager.PageSource, cells int64, o PagedOptions) *pageStore {
+	budget := o.CacheBytes
+	if budget == 0 {
+		budget = DefaultPageCacheBytes
+	} else if budget < 0 {
+		budget = math.MaxInt64
+	}
+	per := int64(src.Params().PageSize / cellSize)
+	decode := func(pg int, payload []byte) ([]float64, error) {
+		lo, hi := pageCells(pg, per, cells)
+		out := make([]float64, hi-lo)
+		if err := decodePageCells(out, payload, lo); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	return &pageStore{
+		cache:        pager.NewCache(src, budget, o.Metrics, decode),
+		cellsPerPage: per,
+	}
+}
+
+// page returns page pg's decoded cells. A read, checksum or cell failure
+// panics with an ErrCorruptIndex-wrapping error: the Explorer call chain
+// has no error returns, and the serving layer's recover shield
+// (internal/batch) fails the one request as a corrupt-index error. The
+// failure is not cached, so every query that touches the page fails and
+// no other does.
+func (ps *pageStore) page(pg int) []float64 {
+	cells, err := ps.cache.Page(pg)
 	if err != nil {
-		panic(err)
+		panic(corrupt("matrix page fault: %v", err))
 	}
-	return m
+	return cells
 }
 
-// fullMat returns leaf nd's door×door matrix — the node's own slice for
-// resident trees, a fresh materialization from the page heap for paged
-// trees (panicking on verification failure; see pageStore.matrix).
-func (t *Tree) fullMat(nd *node) [][]float64 {
-	if t.pages == nil {
-		return nd.full
+// row returns row ri of matrix d. A row inside one page is a read-only
+// view of the cached page and allocates nothing; a row that straddles two
+// or more pages is copied into *buf, which grows to the widest such row
+// and is overwritten by the next straddling read.
+func (ps *pageStore) row(d matDesc, ri int, buf *[]float64) []float64 {
+	if d.cols == 0 {
+		return nil
 	}
-	return t.pages.matrix(nd.fullD)
+	start := d.off + int64(ri)*int64(d.cols)
+	pg := int(start / ps.cellsPerPage)
+	lo := int(start - int64(pg)*ps.cellsPerPage)
+	cells := ps.page(pg)
+	if lo+d.cols <= len(cells) {
+		return cells[lo : lo+d.cols : lo+d.cols]
+	}
+	if cap(*buf) < d.cols {
+		*buf = make([]float64, 0, d.cols)
+	}
+	out := append((*buf)[:0], cells[lo:]...)
+	for len(out) < d.cols {
+		pg++
+		cells = ps.page(pg)
+		out = append(out, cells[:min(len(cells), d.cols-len(out))]...)
+	}
+	*buf = out
+	return out
 }
 
-// unionMat returns internal node nd's union-door matrix; paged trees fault
-// it in (see fullMat).
-func (t *Tree) unionMat(nd *node) [][]float64 {
+// fullRow returns row ri of leaf nd's door × door matrix: the node's own
+// row on a resident tree, a view into the page cache on a paged tree (see
+// pageStore.row for buf). Callers must not modify the row.
+func (t *Tree) fullRow(nd *node, ri int, buf *[]float64) []float64 {
 	if t.pages == nil {
-		return nd.uMat
+		return nd.full[ri]
 	}
-	return t.pages.matrix(nd.uD)
+	return t.pages.row(nd.fullD, ri, buf)
 }
 
-// ancestorMat returns leaf nd's k-th ancestor matrix (ancIDs order); paged
-// trees fault it in (see fullMat).
-func (t *Tree) ancestorMat(nd *node, k int) [][]float64 {
+// unionRow returns row ri of internal node nd's union-door matrix (see
+// fullRow).
+func (t *Tree) unionRow(nd *node, ri int, buf *[]float64) []float64 {
 	if t.pages == nil {
-		return nd.anc[k]
+		return nd.uMat[ri]
 	}
-	return t.pages.matrix(nd.ancD[k])
+	return t.pages.row(nd.uD, ri, buf)
 }
 
-// fullMatRows is fullMat restricted to rows idx: resident trees return the
-// whole matrix (free), paged trees materialize exactly the requested rows
-// (see pageStore.sparseRows) and idx must cover every row the caller will
-// index. The query hot paths use these row accessors so a paged query
-// decodes the rows it touches, not whole matrices. A nil idx on a paged
-// tree yields no rows.
-func (t *Tree) fullMatRows(nd *node, idx []int) [][]float64 {
+// ancRow returns row ri of leaf nd's k-th ancestor matrix (ancIDs order;
+// see fullRow).
+func (t *Tree) ancRow(nd *node, k, ri int, buf *[]float64) []float64 {
 	if t.pages == nil {
-		return nd.full
+		return nd.anc[k][ri]
 	}
-	return t.pages.sparseRows(nd.fullD, idx)
-}
-
-// unionMatRows is unionMat restricted to rows idx (see fullMatRows).
-func (t *Tree) unionMatRows(nd *node, idx []int) [][]float64 {
-	if t.pages == nil {
-		return nd.uMat
-	}
-	return t.pages.sparseRows(nd.uD, idx)
-}
-
-// ancestorMatRows is ancestorMat restricted to rows idx (see fullMatRows).
-func (t *Tree) ancestorMatRows(nd *node, k int, idx []int) [][]float64 {
-	if t.pages == nil {
-		return nd.anc[k]
-	}
-	return t.pages.sparseRows(nd.ancD[k], idx)
+	return t.pages.row(nd.ancD[k], ri, buf)
 }
 
 // PagedSaveOptions configure SavePaged.
@@ -259,61 +233,64 @@ type PagedSaveOptions struct {
 	PageSize int
 }
 
-// cellWriter streams the page heap's cells in layout order for WritePages:
-// it drains one matrix at a time through lazily-invoked fetchers, so at
-// most one matrix is materialized at once even when re-encoding a paged
-// tree.
+// heapMatrix is one matrix of the page heap as the writer sees it: its
+// row count and a row reader.
+type heapMatrix struct {
+	rows int
+	row  func(ri int, buf *[]float64) []float64
+}
+
+// heapMatrices returns the tree's matrices in exactly the layout walk's
+// order. The row readers go through the row accessors, so they work for
+// resident and paged trees alike.
+func (t *Tree) heapMatrices() []heapMatrix {
+	var mats []heapMatrix
+	for _, nd := range t.nodes {
+		nd := nd
+		if nd.leaf {
+			mats = append(mats, heapMatrix{len(nd.doors), func(ri int, buf *[]float64) []float64 { return t.fullRow(nd, ri, buf) }})
+			for k := range nd.ancIDs {
+				k := k
+				mats = append(mats, heapMatrix{len(nd.doors), func(ri int, buf *[]float64) []float64 { return t.ancRow(nd, k, ri, buf) }})
+			}
+		} else {
+			mats = append(mats, heapMatrix{len(nd.uDoors), func(ri int, buf *[]float64) []float64 { return t.unionRow(nd, ri, buf) }})
+		}
+	}
+	return mats
+}
+
+// cellWriter streams the page heap's cells in layout order for WritePages,
+// one matrix row at a time, so re-encoding a paged tree holds at most one
+// straddling row beyond the page cache.
 type cellWriter struct {
-	mats     []func() [][]float64
-	cur      [][]float64
-	row, col int
+	mats []heapMatrix
+	ri   int       // next row of mats[0]
+	cur  []float64 // unwritten cells of the current row
+	buf  []float64 // straddling-row scratch for the row readers
 }
 
 // next appends up to max bytes of the remaining cell stream to dst.
 func (cw *cellWriter) next(dst []byte, max int) []byte {
-	var b [cellSize]byte
 	for max >= cellSize {
-		for cw.cur == nil || cw.row >= len(cw.cur) {
+		for len(cw.cur) == 0 {
+			for len(cw.mats) > 0 && cw.ri >= cw.mats[0].rows {
+				cw.mats, cw.ri = cw.mats[1:], 0
+			}
 			if len(cw.mats) == 0 {
 				return dst
 			}
-			cw.cur = cw.mats[0]()
-			cw.mats = cw.mats[1:]
-			cw.row, cw.col = 0, 0
+			cw.cur = cw.mats[0].row(cw.ri, &cw.buf)
+			cw.ri++
 		}
-		row := cw.cur[cw.row]
-		for cw.col < len(row) && max >= cellSize {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(row[cw.col]))
-			dst = append(dst, b[:]...)
-			cw.col++
-			max -= cellSize
+		n := min(len(cw.cur), max/cellSize)
+		for _, f := range cw.cur[:n] {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 		}
-		if cw.col >= len(row) {
-			cw.row++
-			cw.col = 0
-		}
+		cw.cur = cw.cur[n:]
+		max -= n * cellSize
 	}
 	return dst
-}
-
-// matrixFetchers returns one lazy fetcher per matrix, in exactly the
-// layout walk's order. Fetchers go through the paged accessors, so they
-// work for resident and paged trees alike.
-func (t *Tree) matrixFetchers() []func() [][]float64 {
-	var mats []func() [][]float64
-	for _, nd := range t.nodes {
-		nd := nd
-		if nd.leaf {
-			mats = append(mats, func() [][]float64 { return t.fullMat(nd) })
-			for k := range nd.ancIDs {
-				k := k
-				mats = append(mats, func() [][]float64 { return t.ancestorMat(nd, k) })
-			}
-		} else {
-			mats = append(mats, func() [][]float64 { return t.unionMat(nd) })
-		}
-	}
-	return mats
 }
 
 // validatePageSize rejects page sizes the format cannot support.
@@ -397,7 +374,7 @@ func (t *Tree) SavePaged(w io.Writer, o PagedSaveOptions) (err error) {
 		PageSize: ps,
 		NumPages: pager.NumPagesFor(out.MatrixCells*cellSize, ps),
 	}
-	cw := &cellWriter{mats: t.matrixFetchers()}
+	cw := &cellWriter{mats: t.heapMatrices()}
 	if err := pager.WritePages(w, params, out.MatrixCells*cellSize, cw.next); err != nil {
 		return fmt.Errorf("vip: writing matrix pages: %w", err)
 	}
@@ -422,20 +399,6 @@ type PagedOptions struct {
 	Mmap bool
 }
 
-// newPageStore wraps src in an LRU cache per the options.
-func newPageStore(src pager.PageSource, o PagedOptions) *pageStore {
-	budget := o.CacheBytes
-	if budget == 0 {
-		budget = DefaultPageCacheBytes
-	} else if budget < 0 {
-		budget = math.MaxInt64
-	}
-	return &pageStore{
-		cache:    pager.NewCache(src, budget, o.Metrics),
-		pageSize: src.Params().PageSize,
-	}
-}
-
 // OpenPaged opens an index from any io.ReaderAt holding the complete file
 // image (size bytes), binding it to venue v. The structure payload is
 // read, verified, and validated exactly as Load does; the matrix pages are
@@ -454,7 +417,7 @@ func OpenPaged(r io.ReaderAt, size int64, v *indoor.Venue, o PagedOptions) (*Tre
 	if err != nil {
 		return nil, corrupt("page section: %v", err)
 	}
-	t.pages = newPageStore(src, o)
+	t.pages = newPageStore(src, t.layoutMatrices(false), o)
 	return t, nil
 }
 
@@ -495,7 +458,7 @@ func OpenPagedFile(path string, v *indoor.Venue, o PagedOptions) (*Tree, error) 
 			return nil, corrupt("page section: %v", err)
 		}
 	}
-	t.pages = newPageStore(src, o)
+	t.pages = newPageStore(src, t.layoutMatrices(false), o)
 	return t, nil
 }
 
@@ -591,40 +554,46 @@ func openPagedStructure(r io.ReaderAt, size int64, v *indoor.Venue) (*Tree, page
 	return t, params, secOff, nil
 }
 
-// materializeAll faults every matrix into the node slices and detaches the
-// page store, turning a paged tree into a resident one. Load uses it to
-// keep its eager contract (every page verified, every cell validated
-// before the tree is returned).
-func (t *Tree) materializeAll() error {
-	ps := t.pages
-	if ps == nil {
-		return nil
+// readResident reads every page of src once, in order — one read, one CRC
+// and one decode per page — into a single cell slab, and points every
+// node's matrix rows into it, turning a tree fresh from
+// openPagedStructure into a resident one. Load uses it to keep its eager
+// contract: every page verified and every cell validated before the tree
+// is returned.
+func (t *Tree) readResident(src pager.PageSource) error {
+	cells := t.layoutMatrices(false)
+	heap := make([]float64, cells)
+	per := int64(src.Params().PageSize / cellSize)
+	for pg := 0; pg < src.Params().NumPages; pg++ {
+		payload, err := src.ReadPage(pg)
+		if err != nil {
+			return corrupt("matrix page fault: %v", err)
+		}
+		lo, hi := pageCells(pg, per, cells)
+		if err := decodePageCells(heap[lo:hi], payload, lo); err != nil {
+			return corrupt("%v", err)
+		}
+	}
+	carve := func(d matDesc) [][]float64 {
+		m := make([][]float64, d.rows)
+		for i := range m {
+			o := d.off + int64(i*d.cols)
+			m[i] = heap[o : o+int64(d.cols) : o+int64(d.cols)]
+		}
+		return m
 	}
 	for _, nd := range t.nodes {
 		if nd.leaf {
-			m, err := ps.matrixErr(nd.fullD)
-			if err != nil {
-				return err
-			}
-			nd.full = m
+			nd.full = carve(nd.fullD)
 			nd.anc = make([][][]float64, len(nd.ancD))
 			for k, d := range nd.ancD {
-				am, err := ps.matrixErr(d)
-				if err != nil {
-					return err
-				}
-				nd.anc[k] = am
+				nd.anc[k] = carve(d)
 			}
 		} else {
-			m, err := ps.matrixErr(nd.uD)
-			if err != nil {
-				return err
-			}
-			nd.uMat = m
+			nd.uMat = carve(nd.uD)
 		}
 	}
-	t.pages = nil
-	return ps.cache.Close()
+	return nil
 }
 
 // Paged reports whether the tree faults its matrices from an on-disk page

@@ -9,6 +9,7 @@ import (
 
 	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/indoor"
+	"github.com/indoorspatial/ifls/internal/pager"
 )
 
 // The paper indexes the venue once offline and reuses the index across
@@ -168,14 +169,17 @@ func Load(r io.Reader, v *indoor.Venue) (*Tree, error) {
 		return nil, corrupt("index stream exceeds the %d-byte in-memory limit (open it with OpenPagedFile)", maxIndexPayload)
 	}
 	all := append(header, rest...)
-	// CacheBytes 1 keeps no page resident, so peak memory is the stream
-	// plus the matrices; the price is that a page is re-read and
-	// re-checksummed once for every matrix it spans.
-	t, err := OpenPaged(bytes.NewReader(all), int64(len(all)), v, PagedOptions{CacheBytes: 1})
+	t, params, secOff, err := openPagedStructure(bytes.NewReader(all), int64(len(all)), v)
 	if err != nil {
 		return nil, err
 	}
-	if err := t.materializeAll(); err != nil {
+	src, err := pager.NewFilePager(bytes.NewReader(all), secOff, params, nil)
+	if err != nil {
+		return nil, corrupt("page section: %v", err)
+	}
+	// Peak memory is the stream plus the matrices, and each page is read
+	// and checksummed once.
+	if err := t.readResident(src); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -95,7 +95,8 @@ type node struct {
 
 	// In a paged tree (OpenPaged) the matrix slices above stay nil and
 	// these descriptors locate each matrix in the page heap instead;
-	// Tree.fullMat/unionMat/ancestorMat dispatch on Tree.pages.
+	// the row accessors Tree.fullRow/unionRow/ancRow dispatch on
+	// Tree.pages.
 	fullD matDesc
 	uD    matDesc
 	ancD  []matDesc
