@@ -2,6 +2,7 @@ package d2d
 
 import (
 	"math"
+	"sync"
 
 	"github.com/indoorspatial/ifls/internal/geom"
 	"github.com/indoorspatial/ifls/internal/indoor"
@@ -70,25 +71,66 @@ func (g *Graph) Venue() *indoor.Venue { return g.venue }
 
 // FromDoor returns the shortest indoor distance from src to every door.
 func (g *Graph) FromDoor(src indoor.DoorID) []float64 {
-	dist, _ := g.dijkstra([]indoor.DoorID{src}, []float64{0}, false)
+	dist, _ := g.dijkstra([]indoor.DoorID{src}, []float64{0}, false, nil)
 	return dist
 }
 
 // FromDoorWithParents additionally returns, for each door, the predecessor
 // door on a shortest path from src (-1 for src itself and unreachable doors).
 func (g *Graph) FromDoorWithParents(src indoor.DoorID) ([]float64, []indoor.DoorID) {
-	return g.dijkstra([]indoor.DoorID{src}, []float64{0}, true)
+	return g.dijkstra([]indoor.DoorID{src}, []float64{0}, true, nil)
 }
 
 // FromDoors runs a multi-source Dijkstra: source door i starts with
 // distance offsets[i]. This models a point source, whose distance to each
 // door of its own partition is the in-partition offset.
 func (g *Graph) FromDoors(srcs []indoor.DoorID, offsets []float64) []float64 {
-	dist, _ := g.dijkstra(srcs, offsets, false)
+	dist, _ := g.dijkstra(srcs, offsets, false, nil)
 	return dist
 }
 
-func (g *Graph) dijkstra(srcs []indoor.DoorID, offsets []float64, wantParents bool) ([]float64, []indoor.DoorID) {
+// search is the pooled working state of one Dijkstra run: the queue, and
+// a per-door stamp marking the run's unsettled target doors.
+type search struct {
+	q     pq.Bucket[indoor.DoorID]
+	want  []uint32
+	stamp uint32
+}
+
+// searches recycles search state across runs and goroutines, so a run
+// allocates only the arrays it returns.
+var searches = sync.Pool{New: func() any { return new(search) }}
+
+// markTargets stamps the distinct doors of targets, over a graph of n
+// doors, and returns how many there are.
+func (s *search) markTargets(targets []indoor.DoorID, n int) int {
+	if len(s.want) < n {
+		s.want = make([]uint32, n)
+		s.stamp = 0
+	}
+	s.stamp++
+	if s.stamp == 0 { // wrapped: old stamps could collide
+		clear(s.want)
+		s.stamp = 1
+	}
+	left := 0
+	for _, t := range targets {
+		if s.want[t] != s.stamp {
+			s.want[t] = s.stamp
+			left++
+		}
+	}
+	return left
+}
+
+// dijkstra runs the search from srcs (source i at distance offsets[i]).
+// With targets nil it settles every reachable door. Otherwise it stops
+// once every target door has been popped: a popped door's distance, and
+// its parent chain of earlier-popped doors, are final — later pops are no
+// nearer, and a label only changes on a strictly smaller distance — so
+// every target's distance and chain equal the complete search's. Other
+// doors are left tentative.
+func (g *Graph) dijkstra(srcs []indoor.DoorID, offsets []float64, wantParents bool, targets []indoor.DoorID) ([]float64, []indoor.DoorID) {
 	n := g.venue.NumDoors()
 	dist := make([]float64, n)
 	for i := range dist {
@@ -101,19 +143,34 @@ func (g *Graph) dijkstra(srcs []indoor.DoorID, offsets []float64, wantParents bo
 			parent[i] = -1
 		}
 	}
+	s := searches.Get().(*search)
+	defer func() {
+		s.q.Reset()
+		searches.Put(s)
+	}()
+	left := -1 // no targets: run to completion
+	if targets != nil {
+		left = s.markTargets(targets, n)
+	}
 	// Dijkstra pops in nondecreasing distance order, so the monotone bucket
 	// queue applies; its fallback heap never engages here.
-	q := pq.NewBucket[indoor.DoorID](64)
-	for i, s := range srcs {
-		if offsets[i] < dist[s] {
-			dist[s] = offsets[i]
-			q.Push(s, offsets[i])
+	q := &s.q
+	for i, src := range srcs {
+		if offsets[i] < dist[src] {
+			dist[src] = offsets[i]
+			q.Push(src, offsets[i])
 		}
 	}
 	for !q.Empty() {
 		d, dd := q.Pop()
 		if dd > dist[d] {
 			continue // stale entry
+		}
+		if left > 0 && s.want[d] == s.stamp {
+			s.want[d] = 0
+			if left--; left == 0 {
+				break
+			}
 		}
 		for c := g.off[d]; c < g.off[d+1]; c++ {
 			to := g.nbr[c]
@@ -135,7 +192,8 @@ func (g *Graph) DoorToDoor(a, b indoor.DoorID) float64 {
 	if a == b {
 		return 0
 	}
-	return g.FromDoor(a)[b]
+	dist, _ := g.dijkstra([]indoor.DoorID{a}, []float64{0}, false, []indoor.DoorID{b})
+	return dist[b]
 }
 
 // Path returns the door sequence of a shortest path from a to b, inclusive
@@ -144,7 +202,7 @@ func (g *Graph) Path(a, b indoor.DoorID) []indoor.DoorID {
 	if a == b {
 		return []indoor.DoorID{a}
 	}
-	dist, parent := g.FromDoorWithParents(a)
+	dist, parent := g.dijkstra([]indoor.DoorID{a}, []float64{0}, true, []indoor.DoorID{b})
 	if math.IsInf(dist[b], 1) {
 		return nil
 	}
@@ -160,7 +218,9 @@ func (g *Graph) Path(a, b indoor.DoorID) []indoor.DoorID {
 
 // PointRoute returns a shortest indoor route from point p in partition pp
 // to point q in partition qp: the door sequence crossed (empty when both
-// points share a partition) and the total distance.
+// points share a partition) and the total distance. Each source door's
+// search stops once every door of qp is settled, which leaves their
+// distances and parent chains exactly those of a complete search.
 func (g *Graph) PointRoute(p geom.Point, pp indoor.PartitionID, q geom.Point, qp indoor.PartitionID) ([]indoor.DoorID, float64) {
 	v := g.venue
 	if pp == qp {
@@ -168,10 +228,11 @@ func (g *Graph) PointRoute(p geom.Point, pp indoor.PartitionID, q geom.Point, qp
 	}
 	bestDist := Unreachable
 	var bestPath []indoor.DoorID
+	targets := v.Partition(qp).Doors
 	for _, sd := range v.Partition(pp).Doors {
 		off := v.PointDoorDist(pp, p, sd)
-		dist, parent := g.FromDoorWithParents(sd)
-		for _, td := range v.Partition(qp).Doors {
+		dist, parent := g.dijkstra([]indoor.DoorID{sd}, []float64{0}, true, targets)
+		for _, td := range targets {
 			total := off + dist[td] + v.PointDoorDist(qp, q, td)
 			if total >= bestDist {
 				continue

@@ -13,7 +13,8 @@
 // FromDoor Dijkstras against one shared Graph.
 //
 // Concurrency: a *Graph is immutable after New and safe for unlimited
-// concurrent use. Every method allocates its own working state (distance
-// arrays, priority queue) per call, so any mix of FromDoor / Path /
-// PointToPoint calls may run in parallel.
+// concurrent use. Every call allocates the distance arrays it returns and
+// takes its priority queue from a sync.Pool, resetting it before putting
+// it back, so any mix of FromDoor / Path / PointToPoint calls may run in
+// parallel.
 package d2d

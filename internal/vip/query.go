@@ -2,6 +2,7 @@ package vip
 
 import (
 	"math"
+	"sync"
 
 	"github.com/indoorspatial/ifls/internal/geom"
 	"github.com/indoorspatial/ifls/internal/indoor"
@@ -129,6 +130,10 @@ func (t *Tree) KNearestFacilities(p geom.Point, pp indoor.PartitionID, fs *Facil
 	return t.nearest(p, pp, fs, k, nil, nil, nil)
 }
 
+// nnQueues recycles the NN search queues across calls and goroutines;
+// each is reset before it goes back.
+var nnQueues = sync.Pool{New: func() any { return new(pq.Bucket[nnEntry]) }}
+
 // nearest is the top-down best-first search behind the NN and kNN queries:
 // it appends up to k facilities nearest to p, in dequeue order, to parts
 // and dists. The point's own partition, when it is a facility, comes first
@@ -147,7 +152,11 @@ func (t *Tree) nearest(p geom.Point, pp indoor.PartitionID, fs *FacilitySet, k i
 	}
 	e := t.NewExplorer(pp)
 	offsets := e.PointOffsets(p)
-	var q pq.Bucket[nnEntry]
+	q := nnQueues.Get().(*pq.Bucket[nnEntry])
+	defer func() {
+		q.Reset()
+		nnQueues.Put(q)
+	}()
 	q.Push(nnEntry{node: t.root}, 0)
 	for !q.Empty() && len(parts) < k {
 		entry, prio := q.Pop()
