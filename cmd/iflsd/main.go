@@ -16,8 +16,8 @@
 // Index files are written atomically (temp file + rename), so a crash
 // mid-save never leaves a half-written index. -saveindex emits the paged
 // format: tree structure in a verified envelope, distance matrices in
-// individually-checksummed pages that fault in through an LRU cache
-// (-page-cache, -mmap) — so an -indexfile boot is query-ready in
+// individually-checksummed pages that fault in through an LRU page cache
+// (-page-cache) — so an -indexfile boot is query-ready in
 // milliseconds regardless of matrix size. On open, the structure is
 // verified (magic, version, checksum, deep validation) and a corrupt file
 // is refused at startup; a corrupt matrix page is caught by its CRC at
@@ -72,7 +72,6 @@ func run() error {
 	saveIndexFiles := flag.String("saveindex", "", "comma-separated NAME=PATH destinations for built indexes (paged format), written atomically")
 	pageSize := flag.Int("page-size", 0, "page payload bytes for -saveindex files (0 = 64 KiB default; must be a positive multiple of 8)")
 	pageCache := flag.Int64("page-cache", 0, "page-cache byte budget for paged -indexfile indexes (0 = 64 MiB default, negative = unlimited)")
-	useMmap := flag.Bool("mmap", false, "mmap the page section of paged -indexfile indexes instead of reading pages on demand")
 	buildOnly := flag.Bool("build-only", false, "build and -saveindex the indexes, then exit without serving")
 	chaosLatency := flag.Duration("chaos-latency", 0, "inject up to this much random latency into every query (fault-injection testing only)")
 	flag.Parse()
@@ -126,7 +125,6 @@ func run() error {
 			var err error
 			ix, err = ifls.OpenIndexFile(path, v, ifls.PagedIndexOptions{
 				CacheBytes: *pageCache,
-				Mmap:       *useMmap,
 				Metrics:    m,
 			})
 			if err != nil {

@@ -32,7 +32,7 @@ type Stats struct {
 	CachedPages int
 }
 
-// Cache is an LRU cache of decoded pages over a PageSource with a byte
+// Cache is an LRU cache of decoded pages over a FilePager with a byte
 // budget: Page returns the requested page from memory when resident,
 // otherwise faults it in — one read, one checksum, one call of the decode
 // hook — and evicts least-recently-used pages until the budget holds
@@ -48,7 +48,7 @@ type Stats struct {
 // caller and nothing is cached, so the next call on that page reads and
 // decodes it again.
 type Cache[P any] struct {
-	src     PageSource
+	src     *FilePager
 	budget  int64
 	metrics Metrics
 	decode  func(i int, payload []byte) (P, error)
@@ -70,11 +70,10 @@ type cacheEntry[P any] struct {
 
 // NewCache returns an LRU cache over src holding at most budgetBytes of
 // pages (0 or negative caches nothing). decode turns page i's verified
-// payload into the cached value; it runs once per fault, must not retain
-// payload (an mmap source's payloads die with the mapping), and must
-// return a value callers may share read-only across goroutines. Counter
-// events go to m when non-nil.
-func NewCache[P any](src PageSource, budgetBytes int64, m Metrics, decode func(i int, payload []byte) (P, error)) *Cache[P] {
+// payload into the cached value; it runs once per fault and must return a
+// value callers may share read-only across goroutines. Counter events go
+// to m when non-nil.
+func NewCache[P any](src *FilePager, budgetBytes int64, m Metrics, decode func(i int, payload []byte) (P, error)) *Cache[P] {
 	return &Cache[P]{
 		src:     src,
 		budget:  budgetBytes,
@@ -85,9 +84,6 @@ func NewCache[P any](src PageSource, budgetBytes int64, m Metrics, decode func(i
 		entries: map[int]*list.Element{},
 	}
 }
-
-// Source returns the underlying page source.
-func (c *Cache[P]) Source() PageSource { return c.src }
 
 // Budget returns the configured byte budget.
 func (c *Cache[P]) Budget() int64 { return c.budget }

@@ -38,7 +38,9 @@ func NewFilePager(r io.ReaderAt, off int64, p Params, closer io.Closer) (*FilePa
 // Params returns the section geometry.
 func (fp *FilePager) Params() Params { return fp.params }
 
-// ReadPage reads and verifies page i. See PageSource.
+// ReadPage returns page i's payload (exactly PageSize bytes), verified
+// against its on-disk checksum. Out-of-range indexes and verification
+// failures return an error wrapping ErrCorruptPage.
 func (fp *FilePager) ReadPage(i int) ([]byte, error) {
 	if i < 0 || i >= fp.params.NumPages {
 		return nil, fmt.Errorf("%w: page %d out of range [0,%d)", ErrCorruptPage, i, fp.params.NumPages)

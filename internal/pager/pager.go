@@ -1,6 +1,6 @@
 // Package pager provides fixed-size verified pages over a random-access
-// byte section, behind a small PageSource interface and an LRU page cache
-// with a configurable byte budget.
+// byte section, read with positioned reads by a FilePager, and an LRU page
+// cache with a configurable byte budget.
 //
 // It is the storage substrate of the paged index store: a section of a file
 // is divided into fixed-size pages, each followed on disk by its own
@@ -12,15 +12,14 @@
 // package knows nothing about what the bytes mean — internal/vip lays
 // distance matrices over the page space and decodes pages into cells.
 //
-// Two sources are provided: FilePager reads pages with positioned reads
-// (pread) from any io.ReaderAt, and MmapPager (unix-only) maps the section
-// read-only and serves pages as sub-slices of the mapping. Both verify the
-// per-page checksum on every read.
+// FilePager reads pages with positioned reads (pread) from any
+// io.ReaderAt — an open file, or a bytes.Reader over an in-memory image —
+// and verifies the per-page checksum on every read.
 //
-// Concurrency: PageSource implementations and the Cache are safe for
-// concurrent use. Page payloads and decoded pages are immutable — callers
-// must treat them as read-only, and in exchange may hold a decoded page
-// across cache evictions (it stays valid; the cache merely forgets it).
+// Concurrency: FilePager and the Cache are safe for concurrent use. Page
+// payloads and decoded pages are immutable — callers must treat them as
+// read-only, and in exchange may hold a decoded page across cache
+// evictions (it stays valid; the cache merely forgets it).
 package pager
 
 import (
@@ -72,19 +71,4 @@ func (p Params) validate() error {
 // SectionLen returns the on-disk length of the whole page section.
 func (p Params) SectionLen() int64 {
 	return int64(p.NumPages) * int64(p.PageSize+PageCRCSize)
-}
-
-// PageSource reads verified fixed-size pages by index. Implementations are
-// safe for concurrent use and return immutable payload slices.
-type PageSource interface {
-	// Params returns the section geometry.
-	Params() Params
-	// ReadPage returns page i's payload (exactly PageSize bytes), verified
-	// against its on-disk checksum. Out-of-range indexes and verification
-	// failures return an error wrapping ErrCorruptPage.
-	ReadPage(i int) ([]byte, error)
-	// Close releases the source's resources. Pages already returned remain
-	// valid only for FilePager (heap copies); an MmapPager's pages die with
-	// the mapping, so close it only after the last reader is done.
-	Close() error
 }

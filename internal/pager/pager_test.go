@@ -3,8 +3,6 @@ package pager
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -34,7 +32,7 @@ func buildSection(t *testing.T, payload []byte, pageSize int) ([]byte, Params) {
 }
 
 // reassemble reads every page through src and strips the final padding.
-func reassemble(t *testing.T, src PageSource, total int) []byte {
+func reassemble(t *testing.T, src *FilePager, total int) []byte {
 	t.Helper()
 	var out []byte
 	for i := 0; i < src.Params().NumPages; i++ {
@@ -212,36 +210,5 @@ func TestCacheDecodeErrorNotCached(t *testing.T) {
 	}
 	if st := c.Stats(); st.CachedPages != 1 || st.Hits != 1 || decodes != 4 {
 		t.Fatalf("healthy page: %+v after %d decodes, want 1 cached page, 1 hit, 4 decodes", st, decodes)
-	}
-}
-
-func TestMmapPagerRoundTrip(t *testing.T) {
-	if !MmapSupported {
-		t.Skip("mmap not supported on this platform")
-	}
-	payload := make([]byte, 777)
-	for i := range payload {
-		payload[i] = byte(255 - i)
-	}
-	const headerLen = 100 // unaligned section offset exercises the alignment fixup
-	section, p := buildSection(t, payload, 256)
-	path := filepath.Join(t.TempDir(), "pages.bin")
-	if err := os.WriteFile(path, append(make([]byte, headerLen), section...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	mp, err := NewMmapPager(f, headerLen, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reassemble(t, mp, len(payload)); !bytes.Equal(got, payload) {
-		t.Fatal("mmap payload round-trip mismatch")
-	}
-	if err := mp.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

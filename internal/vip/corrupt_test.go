@@ -146,7 +146,6 @@ func withCell(t *testing.T, data []byte, i int64, f float64) []byte {
 // door×door matrix — a real distance every same-leaf query reads.
 func firstLeafCell(t *testing.T, tree *Tree) int64 {
 	t.Helper()
-	tree.layoutMatrices(true)
 	for _, nd := range tree.nodes {
 		if nd.leaf && nd.fullD.cols > 1 {
 			return nd.fullD.off + 1

@@ -14,7 +14,9 @@
 // doors; and — the "vivid" feature that turns an IP-tree into a VIP-tree —
 // every leaf additionally stores the distances from each of its doors to the
 // access doors of every ancestor, which turns the leaf-to-ancestor climb
-// into a single lookup.
+// into a single lookup. Built, loaded and paged trees alike keep these
+// cells in one flat heap in the index file's layout (see paged.go): a
+// resident tree as one slab, a paged tree as on-disk pages.
 //
 // Distances stored in the matrices are exact global indoor distances
 // computed on the door-to-door graph at construction time. This differs

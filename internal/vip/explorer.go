@@ -50,7 +50,7 @@ type Explorer struct {
 	path []bool
 
 	// rowBuf receives the copy of a matrix row that straddles two pages
-	// of a paged tree (see Tree.fullRow); it is reused across calls.
+	// of a paged tree (see Tree.row); it is reused across calls.
 	rowBuf []float64
 }
 
@@ -160,7 +160,7 @@ func (e *Explorer) pathADVec(n NodeID) [][]float64 {
 	if n == e.srcLeaf {
 		v := alloc(len(e.srcDoors), len(leaf.access))
 		for i, sd := range e.srcDoors {
-			full := t.fullRow(leaf, int(leaf.doorIdx[sd]), &e.rowBuf)
+			full := t.row(leaf.fullD, int(leaf.doorIdx[sd]), &e.rowBuf)
 			for j, ad := range leaf.access {
 				v[i][j] = full[leaf.doorIdx[ad]]
 			}
@@ -173,7 +173,7 @@ func (e *Explorer) pathADVec(n NodeID) [][]float64 {
 			if a == n {
 				v := alloc(len(e.srcDoors), len(t.nodes[n].access))
 				for i, sd := range e.srcDoors {
-					copy(v[i], t.ancRow(leaf, k, int(leaf.doorIdx[sd]), &e.rowBuf))
+					copy(v[i], t.row(leaf.ancD[k], int(leaf.doorIdx[sd]), &e.rowBuf))
 				}
 				return v
 			}
@@ -184,6 +184,16 @@ func (e *Explorer) pathADVec(n NodeID) [][]float64 {
 	child := t.childOnPath(n, e.srcLeaf)
 	base := e.ADVec(child)
 	return e.propagate(base, t.nodes[child].access, t.nodes[n], t.nodes[n].access)
+}
+
+// alloc returns a rows × cols matrix over one backing slice.
+func alloc(rows, cols int) [][]float64 {
+	backing := make([]float64, rows*cols)
+	m := make([][]float64, rows)
+	for i := range m {
+		m[i] = backing[i*cols : (i+1)*cols]
+	}
+	return m
 }
 
 // allocInf is alloc with every cell +Inf: the identity of the min-plus
@@ -217,7 +227,7 @@ func (e *Explorer) propagate(base [][]float64, baseDoors []indoor.DoorID, via *n
 		ti[k] = int(via.uIdx[d])
 	}
 	for k, d := range baseDoors {
-		u := e.t.unionRow(via, int(via.uIdx[d]), &e.rowBuf)
+		u := e.t.row(via.uD, int(via.uIdx[d]), &e.rowBuf)
 		for i, vi := range v {
 			b := base[i][k]
 			for j, c := range ti {
@@ -245,7 +255,7 @@ func (e *Explorer) DoorVec(n NodeID) [][]float64 {
 	if n == e.srcLeaf {
 		v = alloc(len(e.srcDoors), len(nd.doors))
 		for i, sd := range e.srcDoors {
-			copy(v[i], t.fullRow(nd, int(nd.doorIdx[sd]), &e.rowBuf))
+			copy(v[i], t.row(nd.fullD, int(nd.doorIdx[sd]), &e.rowBuf))
 		}
 	} else {
 		// The same k-outer min-plus kernel as propagate, through the
@@ -253,7 +263,7 @@ func (e *Explorer) DoorVec(n NodeID) [][]float64 {
 		base := e.ADVec(n)
 		v = allocInf(len(e.srcDoors), len(nd.doors))
 		for k, ad := range nd.access {
-			full := t.fullRow(nd, int(nd.doorIdx[ad]), &e.rowBuf)
+			full := t.row(nd.fullD, int(nd.doorIdx[ad]), &e.rowBuf)
 			for i, vi := range v {
 				b := base[i][k]
 				for j, f := range full {

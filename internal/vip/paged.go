@@ -67,13 +67,12 @@ type matDesc struct {
 // cells returns the matrix's cell count.
 func (d matDesc) cells() int64 { return int64(d.rows) * int64(d.cols) }
 
-// layoutMatrices walks the deterministic matrix layout — node-ID order;
-// leaf: full matrix then ancestor matrices in ancIDs order; internal:
-// union matrix — and returns the total cell count. With assign=true it
-// also stores each matrix's descriptor on its node (the paged read path);
-// with assign=false it is a pure size computation. Requires only the tree
-// structure (door lists), not the matrices themselves.
-func (t *Tree) layoutMatrices(assign bool) int64 {
+// layoutMatrices assigns every node's matrix descriptors by the
+// deterministic layout walk — node-ID order; leaf: full matrix then
+// ancestor matrices in ancIDs order; internal: union matrix — and returns
+// the total cell count. It is the only code that knows the layout, and it
+// needs only the tree structure (door lists and ancIDs), not the cells.
+func (t *Tree) layoutMatrices() int64 {
 	var off int64
 	place := func(rows, cols int) matDesc {
 		d := matDesc{off: off, rows: rows, cols: cols}
@@ -81,20 +80,14 @@ func (t *Tree) layoutMatrices(assign bool) int64 {
 		return d
 	}
 	for _, nd := range t.nodes {
-		if nd.leaf {
-			fd := place(len(nd.doors), len(nd.doors))
-			var ancD []matDesc
-			for _, a := range nd.ancIDs {
-				ancD = append(ancD, place(len(nd.doors), len(t.nodes[a].access)))
-			}
-			if assign {
-				nd.fullD, nd.ancD = fd, ancD
-			}
-		} else {
-			ud := place(len(nd.uDoors), len(nd.uDoors))
-			if assign {
-				nd.uD = ud
-			}
+		if !nd.leaf {
+			nd.uD = place(len(nd.uDoors), len(nd.uDoors))
+			continue
+		}
+		nd.fullD = place(len(nd.doors), len(nd.doors))
+		nd.ancD = make([]matDesc, len(nd.ancIDs))
+		for k, a := range nd.ancIDs {
+			nd.ancD[k] = place(len(nd.doors), len(t.nodes[a].access))
 		}
 	}
 	return off
@@ -107,6 +100,7 @@ func (t *Tree) layoutMatrices(assign bool) int64 {
 type pageStore struct {
 	cache        *pager.Cache[[]float64]
 	cellsPerPage int64
+	cells        int64 // the heap's cell count
 }
 
 // decodePageCells decodes little-endian cells from payload into dst, which
@@ -133,7 +127,7 @@ func pageCells(pg int, cellsPerPage, cells int64) (lo, hi int64) {
 
 // newPageStore wraps src in an LRU cache of decoded pages per the options;
 // cells is the heap's cell count.
-func newPageStore(src pager.PageSource, cells int64, o PagedOptions) *pageStore {
+func newPageStore(src *pager.FilePager, cells int64, o PagedOptions) *pageStore {
 	budget := o.CacheBytes
 	if budget == 0 {
 		budget = DefaultPageCacheBytes
@@ -152,6 +146,7 @@ func newPageStore(src pager.PageSource, cells int64, o PagedOptions) *pageStore 
 	return &pageStore{
 		cache:        pager.NewCache(src, budget, o.Metrics, decode),
 		cellsPerPage: per,
+		cells:        cells,
 	}
 }
 
@@ -197,32 +192,17 @@ func (ps *pageStore) row(d matDesc, ri int, buf *[]float64) []float64 {
 	return out
 }
 
-// fullRow returns row ri of leaf nd's door × door matrix: the node's own
-// row on a resident tree, a view into the page cache on a paged tree (see
-// pageStore.row for buf). Callers must not modify the row.
-func (t *Tree) fullRow(nd *node, ri int, buf *[]float64) []float64 {
-	if t.pages == nil {
-		return nd.full[ri]
+// row returns row ri of matrix d — a leaf's door × door matrix, one of its
+// ancestor matrices, or an internal node's union matrix alike: a view of
+// the cell slab on a resident tree, a view into the page cache on a paged
+// tree (see pageStore.row for buf). Callers must not modify the row.
+func (t *Tree) row(d matDesc, ri int, buf *[]float64) []float64 {
+	if t.pages != nil {
+		return t.pages.row(d, ri, buf)
 	}
-	return t.pages.row(nd.fullD, ri, buf)
-}
-
-// unionRow returns row ri of internal node nd's union-door matrix (see
-// fullRow).
-func (t *Tree) unionRow(nd *node, ri int, buf *[]float64) []float64 {
-	if t.pages == nil {
-		return nd.uMat[ri]
-	}
-	return t.pages.row(nd.uD, ri, buf)
-}
-
-// ancRow returns row ri of leaf nd's k-th ancestor matrix (ancIDs order;
-// see fullRow).
-func (t *Tree) ancRow(nd *node, k, ri int, buf *[]float64) []float64 {
-	if t.pages == nil {
-		return nd.anc[k][ri]
-	}
-	return t.pages.row(nd.ancD[k], ri, buf)
+	off := d.off + int64(ri)*int64(d.cols)
+	end := off + int64(d.cols)
+	return t.cells[off:end:end]
 }
 
 // PagedSaveOptions configure SavePaged.
@@ -233,64 +213,37 @@ type PagedSaveOptions struct {
 	PageSize int
 }
 
-// heapMatrix is one matrix of the page heap as the writer sees it: its
-// row count and a row reader.
-type heapMatrix struct {
-	rows int
-	row  func(ri int, buf *[]float64) []float64
-}
-
-// heapMatrices returns the tree's matrices in exactly the layout walk's
-// order. The row readers go through the row accessors, so they work for
-// resident and paged trees alike.
-func (t *Tree) heapMatrices() []heapMatrix {
-	var mats []heapMatrix
-	for _, nd := range t.nodes {
-		nd := nd
-		if nd.leaf {
-			mats = append(mats, heapMatrix{len(nd.doors), func(ri int, buf *[]float64) []float64 { return t.fullRow(nd, ri, buf) }})
-			for k := range nd.ancIDs {
-				k := k
-				mats = append(mats, heapMatrix{len(nd.doors), func(ri int, buf *[]float64) []float64 { return t.ancRow(nd, k, ri, buf) }})
-			}
-		} else {
-			mats = append(mats, heapMatrix{len(nd.uDoors), func(ri int, buf *[]float64) []float64 { return t.unionRow(nd, ri, buf) }})
-		}
-	}
-	return mats
-}
-
-// cellWriter streams the page heap's cells in layout order for WritePages,
-// one matrix row at a time, so re-encoding a paged tree holds at most one
-// straddling row beyond the page cache.
+// cellWriter streams the page heap's cells in layout order for WritePages
+// as a cursor over the heap: a resident tree serves its slab, a paged tree
+// the decoded page holding the cursor, so re-encoding a paged tree holds
+// nothing beyond the page cache.
 type cellWriter struct {
-	mats []heapMatrix
-	ri   int       // next row of mats[0]
-	cur  []float64 // unwritten cells of the current row
-	buf  []float64 // straddling-row scratch for the row readers
+	t        *Tree
+	pos, end int64 // next heap cell; heap cell count
 }
 
 // next appends up to max bytes of the remaining cell stream to dst.
 func (cw *cellWriter) next(dst []byte, max int) []byte {
-	for max >= cellSize {
-		for len(cw.cur) == 0 {
-			for len(cw.mats) > 0 && cw.ri >= cw.mats[0].rows {
-				cw.mats, cw.ri = cw.mats[1:], 0
-			}
-			if len(cw.mats) == 0 {
-				return dst
-			}
-			cw.cur = cw.mats[0].row(cw.ri, &cw.buf)
-			cw.ri++
-		}
-		n := min(len(cw.cur), max/cellSize)
-		for _, f := range cw.cur[:n] {
+	for max >= cellSize && cw.pos < cw.end {
+		cur := cw.t.cellsFrom(cw.pos)
+		n := min(len(cur), max/cellSize)
+		for _, f := range cur[:n] {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 		}
-		cw.cur = cw.cur[n:]
+		cw.pos += int64(n)
 		max -= n * cellSize
 	}
 	return dst
+}
+
+// cellsFrom returns heap cells from pos on: to the end of the heap on a
+// resident tree, to the end of pos's page on a paged tree.
+func (t *Tree) cellsFrom(pos int64) []float64 {
+	if t.pages == nil {
+		return t.cells[pos:]
+	}
+	pg := pos / t.pages.cellsPerPage
+	return t.pages.page(int(pg))[pos-pg*t.pages.cellsPerPage:]
 }
 
 // validatePageSize rejects page sizes the format cannot support.
@@ -345,7 +298,7 @@ func (t *Tree) SavePaged(w io.Writer, o PagedSaveOptions) (err error) {
 		LeafOf:      t.leafOf,
 		Depth:       t.depth,
 		PageSize:    ps,
-		MatrixCells: t.layoutMatrices(false),
+		MatrixCells: int64(t.MemoryFootprint()),
 	}
 	for _, nd := range t.nodes {
 		out.Nodes = append(out.Nodes, nodeGob{
@@ -374,7 +327,7 @@ func (t *Tree) SavePaged(w io.Writer, o PagedSaveOptions) (err error) {
 		PageSize: ps,
 		NumPages: pager.NumPagesFor(out.MatrixCells*cellSize, ps),
 	}
-	cw := &cellWriter{mats: t.heapMatrices()}
+	cw := &cellWriter{t: t, end: out.MatrixCells}
 	if err := pager.WritePages(w, params, out.MatrixCells*cellSize, cw.next); err != nil {
 		return fmt.Errorf("vip: writing matrix pages: %w", err)
 	}
@@ -393,10 +346,6 @@ type PagedOptions struct {
 	// it. Nil disables event reporting (the cache's own Stats still
 	// count).
 	Metrics pager.Metrics
-	// Mmap (OpenPagedFile only) maps the page section read-only instead of
-	// using positioned reads. Silently falls back to pread on platforms
-	// without mmap support or when the page section is empty.
-	Mmap bool
 }
 
 // OpenPaged opens an index from any io.ReaderAt holding the complete file
@@ -409,15 +358,11 @@ type PagedOptions struct {
 // keeps ownership of r: closing the tree does not close it. Use
 // OpenPagedFile to open from a path with owned-file lifetime management.
 func OpenPaged(r io.ReaderAt, size int64, v *indoor.Venue, o PagedOptions) (*Tree, error) {
-	t, params, secOff, err := openPagedStructure(r, size, v)
+	t, src, cells, err := openPagedStructure(r, size, v, nil)
 	if err != nil {
 		return nil, err
 	}
-	src, err := pager.NewFilePager(r, secOff, params, nil)
-	if err != nil {
-		return nil, corrupt("page section: %v", err)
-	}
-	t.pages = newPageStore(src, t.layoutMatrices(false), o)
+	t.pages = newPageStore(src, cells, o)
 	return t, nil
 }
 
@@ -435,41 +380,24 @@ func OpenPagedFile(path string, v *indoor.Venue, o PagedOptions) (*Tree, error) 
 		f.Close()
 		return nil, fmt.Errorf("vip: stat index file: %w", err)
 	}
-	t, params, secOff, err := openPagedStructure(f, fi.Size(), v)
+	t, src, cells, err := openPagedStructure(f, fi.Size(), v, f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	var src pager.PageSource
-	if o.Mmap && pager.MmapSupported && params.NumPages > 0 {
-		mp, merr := pager.NewMmapPager(f, secOff, params)
-		if merr != nil {
-			f.Close()
-			return nil, fmt.Errorf("vip: mapping index pages: %w", merr)
-		}
-		// The mapping outlives the descriptor; close the file now and let
-		// Tree.Close unmap.
-		f.Close()
-		src = mp
-	} else {
-		src, err = pager.NewFilePager(f, secOff, params, f)
-		if err != nil {
-			f.Close()
-			return nil, corrupt("page section: %v", err)
-		}
-	}
-	t.pages = newPageStore(src, t.layoutMatrices(false), o)
+	t.pages = newPageStore(src, cells, o)
 	return t, nil
 }
 
 // openPagedStructure reads and validates everything up to (but not
 // including) the page section: envelope, structure payload, decoded
 // structure, layout cross-check, and file-size check. It returns the tree
-// with descriptors assigned and pages unset, plus the page-section
-// geometry and offset.
-func openPagedStructure(r io.ReaderAt, size int64, v *indoor.Venue) (*Tree, pager.Params, int64, error) {
-	fail := func(err error) (*Tree, pager.Params, int64, error) {
-		return nil, pager.Params{}, 0, err
+// with descriptors assigned and neither cells nor pages set, a page source
+// over the section (closing closer, when non-nil, on Close), and the
+// heap's cell count.
+func openPagedStructure(r io.ReaderAt, size int64, v *indoor.Venue, closer io.Closer) (*Tree, *pager.FilePager, int64, error) {
+	fail := func(err error) (*Tree, *pager.FilePager, int64, error) {
+		return nil, nil, 0, err
 	}
 	if size < headerSize {
 		return fail(corrupt("index file is %d bytes, smaller than the header", size))
@@ -540,7 +468,7 @@ func openPagedStructure(r io.ReaderAt, size int64, v *indoor.Venue) (*Tree, page
 	if err := t.CheckInvariants(); err != nil {
 		return fail(corrupt("loaded tree invalid: %v", err))
 	}
-	if got := t.layoutMatrices(true); got != in.MatrixCells {
+	if got := t.layoutMatrices(); got != in.MatrixCells {
 		return fail(corrupt("matrix layout yields %d cells, header says %d", got, in.MatrixCells))
 	}
 	params := pager.Params{
@@ -551,18 +479,20 @@ func openPagedStructure(r io.ReaderAt, size int64, v *indoor.Venue) (*Tree, page
 	if want := secOff + params.SectionLen(); size != want {
 		return fail(corrupt("index file is %d bytes, layout wants %d", size, want))
 	}
-	return t, params, secOff, nil
+	src, err := pager.NewFilePager(r, secOff, params, closer)
+	if err != nil {
+		return fail(corrupt("page section: %v", err))
+	}
+	return t, src, in.MatrixCells, nil
 }
 
 // readResident reads every page of src once, in order — one read, one CRC
-// and one decode per page — into a single cell slab, and points every
-// node's matrix rows into it, turning a tree fresh from
-// openPagedStructure into a resident one. Load uses it to keep its eager
-// contract: every page verified and every cell validated before the tree
-// is returned.
-func (t *Tree) readResident(src pager.PageSource) error {
-	cells := t.layoutMatrices(false)
-	heap := make([]float64, cells)
+// and one decode per page — straight into the tree's cell slab, turning a
+// tree fresh from openPagedStructure into a resident one. Load uses it to
+// keep its eager contract: every page verified and every cell validated
+// before the tree is returned.
+func (t *Tree) readResident(src *pager.FilePager, cells int64) error {
+	t.cells = make([]float64, cells)
 	per := int64(src.Params().PageSize / cellSize)
 	for pg := 0; pg < src.Params().NumPages; pg++ {
 		payload, err := src.ReadPage(pg)
@@ -570,27 +500,8 @@ func (t *Tree) readResident(src pager.PageSource) error {
 			return corrupt("matrix page fault: %v", err)
 		}
 		lo, hi := pageCells(pg, per, cells)
-		if err := decodePageCells(heap[lo:hi], payload, lo); err != nil {
+		if err := decodePageCells(t.cells[lo:hi], payload, lo); err != nil {
 			return corrupt("%v", err)
-		}
-	}
-	carve := func(d matDesc) [][]float64 {
-		m := make([][]float64, d.rows)
-		for i := range m {
-			o := d.off + int64(i*d.cols)
-			m[i] = heap[o : o+int64(d.cols) : o+int64(d.cols)]
-		}
-		return m
-	}
-	for _, nd := range t.nodes {
-		if nd.leaf {
-			nd.full = carve(nd.fullD)
-			nd.anc = make([][][]float64, len(nd.ancD))
-			for k, d := range nd.ancD {
-				nd.anc[k] = carve(d)
-			}
-		} else {
-			nd.uMat = carve(nd.uD)
 		}
 	}
 	return nil
@@ -610,7 +521,7 @@ func (t *Tree) PageCacheStats() pager.Stats {
 }
 
 // Close releases a paged tree's resources — the page cache and the
-// underlying file or mapping. Queries on the tree must have drained first;
+// underlying file. Queries on the tree must have drained first;
 // after Close every page fault fails. Resident trees have nothing to
 // release and return nil. Close is not safe to call concurrently with
 // queries.
@@ -619,20 +530,4 @@ func (t *Tree) Close() error {
 		return nil
 	}
 	return t.pages.cache.Close()
-}
-
-// VerifyPages reads and checksums every page of a paged tree without
-// touching the cache — an offline integrity sweep (iflsd -checkindex
-// style). Resident trees trivially pass. Safe for concurrent use.
-func (t *Tree) VerifyPages() error {
-	if t.pages == nil {
-		return nil
-	}
-	src := t.pages.cache.Source()
-	for i := 0; i < src.Params().NumPages; i++ {
-		if _, err := src.ReadPage(i); err != nil {
-			return corrupt("%v", err)
-		}
-	}
-	return nil
 }

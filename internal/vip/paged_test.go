@@ -210,7 +210,8 @@ func queryRecover(tree *Tree, a, b indoor.PartitionID) (err error) {
 // does not stop OpenPaged (the structure is intact and verified), but the
 // first query that faults a damaged page panics with an
 // ErrCorruptIndex-classified error — the contract the serving layer's
-// recover shield relies on — and VerifyPages reports it offline.
+// recover shield relies on — and Load, which verifies every page, refuses
+// the same bytes.
 func TestPagedCorruptPageFailsAtQueryTime(t *testing.T) {
 	const pageSize = 64
 	v := testvenue.Grid(testvenue.GridParams{Cols: 5, Levels: 1, InterRoomDoors: true})
@@ -231,9 +232,6 @@ func TestPagedCorruptPageFailsAtQueryTime(t *testing.T) {
 	}
 	defer loaded.Close()
 
-	if err := loaded.VerifyPages(); !errors.Is(err, faults.ErrCorruptIndex) {
-		t.Errorf("VerifyPages: err = %v, want ErrCorruptIndex", err)
-	}
 	qerr := queryRecover(loaded, 0, indoor.PartitionID(v.NumPartitions()-1))
 	if !errors.Is(qerr, faults.ErrCorruptIndex) {
 		t.Errorf("query on corrupt pages: err = %v, want ErrCorruptIndex panic", qerr)
@@ -246,37 +244,34 @@ func TestPagedCorruptPageFailsAtQueryTime(t *testing.T) {
 	}
 }
 
-// TestOpenPagedFile exercises the file-backed open path — pread and, where
-// supported, mmap — plus Close.
+// TestOpenPagedFile exercises the file-backed open path plus Close, and
+// Load of the same bytes: a good file gives a tree whose every page was
+// verified.
 func TestOpenPagedFile(t *testing.T) {
 	v := testvenue.Grid(testvenue.GridParams{Cols: 6, Levels: 2, InterRoomDoors: true})
 	orig := MustBuild(v, Options{LeafFanout: 3, NodeFanout: 2, Vivid: true})
+	data := savePagedBytes(t, orig, 4096)
 	path := filepath.Join(t.TempDir(), "venue.idx")
-	if err := os.WriteFile(path, savePagedBytes(t, orig, 4096), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, mmap := range []bool{false, true} {
-		name := "pread"
-		if mmap {
-			if !pager.MmapSupported {
-				continue
-			}
-			name = "mmap"
+	t.Run("pread", func(t *testing.T) {
+		loaded, err := OpenPagedFile(path, v, PagedOptions{})
+		if err != nil {
+			t.Fatalf("OpenPagedFile: %v", err)
 		}
-		t.Run(name, func(t *testing.T) {
-			loaded, err := OpenPagedFile(path, v, PagedOptions{Mmap: mmap})
-			if err != nil {
-				t.Fatalf("OpenPagedFile: %v", err)
-			}
-			requireBitIdentical(t, loaded, orig)
-			if err := loaded.VerifyPages(); err != nil {
-				t.Fatalf("VerifyPages: %v", err)
-			}
-			if err := loaded.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-		})
-	}
+		requireBitIdentical(t, loaded, orig)
+		if err := loaded.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	})
+	t.Run("load", func(t *testing.T) {
+		eager, err := Load(bytes.NewReader(data), v)
+		if err != nil || eager == nil {
+			t.Fatalf("Load of a good file: tree %v, err %v", eager, err)
+		}
+		requireBitIdentical(t, eager, orig)
+	})
 }
 
 // TestSavePagedRejectsBadPageSize: page sizes the format cannot support are
@@ -444,18 +439,19 @@ func TestPagedRowsMatchResident(t *testing.T) {
 			}
 		}
 	}
+	var rbuf []float64
 	for id, nd := range paged.nodes {
 		rd := orig.nodes[id]
 		if nd.leaf {
 			for ri := range nd.doors {
-				same("full", paged.fullRow(nd, ri, &buf), rd.full[ri])
+				same("full", paged.row(nd.fullD, ri, &buf), orig.row(rd.fullD, ri, &rbuf))
 				for k := range nd.ancIDs {
-					same("anc", paged.ancRow(nd, k, ri, &buf), rd.anc[k][ri])
+					same("anc", paged.row(nd.ancD[k], ri, &buf), orig.row(rd.ancD[k], ri, &rbuf))
 				}
 			}
 		} else {
 			for ri := range nd.uDoors {
-				same("union", paged.unionRow(nd, ri, &buf), rd.uMat[ri])
+				same("union", paged.row(nd.uD, ri, &buf), orig.row(rd.uD, ri, &rbuf))
 			}
 		}
 	}
@@ -463,7 +459,8 @@ func TestPagedRowsMatchResident(t *testing.T) {
 
 // TestPagedCachedRowReadAllocs: once its pages are cached, a row read
 // allocates nothing — a row inside one page is a view of the cached page,
-// and a straddling row reuses the caller's scratch.
+// and a straddling row reuses the caller's scratch — and a row read on a
+// resident tree, a view of its cell slab, allocates nothing either.
 func TestPagedCachedRowReadAllocs(t *testing.T) {
 	v := testvenue.Grid(testvenue.GridParams{Cols: 6, Levels: 2, InterRoomDoors: true})
 	orig := MustBuild(v, Options{LeafFanout: 3, NodeFanout: 2, Vivid: true})
@@ -496,11 +493,16 @@ func TestPagedCachedRowReadAllocs(t *testing.T) {
 	var buf []float64
 	for _, tc := range []struct {
 		name string
+		tree *Tree
 		nd   *node
 		ri   int
-	}{{"in-page", inside, insideRow}, {"straddling", straddling, straddlingRow}} {
-		paged.unionRow(tc.nd, tc.ri, &buf) // fault the pages, size buf
-		if n := testing.AllocsPerRun(100, func() { paged.unionRow(tc.nd, tc.ri, &buf) }); n != 0 {
+	}{
+		{"in-page", paged, inside, insideRow},
+		{"straddling", paged, straddling, straddlingRow},
+		{"resident", orig, orig.nodes[straddling.id], straddlingRow},
+	} {
+		tc.tree.row(tc.nd.uD, tc.ri, &buf) // fault the pages, size buf
+		if n := testing.AllocsPerRun(100, func() { tc.tree.row(tc.nd.uD, tc.ri, &buf) }); n != 0 {
 			t.Errorf("%s cached row read: %v allocs, want 0", tc.name, n)
 		}
 	}

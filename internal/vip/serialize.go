@@ -9,7 +9,6 @@ import (
 
 	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/indoor"
-	"github.com/indoorspatial/ifls/internal/pager"
 )
 
 // The paper indexes the venue once offline and reuses the index across
@@ -169,17 +168,13 @@ func Load(r io.Reader, v *indoor.Venue) (*Tree, error) {
 		return nil, corrupt("index stream exceeds the %d-byte in-memory limit (open it with OpenPagedFile)", maxIndexPayload)
 	}
 	all := append(header, rest...)
-	t, params, secOff, err := openPagedStructure(bytes.NewReader(all), int64(len(all)), v)
+	t, src, cells, err := openPagedStructure(bytes.NewReader(all), int64(len(all)), v, nil)
 	if err != nil {
 		return nil, err
 	}
-	src, err := pager.NewFilePager(bytes.NewReader(all), secOff, params, nil)
-	if err != nil {
-		return nil, corrupt("page section: %v", err)
-	}
 	// Peak memory is the stream plus the matrices, and each page is read
 	// and checksummed once.
-	if err := t.readResident(src); err != nil {
+	if err := t.readResident(src, cells); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -78,25 +78,19 @@ type node struct {
 	access  []indoor.DoorID // doors connecting the node to the outside
 	doorIdx []int32         // dense door ID → row in doors; -1 when absent
 
-	// full is the leaf door × door distance matrix.
-	full [][]float64
-
 	// uDoors is, for internal nodes, the union of the children's access
-	// doors; uMat is the distance matrix over uDoors.
+	// doors; the union matrix is over uDoors.
 	uDoors []indoor.DoorID
 	uIdx   []int32 // dense door ID → row in uDoors; -1 when absent
-	uMat   [][]float64
 
-	// anc holds, for leaves of a vivid tree, one matrix per strict
-	// ancestor (ordered parent first): rows are the leaf's doors, columns
-	// the ancestor's access doors.
+	// ancIDs lists, for leaves of a vivid tree, every strict ancestor
+	// (parent first); the leaf has one ancestor matrix per entry, with
+	// the leaf's doors as rows and the ancestor's access doors as columns.
 	ancIDs []NodeID
-	anc    [][][]float64
 
-	// In a paged tree (OpenPaged) the matrix slices above stay nil and
-	// these descriptors locate each matrix in the page heap instead;
-	// the row accessors Tree.fullRow/unionRow/ancRow dispatch on
-	// Tree.pages.
+	// The node's matrices in the page heap (see layoutMatrices): a leaf's
+	// door × door matrix fullD and its ancestor matrices ancD (ancIDs
+	// order), an internal node's union matrix uD. Tree.row reads them.
 	fullD matDesc
 	uD    matDesc
 	ancD  []matDesc
@@ -118,18 +112,16 @@ type Tree struct {
 	opts      Options
 	nodes     []*node
 	root      NodeID
-	// pages is non-nil for trees opened lazily from an index file
-	// (OpenPaged/OpenPagedFile): distance-matrix cells live in fixed-size
-	// on-disk pages and fault in through an LRU cache on first use (see
-	// paged.go). Resident trees (Build, Load) leave it nil and keep
-	// matrices in the node slices.
+	// cells holds a resident tree's (Build, Load) matrix cells in the
+	// page heap's layout. A paged tree (OpenPaged/OpenPagedFile) leaves it
+	// nil and sets pages instead: its cells live in fixed-size on-disk
+	// pages and fault in through an LRU cache on first use (see paged.go).
+	cells []float64
 	pages *pageStore
 	// leafOf maps each partition to its leaf node.
 	leafOf []NodeID
 	// depth of each node; root is 0.
 	depth []int
-	// ancestorAt[l][i] is the depth-i ancestor chain support: implemented
-	// as parent walks, heights are tiny.
 }
 
 // Build constructs the index for venue v. Construction has three phases:
@@ -460,7 +452,8 @@ func (t *Tree) collectParts(id NodeID) []indoor.PartitionID {
 	return out
 }
 
-// computeDoorSets fills doors, access doors, and the uDoors unions.
+// computeDoorSets fills doors, access doors, the uDoors unions and, in a
+// vivid tree, each leaf's ancestor list.
 func (t *Tree) computeDoorSets() {
 	v := t.venue
 	// inSubtree[n] set of partitions — computed via leafOf + ancestor walk
@@ -515,6 +508,16 @@ func (t *Tree) computeDoorSets() {
 		sort.Slice(nd.uDoors, func(i, j int) bool { return nd.uDoors[i] < nd.uDoors[j] })
 		nd.uIdx = denseIdx(v.NumDoors(), nd.uDoors)
 	}
+	if t.opts.Vivid {
+		for _, nd := range t.nodes {
+			if !nd.leaf {
+				continue
+			}
+			for a := nd.parent; a != NoNode; a = t.nodes[a].parent {
+				nd.ancIDs = append(nd.ancIDs, a)
+			}
+		}
+	}
 }
 
 // denseIdx builds a door-row lookup over the venue's contiguous door ID
@@ -555,25 +558,25 @@ func (t *Tree) nodeDoors(id NodeID) []indoor.DoorID {
 	return out
 }
 
-// rowTarget records where one source door's Dijkstra results land: row
-// `row` of matrix `mat`, with columns ordered by `col`.
+// rowTarget records where one source door's Dijkstra results land: the
+// heap cells from off on, one per column door of col.
 type rowTarget struct {
-	mat [][]float64
-	row int
+	off int64
 	col []indoor.DoorID // column door ordering
 }
 
-// fillMatrices runs one Dijkstra per needed source door and slices the
-// results into the per-node matrices — the dominant cost of Build.
+// fillMatrices lays out the page heap, allocates it as one cell slab, and
+// runs one Dijkstra per needed source door to fill its rows — the
+// dominant cost of Build.
 //
 // Because the stored distances are global (not within-subtree as in the
 // original paper), every matrix row depends only on its own source door's
 // Dijkstra: leaf, ancestor, and internal-node rows alike. All fills are
 // therefore mutually independent and fan out in a single level-free wave
 // across the worker pool; no inter-level barrier is needed. Each worker
-// writes disjoint rows (a door owns its rows in every matrix it sources),
-// so the fill is race-free and its result is bit-identical for every
-// worker count.
+// writes disjoint cell ranges of the slab (a door owns its rows in every
+// matrix it sources), so the fill is race-free and its result is
+// bit-identical for every worker count.
 //
 // Cancellation: ctx is polled before each source door's Dijkstra. In the
 // parallel path every worker polls independently and stops claiming doors
@@ -582,31 +585,25 @@ type rowTarget struct {
 // goroutine outlives the call. A background context costs one nil check per
 // door.
 func (t *Tree) fillMatrices(ctx context.Context) error {
+	t.cells = make([]float64, t.layoutMatrices())
+
 	// Which doors are matrix row sources, and where do the rows land?
 	rowTargets := map[indoor.DoorID][]rowTarget{}
-
+	target := func(d indoor.DoorID, m matDesc, ri int, col []indoor.DoorID) {
+		rowTargets[d] = append(rowTargets[d], rowTarget{off: m.off + int64(ri)*int64(m.cols), col: col})
+	}
 	for _, nd := range t.nodes {
-		if nd.leaf {
-			nd.full = alloc(len(nd.doors), len(nd.doors))
-			for i, d := range nd.doors {
-				rowTargets[d] = append(rowTargets[d], rowTarget{mat: nd.full, row: i, col: nd.doors})
-			}
-			if t.opts.Vivid {
-				for a := nd.parent; a != NoNode; a = t.nodes[a].parent {
-					an := t.nodes[a]
-					m := alloc(len(nd.doors), len(an.access))
-					nd.ancIDs = append(nd.ancIDs, a)
-					nd.anc = append(nd.anc, m)
-					for i, d := range nd.doors {
-						rowTargets[d] = append(rowTargets[d], rowTarget{mat: m, row: i, col: an.access})
-					}
-				}
+		if !nd.leaf {
+			for i, d := range nd.uDoors {
+				target(d, nd.uD, i, nd.uDoors)
 			}
 			continue
 		}
-		nd.uMat = alloc(len(nd.uDoors), len(nd.uDoors))
-		for i, d := range nd.uDoors {
-			rowTargets[d] = append(rowTargets[d], rowTarget{mat: nd.uMat, row: i, col: nd.uDoors})
+		for i, d := range nd.doors {
+			target(d, nd.fullD, i, nd.doors)
+			for k, a := range nd.ancIDs {
+				target(d, nd.ancD[k], i, t.nodes[a].access)
+			}
 		}
 	}
 
@@ -671,28 +668,22 @@ func (t *Tree) fillMatrices(ctx context.Context) error {
 func (t *Tree) fillDoorRows(d indoor.DoorID, targets []rowTarget) {
 	dist := t.graph.FromDoor(d)
 	for _, tg := range targets {
+		row := t.cells[tg.off : tg.off+int64(len(tg.col))]
 		for j, cd := range tg.col {
-			tg.mat[tg.row][j] = dist[cd]
+			row[j] = dist[cd]
 		}
 	}
 }
 
-func alloc(rows, cols int) [][]float64 {
-	backing := make([]float64, rows*cols)
-	m := make([][]float64, rows)
-	for i := range m {
-		m[i] = backing[i*cols : (i+1)*cols]
-	}
-	return m
-}
-
 // MemoryFootprint returns the number of float64 distance cells stored
-// across all matrices — the index-size metric reported in experiments. The
-// count is derived from the door-list dimensions (the same walk the paged
-// layout uses), so it is the matrix size whether the cells are resident or
-// live in an on-disk page heap. Safe for concurrent use.
+// across all matrices — the index-size metric reported in experiments. It
+// is the page heap's cell count, so it is the matrix size whether the cells
+// are resident or live in an on-disk page heap. Safe for concurrent use.
 func (t *Tree) MemoryFootprint() int {
-	return int(t.layoutMatrices(false))
+	if t.pages != nil {
+		return int(t.pages.cells)
+	}
+	return len(t.cells)
 }
 
 // CheckInvariants verifies structural invariants; tests use it. Safe for
