@@ -112,7 +112,7 @@ type Metrics struct {
 	// Paged-index counters (internal/pager, fed by every page cache of
 	// every paged index wired to this Metrics): hits and misses partition
 	// page lookups, evictions counts pages dropped under budget pressure,
-	// and pagesRead counts physical page reads from disk (or the mapping).
+	// and pagesRead counts physical page reads from disk.
 	// *Metrics satisfies pager.Metrics structurally.
 	pageCacheHits      atomic.Int64
 	pageCacheMisses    atomic.Int64
@@ -211,7 +211,7 @@ func (m *Metrics) PageCacheMiss() { m.pageCacheMisses.Add(1) }
 // stay inside its byte budget. Safe for concurrent use.
 func (m *Metrics) PageCacheEviction() { m.pageCacheEvictions.Add(1) }
 
-// PageRead records one physical index page read from disk (or a mapping).
+// PageRead records one physical index page read from disk.
 // Safe for concurrent use.
 func (m *Metrics) PageRead() { m.pagesRead.Add(1) }
 
