@@ -210,7 +210,28 @@ func TestLoadDeepValidation(t *testing.T) {
 			}
 			panic("first leaf has no ancestor with access doors")
 		}, "matrix layout yields"},
-		"matrix cell count":        {func(g *treeGob) { g.MatrixCells++ }, "matrix layout yields"},
+		"matrix cell count": {func(g *treeGob) { g.MatrixCells++ }, "matrix layout yields"},
+		// Same door counts, so the same layout, but an access door the
+		// node's union matrix has no row for.
+		"access door outside union": {func(g *treeGob) {
+			for i := range g.Nodes {
+				nd := &g.Nodes[i]
+				if nd.Leaf || len(nd.Access) == 0 {
+					continue
+				}
+				in := map[indoor.DoorID]bool{}
+				for _, d := range nd.UDoors {
+					in[d] = true
+				}
+				for d := indoor.DoorID(0); int(d) < g.Doors; d++ {
+					if !in[d] {
+						nd.Access[0] = d
+						return
+					}
+				}
+			}
+			panic("no internal node with access doors")
+		}, "is not in the union matrix"},
 		"ancestor matrix mismatch": {func(g *treeGob) { firstLeaf(g).AncIDs = firstLeaf(g).AncIDs[:0] }, "ancestor id"},
 		"ancestor chain diverges":  {func(g *treeGob) { l := firstLeaf(g); l.AncIDs[0] = l.ID }, "diverges from the parent chain"},
 		"page size":                {func(g *treeGob) { g.PageSize = 12 }, "page size 12"},
