@@ -2,7 +2,9 @@ package d2d
 
 import (
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/indoorspatial/ifls/internal/geom"
 	"github.com/indoorspatial/ifls/internal/indoor"
@@ -18,12 +20,26 @@ var Unreachable = math.Inf(1)
 // sparse row) form: door d's outgoing edges are nbr[off[d]:off[d+1]] with
 // weights wt at the same indexes. The flat layout keeps every Dijkstra
 // relaxation on two contiguous arrays instead of a slice-of-slices pointer
-// chase. It is immutable after New and safe for concurrent use.
+// chase. The CSR arrays are immutable after New. Beside them sits a
+// publish-once table of complete shortest-path trees, one slot per source
+// door, that route queries (PointRoute, Path, DoorToDoor) fill on first
+// use. Both are safe for concurrent use.
 type Graph struct {
 	venue *indoor.Venue
 	off   []int32
 	nbr   []indoor.DoorID
 	wt    []float64
+	// trees[d] is the complete shortest-path tree from door d, published
+	// once by the first route that needs it and never written again.
+	trees []atomic.Pointer[spTree]
+}
+
+// spTree is a complete single-source shortest-path tree: every door's
+// distance from the source and its predecessor on a shortest path (-1 for
+// the source and unreachable doors).
+type spTree struct {
+	dist   []float64
+	parent []indoor.DoorID
 }
 
 // New builds the door graph of v. Edge order within a door's row follows the
@@ -31,7 +47,7 @@ type Graph struct {
 // trees (Path, PointRoute) depend on for deterministic tie-breaks.
 func New(v *indoor.Venue) *Graph {
 	n := v.NumDoors()
-	g := &Graph{venue: v, off: make([]int32, n+1)}
+	g := &Graph{venue: v, off: make([]int32, n+1), trees: make([]atomic.Pointer[spTree], n)}
 	// Pass 1: count edges per door. Every ordered intra-partition door pair
 	// contributes one edge.
 	for pi := range v.Partitions {
@@ -71,66 +87,31 @@ func (g *Graph) Venue() *indoor.Venue { return g.venue }
 
 // FromDoor returns the shortest indoor distance from src to every door.
 func (g *Graph) FromDoor(src indoor.DoorID) []float64 {
-	dist, _ := g.dijkstra([]indoor.DoorID{src}, []float64{0}, false, nil)
+	dist, _ := g.dijkstra([]indoor.DoorID{src}, []float64{0}, false)
 	return dist
 }
 
 // FromDoorWithParents additionally returns, for each door, the predecessor
 // door on a shortest path from src (-1 for src itself and unreachable doors).
 func (g *Graph) FromDoorWithParents(src indoor.DoorID) ([]float64, []indoor.DoorID) {
-	return g.dijkstra([]indoor.DoorID{src}, []float64{0}, true, nil)
+	return g.dijkstra([]indoor.DoorID{src}, []float64{0}, true)
 }
 
 // FromDoors runs a multi-source Dijkstra: source door i starts with
 // distance offsets[i]. This models a point source, whose distance to each
 // door of its own partition is the in-partition offset.
 func (g *Graph) FromDoors(srcs []indoor.DoorID, offsets []float64) []float64 {
-	dist, _ := g.dijkstra(srcs, offsets, false, nil)
+	dist, _ := g.dijkstra(srcs, offsets, false)
 	return dist
 }
 
-// search is the pooled working state of one Dijkstra run: the queue, and
-// a per-door stamp marking the run's unsettled target doors.
-type search struct {
-	q     pq.Bucket[indoor.DoorID]
-	want  []uint32
-	stamp uint32
-}
-
-// searches recycles search state across runs and goroutines, so a run
+// searches recycles Dijkstra queues across runs and goroutines, so a run
 // allocates only the arrays it returns.
-var searches = sync.Pool{New: func() any { return new(search) }}
+var searches = sync.Pool{New: func() any { return new(pq.Bucket[indoor.DoorID]) }}
 
-// markTargets stamps the distinct doors of targets, over a graph of n
-// doors, and returns how many there are.
-func (s *search) markTargets(targets []indoor.DoorID, n int) int {
-	if len(s.want) < n {
-		s.want = make([]uint32, n)
-		s.stamp = 0
-	}
-	s.stamp++
-	if s.stamp == 0 { // wrapped: old stamps could collide
-		clear(s.want)
-		s.stamp = 1
-	}
-	left := 0
-	for _, t := range targets {
-		if s.want[t] != s.stamp {
-			s.want[t] = s.stamp
-			left++
-		}
-	}
-	return left
-}
-
-// dijkstra runs the search from srcs (source i at distance offsets[i]).
-// With targets nil it settles every reachable door. Otherwise it stops
-// once every target door has been popped: a popped door's distance, and
-// its parent chain of earlier-popped doors, are final — later pops are no
-// nearer, and a label only changes on a strictly smaller distance — so
-// every target's distance and chain equal the complete search's. Other
-// doors are left tentative.
-func (g *Graph) dijkstra(srcs []indoor.DoorID, offsets []float64, wantParents bool, targets []indoor.DoorID) ([]float64, []indoor.DoorID) {
+// dijkstra runs the complete search from srcs (source i at distance
+// offsets[i]) and settles every reachable door.
+func (g *Graph) dijkstra(srcs []indoor.DoorID, offsets []float64, wantParents bool) ([]float64, []indoor.DoorID) {
 	n := g.venue.NumDoors()
 	dist := make([]float64, n)
 	for i := range dist {
@@ -143,18 +124,13 @@ func (g *Graph) dijkstra(srcs []indoor.DoorID, offsets []float64, wantParents bo
 			parent[i] = -1
 		}
 	}
-	s := searches.Get().(*search)
-	defer func() {
-		s.q.Reset()
-		searches.Put(s)
-	}()
-	left := -1 // no targets: run to completion
-	if targets != nil {
-		left = s.markTargets(targets, n)
-	}
 	// Dijkstra pops in nondecreasing distance order, so the monotone bucket
 	// queue applies; its fallback heap never engages here.
-	q := &s.q
+	q := searches.Get().(*pq.Bucket[indoor.DoorID])
+	defer func() {
+		q.Reset()
+		searches.Put(q)
+	}()
 	for i, src := range srcs {
 		if offsets[i] < dist[src] {
 			dist[src] = offsets[i]
@@ -165,12 +141,6 @@ func (g *Graph) dijkstra(srcs []indoor.DoorID, offsets []float64, wantParents bo
 		d, dd := q.Pop()
 		if dd > dist[d] {
 			continue // stale entry
-		}
-		if left > 0 && s.want[d] == s.stamp {
-			s.want[d] = 0
-			if left--; left == 0 {
-				break
-			}
 		}
 		for c := g.off[d]; c < g.off[d+1]; c++ {
 			to := g.nbr[c]
@@ -187,13 +157,39 @@ func (g *Graph) dijkstra(srcs []indoor.DoorID, offsets []float64, wantParents bo
 	return dist, parent
 }
 
+// tree returns the complete shortest-path tree from src. The first call
+// for a source runs the search and publishes it; every later call, from
+// any goroutine, reads the published tree. Goroutines racing on a first
+// use each search, and all of them return the one tree that won.
+func (g *Graph) tree(src indoor.DoorID) *spTree {
+	slot := &g.trees[src]
+	if t := slot.Load(); t != nil {
+		return t
+	}
+	dist, parent := g.dijkstra([]indoor.DoorID{src}, []float64{0}, true)
+	if t := (&spTree{dist: dist, parent: parent}); slot.CompareAndSwap(nil, t) {
+		return t
+	}
+	return slot.Load()
+}
+
+// path returns the door sequence of t's shortest path from its source to
+// d, source first.
+func (t *spTree) path(d indoor.DoorID) []indoor.DoorID {
+	var rev []indoor.DoorID
+	for ; d != -1; d = t.parent[d] {
+		rev = append(rev, d)
+	}
+	slices.Reverse(rev)
+	return rev
+}
+
 // DoorToDoor returns the shortest indoor distance between two doors.
 func (g *Graph) DoorToDoor(a, b indoor.DoorID) float64 {
 	if a == b {
 		return 0
 	}
-	dist, _ := g.dijkstra([]indoor.DoorID{a}, []float64{0}, false, []indoor.DoorID{b})
-	return dist[b]
+	return g.tree(a).dist[b]
 }
 
 // Path returns the door sequence of a shortest path from a to b, inclusive
@@ -202,25 +198,18 @@ func (g *Graph) Path(a, b indoor.DoorID) []indoor.DoorID {
 	if a == b {
 		return []indoor.DoorID{a}
 	}
-	dist, parent := g.dijkstra([]indoor.DoorID{a}, []float64{0}, true, []indoor.DoorID{b})
-	if math.IsInf(dist[b], 1) {
+	t := g.tree(a)
+	if math.IsInf(t.dist[b], 1) {
 		return nil
 	}
-	var rev []indoor.DoorID
-	for d := b; d != -1; d = parent[d] {
-		rev = append(rev, d)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return t.path(b)
 }
 
 // PointRoute returns a shortest indoor route from point p in partition pp
 // to point q in partition qp: the door sequence crossed (empty when both
-// points share a partition) and the total distance. Each source door's
-// search stops once every door of qp is settled, which leaves their
-// distances and parent chains exactly those of a complete search.
+// points share a partition) and the total distance. It scores every
+// (source door, target door) pair on the source doors' shortest-path
+// trees, and the first strict improvement wins.
 func (g *Graph) PointRoute(p geom.Point, pp indoor.PartitionID, q geom.Point, qp indoor.PartitionID) ([]indoor.DoorID, float64) {
 	v := g.venue
 	if pp == qp {
@@ -228,26 +217,15 @@ func (g *Graph) PointRoute(p geom.Point, pp indoor.PartitionID, q geom.Point, qp
 	}
 	bestDist := Unreachable
 	var bestPath []indoor.DoorID
-	targets := v.Partition(qp).Doors
 	for _, sd := range v.Partition(pp).Doors {
 		off := v.PointDoorDist(pp, p, sd)
-		dist, parent := g.dijkstra([]indoor.DoorID{sd}, []float64{0}, true, targets)
-		for _, td := range targets {
-			total := off + dist[td] + v.PointDoorDist(qp, q, td)
+		t := g.tree(sd)
+		for _, td := range v.Partition(qp).Doors {
+			total := off + t.dist[td] + v.PointDoorDist(qp, q, td)
 			if total >= bestDist {
-				continue
+				continue // also skips doors unreachable from sd: total is +Inf
 			}
-			var rev []indoor.DoorID
-			for d := td; d != -1; d = parent[d] {
-				rev = append(rev, d)
-			}
-			if len(rev) == 0 || rev[len(rev)-1] != sd {
-				continue // unreachable through this source door
-			}
-			for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-				rev[i], rev[j] = rev[j], rev[i]
-			}
-			bestDist, bestPath = total, rev
+			bestDist, bestPath = total, t.path(td)
 		}
 	}
 	return bestPath, bestDist
