@@ -450,7 +450,9 @@ func (ix *Index) NearestFacility(p Point, facilities []PartitionID) (nearest Par
 
 // Route returns a shortest indoor route between two points: the sequence of
 // waypoints (start, the doors crossed, end) and the total indoor distance.
-// It returns an error when either point lies outside the venue.
+// It returns an error when either point lies outside the venue. The first
+// route from a door keeps that door's shortest-path tree for the life of
+// the index, 12 bytes per venue door (SERVING.md, "Route memory").
 func (ix *Index) Route(p, q Point) ([]Point, float64, error) {
 	pp := ix.locator.PartitionAt(p)
 	qp := ix.locator.PartitionAt(q)

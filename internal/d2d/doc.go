@@ -12,9 +12,15 @@
 // construction time — parallel Build in internal/vip runs many concurrent
 // FromDoor Dijkstras against one shared Graph.
 //
-// Concurrency: a *Graph is immutable after New and safe for unlimited
-// concurrent use. Every call allocates the distance arrays it returns and
-// takes its priority queue from a sync.Pool, resetting it before putting
-// it back, so any mix of FromDoor / Path / PointToPoint calls may run in
-// parallel.
+// A Graph is an immutable CSR adjacency plus a publish-once table of
+// complete shortest-path trees, one slot per source door. Route queries
+// (PointRoute, Path, DoorToDoor) fill a slot the first time they leave
+// from its door and read it ever after; nothing else touches the table,
+// so index construction and the point oracles leave it empty.
+//
+// Concurrency: a *Graph is safe for unlimited concurrent use. A tree is
+// published with a compare-and-swap and never written again. Every other
+// call allocates the distance arrays it returns and takes its priority
+// queue from a sync.Pool, resetting it before putting it back, so any mix
+// of FromDoor / Path / PointToPoint calls may run in parallel.
 package d2d
