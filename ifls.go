@@ -378,11 +378,13 @@ func (ix *Index) Query(ctx context.Context, q *Query, o QueryOptions) (Answer, e
 
 // QueryAt answers a MinMax query at time of day at: doors tt keeps closed
 // at that time cannot be traversed. The computation runs exactly on the
-// masked door graph (the index assumes static topology), so it costs one
-// Dijkstra per client partition rather than the indexed solver's shared
-// search. Validation and panic containment are as in Query; the masked
-// search has no checkpoints, so ctx is checked once, before it starts.
-// QueryAt queries are not recorded by WithMetrics.
+// masked door graph (the index assumes static topology) with the
+// brute-force MinMax oracle, so it costs one Dijkstra per door of each
+// distinct client partition rather than the indexed solver's shared
+// search; ties resolve to the lowest candidate ID, as in Query. Validation
+// and panic containment are as in Query; the masked search has no
+// checkpoints, so ctx is checked once, before it starts. QueryAt queries
+// are not recorded by WithMetrics.
 func (ix *Index) QueryAt(ctx context.Context, tt *Timetable, at time.Duration, q *Query) (Result, error) {
 	if err := q.Validate(ix.venue); err != nil {
 		return Result{}, err
@@ -391,7 +393,7 @@ func (ix *Index) QueryAt(ctx context.Context, tt *Timetable, at time.Duration, q
 		return Result{}, faults.Cancelled(ctx.Err())
 	}
 	var r Result
-	if err := guard(func() { r = temporal.SolveAt(ix.tree.Graph(), tt, q, at).Result }); err != nil {
+	if err := guard(func() { r = core.SolveBrute(ix.tree.Graph().Masked(tt.Mask(at)), q).Result }); err != nil {
 		return Result{}, err
 	}
 	return r, nil
@@ -555,9 +557,7 @@ func (ix *Index) DistanceAt(tt *Timetable, at time.Duration, p, q Point) (float6
 	if pp == NoPartition || qp == NoPartition {
 		return 0, fmt.Errorf("ifls: point outside venue")
 	}
-	a := Client{Loc: p, Part: pp}
-	b := Client{Loc: q, Part: qp}
-	return temporal.DistAt(ix.tree.Graph(), tt, at, a, b), nil
+	return ix.tree.Graph().Masked(tt.Mask(at)).PointToPoint(p, pp, q, qp), nil
 }
 
 // SimulationConfig parameterizes NewSimulation.

@@ -3,11 +3,13 @@
 // 2023): doors carry opening schedules, and distance computations at a time
 // instant ignore closed doors.
 //
-// The VIP-tree's distance matrices assume a static topology, so temporal
-// queries evaluate on a masked door-to-door graph: exact, with Dijkstra
-// cost per source partition. Workloads that issue many queries against the
-// same snapshot can instead materialize the snapshot as a venue (when it
-// stays connected) and index it normally.
+// The package holds schedules, masks and snapshots only; it computes no
+// distances. The VIP-tree's distance matrices assume a static topology,
+// so a timed query passes Mask to d2d.Graph.Masked and evaluates on the
+// masked door-to-door graph: exact, with Dijkstra cost per source door.
+// Workloads that issue many queries against the same snapshot can instead
+// materialize the snapshot as a venue (when it stays connected) and index
+// it normally.
 //
 // # Snapshot door identity
 //
@@ -31,14 +33,10 @@ package temporal
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
-	"github.com/indoorspatial/ifls/internal/core"
-	"github.com/indoorspatial/ifls/internal/d2d"
 	"github.com/indoorspatial/ifls/internal/indoor"
-	"github.com/indoorspatial/ifls/internal/pq"
 )
 
 // Interval is a half-open daily opening window [Open, Close). An interval
@@ -199,7 +197,8 @@ func (m DoorMap) Apply(d indoor.DoorID) indoor.DoorID {
 //
 // Snapshot fails when removing the closed doors disconnects the venue (the
 // indoor model requires connectivity); callers fall back to masked-graph
-// queries, which tolerate unreachable regions by reporting +Inf.
+// queries (d2d.Graph.Masked), which tolerate unreachable regions by
+// reporting +Inf.
 func (tt *Timetable) Snapshot(t time.Duration) (*indoor.Venue, DoorMap, error) {
 	v := tt.venue
 	open := tt.Mask(t)
@@ -232,150 +231,4 @@ func (tt *Timetable) Snapshot(t time.Duration) (*indoor.Venue, DoorMap, error) {
 		return nil, nil, err
 	}
 	return snap, doorMap, nil
-}
-
-// DistAt returns the exact indoor distance between two located points at
-// time-of-day t, traversing only open doors. Unreachable pairs report +Inf.
-func DistAt(g *d2d.Graph, tt *Timetable, t time.Duration,
-	p core.Client, q core.Client) float64 {
-	open := tt.Mask(t)
-	return maskedPointToPoint(g, open, p, q)
-}
-
-func maskedPointToPoint(g *d2d.Graph, open []bool, p, q core.Client) float64 {
-	v := g.Venue()
-	if p.Part == q.Part {
-		return v.IntraPointDist(p.Part, p.Loc, q.Loc)
-	}
-	dist := maskedFromPoint(g, open, p)
-	best := math.Inf(1)
-	for _, d := range v.Partition(q.Part).Doors {
-		if !open[d] {
-			continue
-		}
-		if t := dist[d] + v.PointDoorDist(q.Part, q.Loc, d); t < best {
-			best = t
-		}
-	}
-	return best
-}
-
-// maskedFromPoint runs Dijkstra from a located point over open doors only.
-func maskedFromPoint(g *d2d.Graph, open []bool, c core.Client) []float64 {
-	v := g.Venue()
-	n := v.NumDoors()
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	var q pq.Bucket[indoor.DoorID]
-	for _, d := range v.Partition(c.Part).Doors {
-		if !open[d] {
-			continue
-		}
-		off := v.PointDoorDist(c.Part, c.Loc, d)
-		if off < dist[d] {
-			dist[d] = off
-			q.Push(d, off)
-		}
-	}
-	for !q.Empty() {
-		d, dd := q.Pop()
-		if dd > dist[d] {
-			continue
-		}
-		door := v.Door(d)
-		for _, pid := range []indoor.PartitionID{door.A, door.B} {
-			if pid == indoor.NoPartition {
-				continue
-			}
-			for _, nd := range v.Partition(pid).Doors {
-				if nd == d || !open[nd] {
-					continue
-				}
-				alt := dd + v.IntraDoorDist(pid, d, nd)
-				if alt < dist[nd] {
-					dist[nd] = alt
-					q.Push(nd, alt)
-				}
-			}
-		}
-	}
-	return dist
-}
-
-// SolveAt answers a MinMax IFLS query at time-of-day t on the masked graph:
-// exact brute-force evaluation over open doors. Clients that cannot reach
-// any facility contribute +Inf, so a query in a venue whose relevant region
-// is closed reports Found=false with an infinite status quo preserved.
-func SolveAt(g *d2d.Graph, tt *Timetable, q *core.Query, t time.Duration) core.BruteResult {
-	v := g.Venue()
-	open := tt.Mask(t)
-	m := len(q.Clients)
-	res := core.BruteResult{Result: core.Result{Found: false, Answer: indoor.NoPartition, Objective: math.NaN()}}
-	res.Objectives = make([]float64, len(q.Candidates))
-	if m == 0 {
-		return res
-	}
-	facs := make([]indoor.PartitionID, 0, len(q.Existing)+len(q.Candidates))
-	facs = append(facs, q.Existing...)
-	facs = append(facs, q.Candidates...)
-	distTo := make([][]float64, m)
-	for ci, c := range q.Clients {
-		dist := maskedFromPoint(g, open, c)
-		row := make([]float64, len(facs))
-		for k, f := range facs {
-			if f == c.Part {
-				row[k] = 0
-				continue
-			}
-			best := math.Inf(1)
-			for _, fd := range v.Partition(f).Doors {
-				if !open[fd] {
-					continue
-				}
-				if t := dist[fd]; t < best {
-					best = t
-				}
-			}
-			row[k] = best
-		}
-		distTo[ci] = row
-	}
-	statusQuo := 0.0
-	nn := make([]float64, m)
-	for ci := range q.Clients {
-		best := math.Inf(1)
-		for k := range q.Existing {
-			if distTo[ci][k] < best {
-				best = distTo[ci][k]
-			}
-		}
-		nn[ci] = best
-		if best > statusQuo {
-			statusQuo = best
-		}
-	}
-	res.StatusQuo = statusQuo
-	bestObj, bestIdx := math.Inf(1), -1
-	for j := range q.Candidates {
-		k := len(q.Existing) + j
-		obj := 0.0
-		for ci := range q.Clients {
-			d := math.Min(nn[ci], distTo[ci][k])
-			if d > obj {
-				obj = d
-			}
-		}
-		res.Objectives[j] = obj
-		if obj < bestObj {
-			bestObj, bestIdx = obj, j
-		}
-	}
-	if bestIdx >= 0 && bestObj < statusQuo {
-		res.Found = true
-		res.Answer = q.Candidates[bestIdx]
-		res.Objective = bestObj
-	}
-	return res
 }

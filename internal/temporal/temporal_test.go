@@ -1,20 +1,14 @@
 package temporal
 
 import (
-	"math"
 	"testing"
 	"time"
 
-	"github.com/indoorspatial/ifls/internal/core"
-	"github.com/indoorspatial/ifls/internal/d2d"
-	"github.com/indoorspatial/ifls/internal/geom"
 	"github.com/indoorspatial/ifls/internal/indoor"
 	"github.com/indoorspatial/ifls/internal/testvenue"
 )
 
 func h(n float64) time.Duration { return time.Duration(n * float64(time.Hour)) }
-
-func almostEq(a, b float64) bool { return a == b || math.Abs(a-b) < 1e-9 }
 
 func TestScheduleOpenAt(t *testing.T) {
 	s := Daily(h(9), h(17))
@@ -114,64 +108,6 @@ func TestTimetableMaskAndSetDoor(t *testing.T) {
 	night := tt.Mask(h(3))
 	if !night[0] || night[1] || !night[2] {
 		t.Errorf("night mask = %v, want door 1 closed", night)
-	}
-}
-
-func clientIn(v *indoor.Venue, p indoor.PartitionID, id int32) core.Client {
-	return core.Client{ID: id, Loc: v.Partition(p).Rect.Center(), Part: p}
-}
-
-func TestDistAtMatchesStaticWhenOpen(t *testing.T) {
-	v := testvenue.Grid(testvenue.GridParams{Cols: 4, Levels: 2, InterRoomDoors: true})
-	g := d2d.New(v)
-	tt := NewTimetable(v)
-	rooms := v.Rooms()
-	a, b := clientIn(v, rooms[0], 0), clientIn(v, rooms[len(rooms)-1], 1)
-	got := DistAt(g, tt, h(12), a, b)
-	want := g.PointToPoint(a.Loc, a.Part, b.Loc, b.Part)
-	if !almostEq(got, want) {
-		t.Fatalf("all-open DistAt = %v, static %v", got, want)
-	}
-}
-
-func TestDistAtDetour(t *testing.T) {
-	// MultiDoorRooms: R0 and R1 connect via an inner door and via the
-	// corridor. Closing the inner door forces the corridor detour.
-	v := testvenue.MultiDoorRooms()
-	g := d2d.New(v)
-	tt := NewTimetable(v)
-	if err := tt.SetDoor(2, Daily(h(9), h(17))); err != nil { // inner door
-		t.Fatal(err)
-	}
-	a := core.Client{ID: 0, Loc: geom.Pt(9, 10, 0), Part: 1}
-	b := core.Client{ID: 1, Loc: geom.Pt(11, 10, 0), Part: 2}
-	day := DistAt(g, tt, h(12), a, b)
-	if !almostEq(day, 2) {
-		t.Fatalf("daytime distance = %v, want 2 (inner door)", day)
-	}
-	night := DistAt(g, tt, h(3), a, b)
-	if night <= day {
-		t.Fatalf("night distance %v must exceed daytime %v", night, day)
-	}
-	// Exact: (9,10)->d0(2,5)... check against masked oracle by symmetry:
-	// route through corridor doors d0 (2,5) and d1 (18,5).
-	want := a.Loc.Dist(geom.Pt(2, 5, 0)) + geom.Pt(2, 5, 0).Dist(geom.Pt(18, 5, 0)) + geom.Pt(18, 5, 0).Dist(b.Loc)
-	if !almostEq(night, want) {
-		t.Fatalf("night distance = %v, want %v", night, want)
-	}
-}
-
-func TestDistAtUnreachable(t *testing.T) {
-	v := testvenue.Corridor3()
-	g := d2d.New(v)
-	tt := NewTimetable(v)
-	// Close R2's only door.
-	if err := tt.SetDoor(2, Daily(h(9), h(17))); err != nil {
-		t.Fatal(err)
-	}
-	a, b := clientIn(v, 1, 0), clientIn(v, 3, 1)
-	if d := DistAt(g, tt, h(3), a, b); !math.IsInf(d, 1) {
-		t.Fatalf("distance to sealed room = %v, want +Inf", d)
 	}
 }
 
@@ -293,60 +229,5 @@ func TestSnapshotDoorMapRoundTrip(t *testing.T) {
 					probe, old, nd, snapMask[nd], origMask[old])
 			}
 		}
-	}
-}
-
-func TestSolveAtMatchesBruteWhenAllOpen(t *testing.T) {
-	v := testvenue.Grid(testvenue.GridParams{Cols: 5, Levels: 1, InterRoomDoors: true})
-	g := d2d.New(v)
-	tt := NewTimetable(v)
-	rooms := v.Rooms()
-	q := &core.Query{
-		Existing:   rooms[:2],
-		Candidates: rooms[2:6],
-		Clients:    []core.Client{clientIn(v, rooms[6], 0), clientIn(v, rooms[8], 1)},
-	}
-	got := SolveAt(g, tt, q, h(12))
-	want := core.SolveBrute(g, q)
-	if got.Found != want.Found || got.Answer != want.Answer || !almostEq(got.Objective, want.Objective) {
-		t.Fatalf("all-open SolveAt %+v != SolveBrute %+v", got.Result, want.Result)
-	}
-}
-
-func TestSolveAtShiftsAnswerWhenDoorsClose(t *testing.T) {
-	// Corridor3: existing facility R0; candidates R1 and R2; client in R2.
-	// With everything open, R2 itself is the best spot (distance 0).
-	// At night R2's door closes: R2 becomes unreachable as a candidate
-	// (infinite distance for everyone outside), so R1 wins.
-	v := testvenue.Corridor3()
-	g := d2d.New(v)
-	tt := NewTimetable(v)
-	if err := tt.SetDoor(2, Daily(h(9), h(17))); err != nil {
-		t.Fatal(err)
-	}
-	q := &core.Query{
-		Existing:   []indoor.PartitionID{1},
-		Candidates: []indoor.PartitionID{2, 3},
-		Clients:    []core.Client{clientIn(v, 2, 0)}, // client in R1
-	}
-	day := SolveAt(g, tt, q, h(12))
-	night := SolveAt(g, tt, q, h(3))
-	if !day.Found || day.Answer != 2 {
-		t.Fatalf("daytime answer %+v, want R1 (partition 2)", day.Result)
-	}
-	if !night.Found || night.Answer != 2 {
-		t.Fatalf("night answer %+v, want R1 still", night.Result)
-	}
-	// A client inside R2 at night cannot be improved (sealed in, existing
-	// unreachable, candidates unreachable): status quo infinite but every
-	// candidate also infinite for it.
-	q2 := &core.Query{
-		Existing:   []indoor.PartitionID{1},
-		Candidates: []indoor.PartitionID{2},
-		Clients:    []core.Client{clientIn(v, 3, 0)}, // inside R2
-	}
-	res := SolveAt(g, tt, q2, h(3))
-	if res.Found {
-		t.Fatalf("sealed client should not be improvable: %+v", res.Result)
 	}
 }
