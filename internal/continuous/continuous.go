@@ -44,6 +44,7 @@ package continuous
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/indoorspatial/ifls/internal/core"
@@ -98,7 +99,8 @@ type Event struct {
 
 // Config parameterizes New.
 type Config struct {
-	// Tree is the VIP-tree over the base venue (all doors open). Required.
+	// Tree is the VIP-tree over the base venue (all doors open). Era trees
+	// after a transition are built with its options. Required.
 	Tree *vip.Tree
 	// Sim is the client population. The engine owns stepping it: callers
 	// must not call Sim.Step while the engine is live. Required.
@@ -110,9 +112,6 @@ type Config struct {
 	Timetable *temporal.Timetable
 	// ClockStart is the simulated time-of-day at tick zero.
 	ClockStart time.Duration
-	// TreeOptions builds era trees after a transition; zero-valued fields
-	// fall back to vip.DefaultOptions.
-	TreeOptions vip.Options
 	// Metrics, when non-nil, receives the engine's counters.
 	Metrics *obs.Metrics
 }
@@ -210,7 +209,7 @@ type era struct {
 	venue    *indoor.Venue
 	tree     *vip.Tree
 	baseDoor []indoor.DoorID      // era door → base door, built once per era
-	mask     []bool               // base-venue per-door open flags
+	mask     []bool               // base-venue per-door open flags; nil without a timetable
 	facs     []indoor.PartitionID // existing facilities first, then candidates
 	ne       int                  // number of existing facilities in facs
 
@@ -295,7 +294,6 @@ type Engine struct {
 	baseTree   *vip.Tree
 	existing   []indoor.PartitionID
 	candidates []indoor.PartitionID
-	treeOpts   vip.Options
 	m          *obs.Metrics
 
 	era   *era
@@ -337,10 +335,6 @@ func New(cfg Config) (*Engine, error) {
 	if len(cfg.Candidates) == 0 {
 		return nil, fmt.Errorf("continuous: no candidate locations")
 	}
-	opts := cfg.TreeOptions
-	if opts.LeafFanout == 0 && opts.NodeFanout == 0 {
-		opts = vip.DefaultOptions()
-	}
 	e := &Engine{
 		sim:        cfg.Sim,
 		tt:         cfg.Timetable,
@@ -348,7 +342,6 @@ func New(cfg Config) (*Engine, error) {
 		baseTree:   cfg.Tree,
 		existing:   append([]indoor.PartitionID(nil), cfg.Existing...),
 		candidates: append([]indoor.PartitionID(nil), cfg.Candidates...),
-		treeOpts:   opts,
 		m:          cfg.Metrics,
 		clock:      cfg.ClockStart,
 		subs:       make(map[int]func(Event)),
@@ -382,7 +375,8 @@ func (e *Engine) facs() []indoor.PartitionID {
 
 // buildEra materializes the topology era for time-of-day t. With no
 // timetable, or when every door is open, the base venue and tree are
-// reused; otherwise the timetable snapshot is indexed with a fresh tree.
+// reused; otherwise the timetable snapshot is indexed with a fresh tree
+// built with the base tree's options.
 func (e *Engine) buildEra(t time.Duration) (*era, error) {
 	er := &era{
 		facs:      e.facs(),
@@ -390,15 +384,10 @@ func (e *Engine) buildEra(t time.Duration) (*era, error) {
 		explorers: make(map[indoor.PartitionID]*vip.Explorer),
 		sigs:      make(map[indoor.PartitionID]*partSig),
 	}
-	if e.tt == nil {
-		er.venue, er.tree = e.baseVenue, e.baseTree
-		er.baseDoor = identityDoors(e.baseVenue.NumDoors())
-		er.mask = allOpen(e.baseVenue.NumDoors())
-		return er, nil
+	if e.tt != nil {
+		er.mask = e.tt.Mask(t)
 	}
-	mask := e.tt.Mask(t)
-	er.mask = mask
-	if allTrue(mask) {
+	if !slices.Contains(er.mask, false) {
 		er.venue, er.tree = e.baseVenue, e.baseTree
 		er.baseDoor = identityDoors(e.baseVenue.NumDoors())
 		return er, nil
@@ -407,7 +396,7 @@ func (e *Engine) buildEra(t time.Duration) (*era, error) {
 	if err != nil {
 		return nil, fmt.Errorf("continuous: materializing era at %v: %w", t, err)
 	}
-	tree, err := vip.Build(venue, e.treeOpts)
+	tree, err := vip.Build(venue, e.baseTree.Options())
 	if err != nil {
 		return nil, fmt.Errorf("continuous: indexing era at %v: %w", t, err)
 	}
@@ -422,35 +411,6 @@ func identityDoors(n int) []indoor.DoorID {
 		m[i] = indoor.DoorID(i)
 	}
 	return m
-}
-
-func allOpen(n int) []bool {
-	m := make([]bool, n)
-	for i := range m {
-		m[i] = true
-	}
-	return m
-}
-
-func allTrue(m []bool) bool {
-	for _, b := range m {
-		if !b {
-			return false
-		}
-	}
-	return true
-}
-
-func maskEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // resolve recomputes one client's distance row against the current era,
@@ -609,7 +569,7 @@ func (e *Engine) Tick(dt time.Duration) (core.Result, error) {
 	invalidated := 0
 	if e.tt != nil {
 		mask := e.tt.Mask(e.clock)
-		if !maskEqual(mask, e.era.mask) {
+		if !slices.Equal(mask, e.era.mask) {
 			n, err := e.transition()
 			if err != nil {
 				return core.Result{}, err

@@ -208,6 +208,11 @@ func MustBuild(v *indoor.Venue, opts Options) *Tree {
 // returned venue is immutable.
 func (t *Tree) Venue() *indoor.Venue { return t.venue }
 
+// Options returns the options the tree was built with, defaults filled
+// in. A tree opened from an index file reports the file's options with
+// Workers zero.
+func (t *Tree) Options() Options { return t.opts }
+
 // Graph returns the underlying door-to-door graph (exact oracle, path
 // reconstruction). Trees loaded with Load rebuild it on first use;
 // the rebuild is synchronized, so Graph stays safe for concurrent readers.
