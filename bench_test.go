@@ -10,6 +10,9 @@
 //	Figure 7b/8b (|Fe|, synthetic)               -> BenchmarkFig7b*
 //	Figure 7c/8c (|Fn|, synthetic)               -> BenchmarkFig7c*
 //
+// BenchmarkQueryAt times the timed (door-schedule) answer path, which has
+// no counterpart in the paper.
+//
 // Each benchmark reports ns/op (the paper's query processing time) and
 // B/op (the paper's memory cost).
 package ifls_test
@@ -20,6 +23,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	ifls "github.com/indoorspatial/ifls"
 )
@@ -301,4 +305,24 @@ func BenchmarkAblationIPTree(b *testing.B) {
 			ipIx.Query(context.Background(), q, ifls.QueryOptions{})
 		}
 	})
+}
+
+// BenchmarkQueryAt times one timed MinMax query with every door open: a
+// 1000-client uniform query with 20 existing and 50 candidate facilities,
+// answered on the masked door graph by the brute-force oracle.
+func BenchmarkQueryAt(b *testing.B) {
+	for _, name := range []string{"MC", "CH"} {
+		b.Run(name, func(b *testing.B) {
+			v, ix := benchIndex(b, name)
+			q := syntheticQuery(v, 20, 50, benchClients, ifls.Uniform, 0, 1)
+			tt := ix.NewTimetable()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ix.QueryAt(context.Background(), tt, 12*time.Hour, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

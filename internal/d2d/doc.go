@@ -18,6 +18,17 @@
 // from its door and read it ever after; nothing else touches the table,
 // so index construction and the point oracles leave it empty.
 //
+// Masked graphs answer time-of-day queries, where doors close on a
+// schedule. Graph.Masked filters a graph's CSR by an open-door mask,
+// keeping edge order and dropping every edge that touches a closed door,
+// and a search never starts from a closed door. Every method then runs
+// unchanged on the masked graph: a distance to, from or through a closed
+// door is Unreachable, and every other distance is bit-identical to New
+// over the venue with the closed doors removed. The masked graph has its
+// own route-tree table, so a timed query never publishes into the static
+// graph's. Its one Dijkstra is the static graph's: dijkstra is the
+// repository's only door-graph search.
+//
 // Concurrency: a *Graph is safe for unlimited concurrent use. A tree is
 // published with a compare-and-swap and never written again. Every other
 // call allocates the distance arrays it returns and takes its priority

@@ -1,8 +1,7 @@
 // Package pq implements the priority queue behind every best-first search in
-// this repository: Dijkstra over the door graph, the VIP-tree top-down
-// nearest-neighbor and range searches, the masked Dijkstra of the temporal
-// oracle, and the bottom-up traversal and stepping loops of the IFLS
-// solvers. Bucket is its one queue type; entries live in flat slices of
+// this repository: Dijkstra over the door graph (masked graphs included),
+// the VIP-tree top-down nearest-neighbor and range searches, and the
+// bottom-up traversal and stepping loops of the IFLS solvers. Bucket is its one queue type; entries live in flat slices of
 // concrete type, so a push allocates nothing once capacity is warm.
 package pq
 
