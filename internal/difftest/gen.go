@@ -17,7 +17,7 @@ import (
 //   - with probability 1/2 each side's room widths form a palindrome, making
 //     the level symmetric about the corridor center;
 //   - with probability 1/2 every level reuses one layout, stacking rooms with
-//     identical footprints on top of each other (the locate stress case);
+//     identical footprints on top of each other (the point-location stress case);
 //   - degenerate slivers (rooms 0.5 m wide) appear with probability ~1/3;
 //   - adjacent rooms share walls and sometimes a direct shared-wall door;
 //   - consecutive levels are joined by an east stair and, with probability

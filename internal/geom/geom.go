@@ -76,7 +76,7 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 // Area returns the rectangle's area.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Perimeter returns the rectangle's perimeter (the R*-tree margin metric).
+// Perimeter returns the rectangle's perimeter.
 func (r Rect) Perimeter() float64 { return 2 * (r.Width() + r.Height()) }
 
 // Center returns the rectangle's center point.

@@ -170,10 +170,12 @@ func (v *Venue) IntraPointDist(pid PartitionID, a, b geom.Point) float64 {
 	return a.Dist(b)
 }
 
-// PartitionAt returns the partition containing pt, or NoPartition. When
-// boundaries overlap (a door sits on two partitions' shared wall), the
-// lowest-ID partition wins. This is a linear scan; use index.Locator (built
-// on the R*-tree) for repeated point location.
+// PartitionAt returns the partition containing pt, boundary inclusive, on
+// pt's level, or NoPartition. When boundaries overlap (a door sits on two
+// partitions' shared wall), the lowest-ID partition wins. It is a linear
+// scan, the repository's only point locator: IFLS clients arrive with their
+// partition, so point location serves only the public point API and the
+// workload generator.
 func (v *Venue) PartitionAt(pt geom.Point) PartitionID {
 	for i := range v.Partitions {
 		if v.Partitions[i].Rect.Contains(pt) {
