@@ -10,8 +10,9 @@
 //	Figure 7b/8b (|Fe|, synthetic)               -> BenchmarkFig7b*
 //	Figure 7c/8c (|Fn|, synthetic)               -> BenchmarkFig7c*
 //
-// BenchmarkQueryAt times the timed (door-schedule) answer path, which has
-// no counterpart in the paper.
+// BenchmarkQueryAt times the timed (door-schedule) answer path, and
+// BenchmarkLocate and BenchmarkOpenIndexFile the point locator and a paged
+// index's open; none has a counterpart in the paper.
 //
 // Each benchmark reports ns/op (the paper's query processing time) and
 // B/op (the paper's memory cost).
@@ -21,6 +22,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -325,4 +328,56 @@ func BenchmarkQueryAt(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLocate times Index.Locate on points drawn uniformly from each
+// venue's bounding box, on a uniformly drawn level; some miss every
+// partition, as a stray coordinate would.
+func BenchmarkLocate(b *testing.B) {
+	for _, name := range []string{"MC", "CH", "CPH", "MZB"} {
+		b.Run(name, func(b *testing.B) {
+			v, ix := benchIndex(b, name)
+			rng := rand.New(rand.NewSource(1))
+			bb := v.BoundingBox()
+			pts := make([]ifls.Point, 1024)
+			for i := range pts {
+				pts[i] = ifls.Pt(bb.Min.X+rng.Float64()*bb.Width(), bb.Min.Y+rng.Float64()*bb.Height(), rng.Intn(v.Levels))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix.Locate(pts[i%len(pts)])
+			}
+		})
+	}
+}
+
+// BenchmarkOpenIndexFile times opening and closing a paged index file,
+// the index-side cost of a restart before the first query faults pages in.
+func BenchmarkOpenIndexFile(b *testing.B) {
+	b.Run("MC", func(b *testing.B) {
+		v, ix := benchIndex(b, "MC")
+		path := filepath.Join(b.TempDir(), "mc.vip")
+		f, err := os.Create(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ix.SavePaged(f, ifls.PagedSaveOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			px, err := ifls.OpenIndexFile(path, v, ifls.PagedIndexOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := px.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
