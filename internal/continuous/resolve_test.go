@@ -6,20 +6,24 @@ import (
 	"testing"
 
 	"github.com/indoorspatial/ifls/internal/core"
+	"github.com/indoorspatial/ifls/internal/geom"
 	"github.com/indoorspatial/ifls/internal/indoor"
 	"github.com/indoorspatial/ifls/internal/testvenue"
 	"github.com/indoorspatial/ifls/internal/vip"
 )
 
-// seededSig returns a signature for partition p over facs (existing first)
-// with random door distances. Ties are common (values are quantized),
+// seededSig returns a signature for partition p of v over facs (existing
+// first) with p's real door locations and stair length, and random door
+// distances. Ties are common (values are quantized),
 // roughly one cell in six is +Inf, some doors reach nothing (a whole +Inf
 // row), and a facility in p itself gets the zero column signature writes
 // for it — or, half the time, random values, which resolve must override.
-func seededSig(rng *rand.Rand, ndoors int, facs []indoor.PartitionID, p indoor.PartitionID, ne int) *partSig {
-	doors := make([]indoor.DoorID, ndoors)
-	for j := range doors {
-		doors[j] = indoor.DoorID(j)
+func seededSig(rng *rand.Rand, v *indoor.Venue, facs []indoor.PartitionID, p indoor.PartitionID, ne int) *partSig {
+	doors := v.Partition(p).Doors
+	ndoors := len(doors)
+	locs := make([]geom.Point, ndoors)
+	for j, d := range doors {
+		locs[j] = v.Door(d).Loc
 	}
 	zeroOwn := rng.Intn(2) == 0
 	dist := make([]float64, 0, ndoors*len(facs))
@@ -36,7 +40,7 @@ func seededSig(rng *rand.Rand, ndoors int, facs []indoor.PartitionID, p indoor.P
 			}
 		}
 	}
-	return newPartSig(doors, dist, ne)
+	return newPartSig(doors, locs, v.Partition(p).StairLength, dist, ne)
 }
 
 // naiveRow is the specification resolve must meet: every facility's
@@ -89,7 +93,6 @@ func TestResolveMatchesNaive(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 300; trial++ {
 		part := indoor.PartitionID(rng.Intn(n))
-		ndoors := len(v.Partition(part).Doors)
 		existing := pick(rng.Intn(4)) // sometimes none: nn stays +Inf
 		candidates := pick(1 + rng.Intn(8))
 		// Put the client's own partition among the facilities often.
@@ -101,17 +104,16 @@ func TestResolveMatchesNaive(t *testing.T) {
 		}
 		e := &Engine{existing: existing, candidates: candidates}
 		facs := e.facs()
-		sig := seededSig(rng, ndoors, facs, part, len(existing))
+		sig := seededSig(rng, v, facs, part, len(existing))
 		e.era = &era{
 			tree: tree, facs: facs, ne: len(existing),
-			explorers: map[indoor.PartitionID]*vip.Explorer{},
-			sigs:      map[indoor.PartitionID]*partSig{part: sig},
+			sigs: map[indoor.PartitionID]*partSig{part: sig},
 		}
 		var r row // reused across points, as the engine reuses rows
 		for pt := 0; pt < 5; pt++ {
 			loc := v.RandomPointIn(part, rng.Float64(), rng.Float64())
 			e.resolve(&r, core.Client{Loc: loc, Part: part})
-			off := e.era.explorer(part).PointOffsets(loc)
+			off := tree.NewExplorer(part).PointOffsets(loc)
 			wantNN, wantCand := naiveRow(off, sig, part, existing, candidates)
 			if math.Float64bits(r.nn) != math.Float64bits(wantNN) {
 				t.Fatalf("trial %d: nn = %v, naive %v", trial, r.nn, wantNN)
