@@ -381,9 +381,13 @@ func (ix *Index) Query(ctx context.Context, q *Query, o QueryOptions) (Answer, e
 // distinct client partition rather than the indexed solver's shared
 // search; ties resolve to the lowest candidate ID, as in Query. Validation
 // and panic containment are as in Query; the masked search has no
-// checkpoints, so ctx is checked once, before it starts. QueryAt queries
-// are not recorded by WithMetrics.
+// checkpoints, so ctx is checked once, before it starts. A nil tt, or one
+// not created over the indexed venue (NewTimetable), is rejected with
+// ErrInvalidQuery. QueryAt queries are not recorded by WithMetrics.
 func (ix *Index) QueryAt(ctx context.Context, tt *Timetable, at time.Duration, q *Query) (Result, error) {
+	if err := ix.checkTimetable(tt); err != nil {
+		return Result{}, err
+	}
 	if err := q.Validate(ix.venue); err != nil {
 		return Result{}, err
 	}
@@ -568,14 +572,33 @@ func Daily(open, close time.Duration) Schedule { return temporal.Daily(open, clo
 func (ix *Index) NewTimetable() *Timetable { return temporal.NewTimetable(ix.venue) }
 
 // DistanceAt returns the exact indoor distance between two points at a time
-// of day, +Inf when closed doors make them mutually unreachable.
+// of day, +Inf when closed doors make them mutually unreachable. It returns
+// an error when either point is outside the venue, and one wrapping
+// ErrInvalidQuery when tt is nil or was not created over the indexed venue.
 func (ix *Index) DistanceAt(tt *Timetable, at time.Duration, p, q Point) (float64, error) {
+	if err := ix.checkTimetable(tt); err != nil {
+		return 0, err
+	}
 	pp := ix.venue.PartitionAt(p)
 	qp := ix.venue.PartitionAt(q)
 	if pp == NoPartition || qp == NoPartition {
 		return 0, fmt.Errorf("ifls: point outside venue")
 	}
 	return ix.tree.Graph().Masked(tt.Mask(at)).PointToPoint(p, pp, q, qp), nil
+}
+
+// checkTimetable rejects a nil timetable and one created over another
+// venue, whose door IDs would name this venue's doors only by accident.
+// Venues compare by pointer, as NewTimetable records them.
+func (ix *Index) checkTimetable(tt *Timetable) error {
+	if tt == nil {
+		return fmt.Errorf("%w: nil timetable", ErrInvalidQuery)
+	}
+	if tt.Venue() != ix.venue {
+		return fmt.Errorf("%w: timetable was created over venue %q, not the indexed venue %q",
+			ErrInvalidQuery, tt.Venue().Name, ix.venue.Name)
+	}
+	return nil
 }
 
 // SimulationConfig parameterizes NewSimulation.

@@ -457,11 +457,15 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A timetable over an equal but distinct venue: its door IDs could
+	// name the tree's doors only by accident.
+	foreign := temporal.NewTimetable(testvenue.TwoRooms())
 	cases := []Config{
-		{Sim: sim, Candidates: []indoor.PartitionID{0}},              // nil tree
-		{Tree: tree, Candidates: []indoor.PartitionID{0}},            // nil sim
-		{Tree: tree, Sim: sim},                                       // no candidates
-		{Tree: tree, Sim: sim, Candidates: []indoor.PartitionID{99}}, // bad partition
+		{Sim: sim, Candidates: []indoor.PartitionID{0}},                                 // nil tree
+		{Tree: tree, Candidates: []indoor.PartitionID{0}},                               // nil sim
+		{Tree: tree, Sim: sim},                                                          // no candidates
+		{Tree: tree, Sim: sim, Candidates: []indoor.PartitionID{99}},                    // bad partition
+		{Tree: tree, Sim: sim, Candidates: []indoor.PartitionID{0}, Timetable: foreign}, // foreign timetable
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

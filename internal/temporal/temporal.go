@@ -143,6 +143,11 @@ func NewTimetable(v *indoor.Venue) *Timetable {
 	return &Timetable{venue: v, sched: make(map[indoor.DoorID]Schedule)}
 }
 
+// Venue returns the venue the timetable was created for. Its door IDs
+// name that venue's doors; callers that apply the timetable to an index
+// compare this pointer with the index's venue.
+func (tt *Timetable) Venue() *indoor.Venue { return tt.venue }
+
 // SetDoor assigns a schedule to a door.
 func (tt *Timetable) SetDoor(d indoor.DoorID, s Schedule) error {
 	if int(d) < 0 || int(d) >= tt.venue.NumDoors() {

@@ -2,6 +2,7 @@ package ifls_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -154,5 +155,49 @@ func TestQueryAtShiftsAnswerWhenDoorsClose(t *testing.T) {
 	}
 	if res.Found {
 		t.Fatalf("sealed client should not be improvable: %+v", res)
+	}
+}
+
+// TestTimedQueriesRejectForeignTimetables: the timed API takes door IDs
+// from the timetable, so a nil timetable, or one created over another
+// venue, must be rejected with ErrInvalidQuery instead of panicking or
+// masking the wrong doors. A CPH index is asked with an MC timetable that
+// closes a door, and with none.
+func TestTimedQueriesRejectForeignTimetables(t *testing.T) {
+	cph, err := ifls.SampleVenue("CPH")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := ifls.NewIndex(cph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := ifls.SampleVenue("MC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcIx, err := ifls.NewIndex(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := mcIx.NewTimetable()
+	if err := foreign.SetDoor(0, ifls.Daily(9*time.Hour, 17*time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	q, err := ifls.RandomQuery(cph, 5, 10, 50, ifls.Uniform, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := q.Clients[0].Loc, q.Clients[1].Loc
+	for name, tt := range map[string]*ifls.Timetable{"nil": nil, "MC": foreign} {
+		if _, err := ix.QueryAt(context.Background(), tt, 3*time.Hour, q); !errors.Is(err, ifls.ErrInvalidQuery) {
+			t.Errorf("QueryAt with a %s timetable: err = %v, want ErrInvalidQuery", name, err)
+		}
+		if _, err := ix.DistanceAt(tt, 3*time.Hour, a, b); !errors.Is(err, ifls.ErrInvalidQuery) {
+			t.Errorf("DistanceAt with a %s timetable: err = %v, want ErrInvalidQuery", name, err)
+		}
+	}
+	if _, err := ix.DistanceAt(ix.NewTimetable(), 3*time.Hour, a, b); err != nil {
+		t.Errorf("DistanceAt with the index's own timetable: %v", err)
 	}
 }
