@@ -1,6 +1,6 @@
 // Package geom provides the planar and multi-level geometry primitives used
-// by the indoor space model: points, axis-aligned rectangles, segments, and
-// the distance functions the indoor distance computations are built on.
+// by the indoor space model: points, axis-aligned rectangles, and the
+// distance functions the indoor distance computations are built on.
 //
 // All coordinates are in meters. Indoor venues span multiple levels; a Point
 // carries a Level so that primitives on different floors never accidentally
@@ -73,12 +73,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the y extent.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// Area returns the rectangle's area.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Perimeter returns the rectangle's perimeter.
-func (r Rect) Perimeter() float64 { return 2 * (r.Width() + r.Height()) }
-
 // Center returns the rectangle's center point.
 func (r Rect) Center() Point {
 	return Pt((r.Min.X+r.Max.X)/2, (r.Min.Y+r.Max.Y)/2, r.Min.Level)
@@ -90,69 +84,6 @@ func (r Rect) Contains(p Point) bool {
 	return p.Level == r.Min.Level &&
 		p.X >= r.Min.X && p.X <= r.Max.X &&
 		p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// ContainsRect reports whether s lies entirely within r (same level).
-func (r Rect) ContainsRect(s Rect) bool {
-	return r.Min.Level == s.Min.Level &&
-		s.Min.X >= r.Min.X && s.Max.X <= r.Max.X &&
-		s.Min.Y >= r.Min.Y && s.Max.Y <= r.Max.Y
-}
-
-// Intersects reports whether r and s overlap (sharing a boundary counts).
-// Rectangles on different levels never intersect.
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.Level == s.Min.Level &&
-		r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
-}
-
-// IntersectionArea returns the area of overlap between r and s, or 0.
-func (r Rect) IntersectionArea(s Rect) float64 {
-	if r.Min.Level != s.Min.Level {
-		return 0
-	}
-	w := math.Min(r.Max.X, s.Max.X) - math.Max(r.Min.X, s.Min.X)
-	h := math.Min(r.Max.Y, s.Max.Y) - math.Max(r.Min.Y, s.Min.Y)
-	if w <= 0 || h <= 0 {
-		return 0
-	}
-	return w * h
-}
-
-// Union returns the smallest rectangle containing both r and s. It panics if
-// the rectangles are on different levels, because a planar MBR across levels
-// is meaningless.
-func (r Rect) Union(s Rect) Rect {
-	if r.Min.Level != s.Min.Level {
-		panic("geom: union of rects on different levels")
-	}
-	return Rect{
-		Min: Pt(math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y), r.Min.Level),
-		Max: Pt(math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y), r.Min.Level),
-	}
-}
-
-// Enlargement returns the area growth of r needed to also cover s.
-func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
-}
-
-// DistToPoint returns the minimum planar distance from p to the rectangle
-// (0 if p is inside). Callers must ensure the levels match; cross-level
-// requests panic like Point.Dist.
-func (r Rect) DistToPoint(p Point) float64 {
-	if p.Level != r.Min.Level {
-		panic("geom: rect/point distance across levels")
-	}
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
-	return math.Hypot(dx, dy)
-}
-
-// ClosestPoint returns the point of r nearest to p (p itself if inside).
-func (r Rect) ClosestPoint(p Point) Point {
-	return Pt(clamp(p.X, r.Min.X, r.Max.X), clamp(p.Y, r.Min.Y, r.Max.Y), r.Min.Level)
 }
 
 // OnBoundary reports whether p lies on the boundary of r within eps.
@@ -170,42 +101,4 @@ func (r Rect) OnBoundary(p Point, eps float64) bool {
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%.2f,%.2f - %.2f,%.2f L%d]", r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, r.Min.Level)
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// Segment is a line segment between two points on the same level.
-type Segment struct {
-	A, B Point
-}
-
-// Len returns the segment length.
-func (s Segment) Len() float64 { return s.A.Dist(s.B) }
-
-// Midpoint returns the segment midpoint.
-func (s Segment) Midpoint() Point {
-	return Pt((s.A.X+s.B.X)/2, (s.A.Y+s.B.Y)/2, s.A.Level)
-}
-
-// DistToPoint returns the minimum distance from p to the segment.
-func (s Segment) DistToPoint(p Point) float64 {
-	if p.Level != s.A.Level {
-		panic("geom: segment/point distance across levels")
-	}
-	abx, aby := s.B.X-s.A.X, s.B.Y-s.A.Y
-	apx, apy := p.X-s.A.X, p.Y-s.A.Y
-	lenSq := abx*abx + aby*aby
-	if lenSq == 0 {
-		return p.Dist(s.A)
-	}
-	t := clamp((apx*abx+apy*aby)/lenSq, 0, 1)
-	return p.Dist(Pt(s.A.X+t*abx, s.A.Y+t*aby, p.Level))
 }

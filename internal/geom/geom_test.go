@@ -91,12 +91,6 @@ func TestRectBasics(t *testing.T) {
 	if !almostEq(r.Width(), 4) || !almostEq(r.Height(), 3) {
 		t.Errorf("width/height = %v/%v", r.Width(), r.Height())
 	}
-	if !almostEq(r.Area(), 12) {
-		t.Errorf("Area = %v, want 12", r.Area())
-	}
-	if !almostEq(r.Perimeter(), 14) {
-		t.Errorf("Perimeter = %v, want 14", r.Perimeter())
-	}
 	if c := r.Center(); !almostEq(c.X, 2) || !almostEq(c.Y, 1.5) {
 		t.Errorf("Center = %v", c)
 	}
@@ -122,97 +116,6 @@ func TestRectContains(t *testing.T) {
 	}
 }
 
-func TestRectIntersects(t *testing.T) {
-	a := R(0, 0, 10, 10, 0)
-	tests := []struct {
-		name string
-		b    Rect
-		want bool
-	}{
-		{"overlap", R(5, 5, 15, 15, 0), true},
-		{"contained", R(2, 2, 3, 3, 0), true},
-		{"edge touch", R(10, 0, 20, 10, 0), true},
-		{"corner touch", R(10, 10, 20, 20, 0), true},
-		{"disjoint", R(11, 11, 20, 20, 0), false},
-		{"other level", R(5, 5, 15, 15, 1), false},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := a.Intersects(tc.b); got != tc.want {
-				t.Errorf("Intersects = %v, want %v", got, tc.want)
-			}
-			if got := tc.b.Intersects(a); got != tc.want {
-				t.Errorf("Intersects (reversed) = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-func TestRectIntersectionArea(t *testing.T) {
-	a := R(0, 0, 10, 10, 0)
-	if got := a.IntersectionArea(R(5, 5, 15, 15, 0)); !almostEq(got, 25) {
-		t.Errorf("IntersectionArea = %v, want 25", got)
-	}
-	if got := a.IntersectionArea(R(20, 20, 30, 30, 0)); got != 0 {
-		t.Errorf("disjoint IntersectionArea = %v, want 0", got)
-	}
-	if got := a.IntersectionArea(R(10, 0, 20, 10, 0)); got != 0 {
-		t.Errorf("edge-touch IntersectionArea = %v, want 0", got)
-	}
-	if got := a.IntersectionArea(R(5, 5, 15, 15, 2)); got != 0 {
-		t.Errorf("cross-level IntersectionArea = %v, want 0", got)
-	}
-}
-
-func TestRectUnionAndEnlargement(t *testing.T) {
-	a := R(0, 0, 2, 2, 0)
-	b := R(4, 4, 6, 6, 0)
-	u := a.Union(b)
-	if u.Min.X != 0 || u.Min.Y != 0 || u.Max.X != 6 || u.Max.Y != 6 {
-		t.Errorf("Union = %v", u)
-	}
-	if got := a.Enlargement(b); !almostEq(got, 36-4) {
-		t.Errorf("Enlargement = %v, want 32", got)
-	}
-	if got := a.Enlargement(R(0.5, 0.5, 1, 1, 0)); got != 0 {
-		t.Errorf("Enlargement of contained rect = %v, want 0", got)
-	}
-}
-
-func TestRectDistToPoint(t *testing.T) {
-	r := R(0, 0, 10, 10, 0)
-	tests := []struct {
-		p    Point
-		want float64
-	}{
-		{Pt(5, 5, 0), 0},
-		{Pt(0, 0, 0), 0},
-		{Pt(13, 14, 0), 5}, // 3-4-5 from corner (10,10)
-		{Pt(-3, 5, 0), 3},
-		{Pt(5, 12, 0), 2},
-	}
-	for _, tc := range tests {
-		if got := r.DistToPoint(tc.p); !almostEq(got, tc.want) {
-			t.Errorf("DistToPoint(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-}
-
-func TestRectClosestPoint(t *testing.T) {
-	r := R(0, 0, 10, 10, 0)
-	f := func(x, y float64) bool {
-		p := Pt(norm(x), norm(y), 0)
-		cp := r.ClosestPoint(p)
-		if !r.Contains(cp) {
-			return false
-		}
-		return almostEq(p.Dist(cp), r.DistToPoint(p))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRectOnBoundary(t *testing.T) {
 	r := R(0, 0, 10, 10, 0)
 	if !r.OnBoundary(Pt(0, 5, 0), 1e-9) {
@@ -229,53 +132,6 @@ func TestRectOnBoundary(t *testing.T) {
 	}
 	if r.OnBoundary(Pt(0, 5, 1), 1e-9) {
 		t.Error("cross-level point should not be on boundary")
-	}
-}
-
-func TestRectContainsRect(t *testing.T) {
-	r := R(0, 0, 10, 10, 0)
-	if !r.ContainsRect(R(1, 1, 9, 9, 0)) {
-		t.Error("inner rect should be contained")
-	}
-	if !r.ContainsRect(r) {
-		t.Error("rect should contain itself")
-	}
-	if r.ContainsRect(R(5, 5, 11, 9, 0)) {
-		t.Error("overhanging rect should not be contained")
-	}
-	if r.ContainsRect(R(1, 1, 9, 9, 1)) {
-		t.Error("cross-level rect should not be contained")
-	}
-}
-
-func TestSegment(t *testing.T) {
-	s := Segment{A: Pt(0, 0, 0), B: Pt(10, 0, 0)}
-	if !almostEq(s.Len(), 10) {
-		t.Errorf("Len = %v", s.Len())
-	}
-	if m := s.Midpoint(); !almostEq(m.X, 5) || !almostEq(m.Y, 0) {
-		t.Errorf("Midpoint = %v", m)
-	}
-	tests := []struct {
-		p    Point
-		want float64
-	}{
-		{Pt(5, 3, 0), 3},   // perpendicular to interior
-		{Pt(-3, 4, 0), 5},  // nearest endpoint A
-		{Pt(13, -4, 0), 5}, // nearest endpoint B
-		{Pt(7, 0, 0), 0},   // on segment
-	}
-	for _, tc := range tests {
-		if got := s.DistToPoint(tc.p); !almostEq(got, tc.want) {
-			t.Errorf("DistToPoint(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-}
-
-func TestDegenerateSegment(t *testing.T) {
-	s := Segment{A: Pt(2, 2, 0), B: Pt(2, 2, 0)}
-	if got := s.DistToPoint(Pt(5, 6, 0)); !almostEq(got, 5) {
-		t.Errorf("degenerate segment dist = %v, want 5", got)
 	}
 }
 
