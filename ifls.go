@@ -70,10 +70,13 @@
 package ifls
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/indoorspatial/ifls/internal/batch"
@@ -450,11 +453,12 @@ func (ix *Index) NearestFacility(p Point, facilities []PartitionID) (nearest Par
 		return NoPartition, 0, false
 	}
 	fs := vip.NewFacilitySet(ix.venue, facilities)
-	f, d := ix.tree.NearestFacility(p, pp, fs)
-	if f == NoPartition {
+	var buf [1]Neighbor
+	nn := ix.tree.Nearest(p, pp, fs, 1, math.Inf(1), nil, buf[:0])
+	if len(nn) == 0 {
 		return NoPartition, 0, false
 	}
-	return f, d, true
+	return nn[0].Facility, nn[0].Dist, true
 }
 
 // Route returns a shortest indoor route between two points: the sequence of
@@ -501,11 +505,9 @@ func (s *Session) Query(ctx context.Context, q *Query, o QueryOptions) (a Answer
 	return a, err
 }
 
-// Neighbor is one entry of a KNearestFacilities or FacilitiesWithin answer.
-type Neighbor struct {
-	Facility PartitionID
-	Dist     float64
-}
+// Neighbor is one entry of a KNearestFacilities or FacilitiesWithin answer:
+// a facility partition (Facility) and its exact indoor distance (Dist).
+type Neighbor = vip.Neighbor
 
 // KNearestFacilities returns up to k facilities nearest to a point in
 // ascending distance order with exact indoor distances. It returns nil when
@@ -516,13 +518,12 @@ func (ix *Index) KNearestFacilities(p Point, facilities []PartitionID, k int) []
 	if pp == NoPartition || !ix.knownPartitions(facilities...) {
 		return nil
 	}
-	fs := vip.NewFacilitySet(ix.venue, facilities)
-	parts, dists := ix.tree.KNearestFacilities(p, pp, fs, k)
-	out := make([]Neighbor, len(parts))
-	for i := range parts {
-		out[i] = Neighbor{Facility: parts[i], Dist: dists[i]}
+	out := []Neighbor{}
+	if k <= 0 {
+		return out // a negative k would ask the search for every facility
 	}
-	return out
+	fs := vip.NewFacilitySet(ix.venue, facilities)
+	return ix.tree.Nearest(p, pp, fs, k, math.Inf(1), nil, out)
 }
 
 // FacilitiesWithin returns every facility within indoor distance r of a
@@ -535,11 +536,11 @@ func (ix *Index) FacilitiesWithin(p Point, facilities []PartitionID, r float64) 
 		return nil
 	}
 	fs := vip.NewFacilitySet(ix.venue, facilities)
-	res := ix.tree.RangeFacilities(p, pp, fs, r)
-	out := make([]Neighbor, len(res))
-	for i, e := range res {
-		out[i] = Neighbor{Facility: e.Facility, Dist: e.Dist}
-	}
+	out := ix.tree.Nearest(p, pp, fs, -1, r, nil, []Neighbor{})
+	// Equal distances dequeue in push order; the answer breaks them by ID.
+	slices.SortFunc(out, func(a, b Neighbor) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Facility, b.Facility))
+	})
 	return out
 }
 
@@ -645,7 +646,8 @@ const (
 // population, and (optionally) a door timetable need to be supplied.
 type ContinuousConfig struct {
 	// Sim is the client population. The engine owns stepping it: callers
-	// must not call Sim.Step while the engine is live. Required.
+	// must not call Sim.Step while the engine is live. It must walk the
+	// indexed venue (NewSimulation). Required.
 	Sim *Simulation
 	// Existing and Candidates are the standing query's facility sets.
 	Existing, Candidates []PartitionID

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -52,54 +51,6 @@ func WriteCSV(w io.Writer, ms []Measurement) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSON writes measurements as a JSON array.
-func WriteJSON(w io.Writer, ms []Measurement) error {
-	type jsonMeasurement struct {
-		Venue      string  `json:"venue"`
-		Category   string  `json:"category,omitempty"`
-		Dist       string  `json:"distribution"`
-		Sigma      float64 `json:"sigma,omitempty"`
-		Clients    int     `json:"clients"`
-		Existing   int     `json:"existing"`
-		Candidates int     `json:"candidates"`
-		Solver     string  `json:"solver"`
-		Queries    int     `json:"queries"`
-		MeanTimeMS float64 `json:"mean_time_ms"`
-		MeanMB     float64 `json:"mean_alloc_mb"`
-		DistCalcs  int     `json:"distance_calcs"`
-		Retrievals int     `json:"retrievals"`
-		QueuePops  int     `json:"queue_pops"`
-		Pruned     int     `json:"pruned_clients"`
-		Considered int     `json:"considered_clients"`
-		Found      int     `json:"found"`
-	}
-	out := make([]jsonMeasurement, len(ms))
-	for i, m := range ms {
-		out[i] = jsonMeasurement{
-			Venue:      m.Cell.Venue,
-			Category:   m.Cell.Category,
-			Dist:       m.Cell.Dist.String(),
-			Sigma:      m.Cell.Sigma,
-			Clients:    m.Cell.NClients,
-			Existing:   m.Cell.NExist,
-			Candidates: m.Cell.NCand,
-			Solver:     string(m.Solver),
-			Queries:    m.Queries,
-			MeanTimeMS: float64(m.MeanTime.Microseconds()) / 1000,
-			MeanMB:     m.MeanAllocMB,
-			DistCalcs:  m.Stats.DistanceCalcs,
-			Retrievals: m.Stats.Retrievals,
-			QueuePops:  m.Stats.QueuePops,
-			Pruned:     m.Stats.PrunedClients,
-			Considered: m.Stats.ConsideredClients,
-			Found:      m.Found,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
 }
 
 // Speedups summarizes efficient-vs-baseline speedups over a measurement

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -39,23 +38,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if rows[1][9] != "10.000" {
 		t.Fatalf("mean_time_ms = %q, want 10.000", rows[1][9])
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, sampleMeasurements()); err != nil {
-		t.Fatal(err)
-	}
-	var out []map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("output not valid JSON: %v", err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("got %d entries", len(out))
-	}
-	if out[0]["solver"] != "efficient" || out[0]["mean_time_ms"].(float64) != 10 {
-		t.Fatalf("unexpected entry: %v", out[0])
 	}
 }
 

@@ -66,11 +66,6 @@ func steps(lo, hi, delta int) []int {
 	return out
 }
 
-// CPHClientCap caps client counts on CPH: the venue has 75 rooms and the
-// paper's client sweep still applies (clients share rooms); no cap is
-// needed, the constant documents the decision.
-const CPHClientCap = 0
-
 // Validate sanity-checks the parameter grid against the generated venues
 // (enough rooms for the largest Fe+Fn selection).
 func Validate() error {

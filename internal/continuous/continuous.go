@@ -109,7 +109,9 @@ type Config struct {
 	// after a transition are built with its options. Required.
 	Tree *vip.Tree
 	// Sim is the client population. The engine owns stepping it: callers
-	// must not call Sim.Step while the engine is live. Required.
+	// must not call Sim.Step while the engine is live. It must walk the
+	// Tree's venue (the same *indoor.Venue); New refuses any other.
+	// Required.
 	Sim *motion.Simulation
 	// Existing and Candidates are the standing query's facility sets.
 	Existing, Candidates []indoor.PartitionID
@@ -264,12 +266,11 @@ type era struct {
 	ne       int                  // number of existing facilities in facs
 
 	sigs map[indoor.PartitionID]*partSig
-
-	// offScratch backs the one-hot offset vectors used by signature.
-	offScratch []float64
 }
 
 // signature computes (and memoizes) the partition's distance signature.
+// Cell (j, f) is Explorer.DoorToPartition(j, f): door j's least distance
+// to a door of f, read from door j's own row, and 0 when f is p itself.
 // The explorer it walks the tree with lives only for this call: resolve
 // works from the signature alone, and a kept explorer would only retain
 // its memoized distance vectors.
@@ -290,27 +291,9 @@ func (er *era) signature(p indoor.PartitionID) *partSig {
 		sigDoors[i] = er.baseDoor[d]
 		locs[i] = er.venue.Door(d).Loc
 	}
-	if cap(er.offScratch) < len(doors) {
-		er.offScratch = make([]float64, len(doors))
-	}
-	off := er.offScratch[:len(doors)]
 	for j := range doors {
-		// One-hot offsets: distance 0 through door j, +Inf through the
-		// rest, so PointToPartition yields exactly door j's facility
-		// distance row.
-		for i := range off {
-			off[i] = math.Inf(1)
-		}
-		off[j] = 0
 		for _, f := range er.facs {
-			if f == p {
-				// PointToPartition special-cases the source partition to
-				// 0 regardless of offsets; the per-door row for it is
-				// also identically 0 in every era.
-				dist = append(dist, 0)
-				continue
-			}
-			dist = append(dist, e.PointToPartition(off, f))
+			dist = append(dist, e.DoorToPartition(j, f))
 		}
 	}
 	sig := newPartSig(sigDoors, locs, er.venue.Partition(p).StairLength, dist, er.ne)
@@ -381,6 +364,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if len(cfg.Candidates) == 0 {
 		return nil, fmt.Errorf("continuous: no candidate locations")
+	}
+	if cfg.Sim.Venue() != cfg.Tree.Venue() {
+		return nil, fmt.Errorf("continuous: simulation is not over the tree's venue %q", cfg.Tree.Venue().Name)
 	}
 	if cfg.Timetable != nil && cfg.Timetable.Venue() != cfg.Tree.Venue() {
 		return nil, fmt.Errorf("continuous: timetable is over venue %q, not the tree's venue %q",

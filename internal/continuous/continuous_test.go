@@ -460,12 +460,20 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	// A timetable over an equal but distinct venue: its door IDs could
 	// name the tree's doors only by accident.
 	foreign := temporal.NewTimetable(testvenue.TwoRooms())
+	// A simulation over a larger venue: its walkers stand in partitions
+	// the tree does not have.
+	grid := testvenue.Grid(testvenue.GridParams{Cols: 2, Levels: 3})
+	gridSim, err := motion.NewSimulation(grid, d2d.New(grid), motion.Config{Walkers: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []Config{
 		{Sim: sim, Candidates: []indoor.PartitionID{0}},                                 // nil tree
 		{Tree: tree, Candidates: []indoor.PartitionID{0}},                               // nil sim
 		{Tree: tree, Sim: sim},                                                          // no candidates
 		{Tree: tree, Sim: sim, Candidates: []indoor.PartitionID{99}},                    // bad partition
 		{Tree: tree, Sim: sim, Candidates: []indoor.PartitionID{0}, Timetable: foreign}, // foreign timetable
+		{Tree: tree, Sim: gridSim, Candidates: []indoor.PartitionID{0}},                 // foreign simulation
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

@@ -113,7 +113,7 @@ func TestResolveMatchesNaive(t *testing.T) {
 		for pt := 0; pt < 5; pt++ {
 			loc := v.RandomPointIn(part, rng.Float64(), rng.Float64())
 			e.resolve(&r, core.Client{Loc: loc, Part: part})
-			off := tree.NewExplorer(part).PointOffsets(loc)
+			off := tree.NewExplorer(part).PointOffsetsAppend(nil, loc)
 			wantNN, wantCand := naiveRow(off, sig, part, existing, candidates)
 			if math.Float64bits(r.nn) != math.Float64bits(wantNN) {
 				t.Fatalf("trial %d: nn = %v, naive %v", trial, r.nn, wantNN)

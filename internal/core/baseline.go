@@ -56,12 +56,16 @@ func solveBaseline(ctx context.Context, t *vip.Tree, q *Query, rec obs.Recorder)
 		dist   float64
 	}
 	var search vip.SearchStats
+	var nn [1]vip.Neighbor // the 1-NN answer buffer, reused per client
 	ls := make([]entry, m)
 	for i, c := range q.Clients {
 		if p.cancelled() {
 			return Result{}, p.err
 		}
-		_, d := t.NearestFacilityCounted(c.Loc, c.Part, feSet, &search)
+		d := math.Inf(1)
+		if res := t.Nearest(c.Loc, c.Part, feSet, 1, math.Inf(1), &search, nn[:0]); len(res) > 0 {
+			d = res[0].Dist
+		}
 		ls[i] = entry{client: i, dist: d}
 		if p.rec != nil {
 			p.stats.DistanceCalcs = search.DistanceCalcs

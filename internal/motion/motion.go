@@ -263,6 +263,9 @@ func (s *Simulation) advance(w *Walker, sec float64) {
 	}
 }
 
+// Venue returns the venue the walkers move in.
+func (s *Simulation) Venue() *indoor.Venue { return s.venue }
+
 // Elapsed returns the simulated time so far.
 func (s *Simulation) Elapsed() time.Duration { return s.elapsed }
 

@@ -33,6 +33,16 @@ import (
 // or its doors are needed, so nodes that are pushed but never expanded
 // cost no vector.
 //
+// Every distance to a partition goes through one kernel, PointToPartition:
+// the least offset-plus-cell sum over the source doors and the target's
+// door columns of DoorVec. Nil offsets stand for a zero offset at every
+// door, the partition-to-partition distance, and DoorToPartition reads one
+// door's row alone, the signature row of the continuous engine. Both are
+// the kernel's value bit for bit. Rounded addition is monotone, so for
+// each row min over d of fl(o + x_d) is fl(o + min over d of x_d): with
+// o = 0 that is the row's least cell exactly, and a row with o = +Inf
+// sums to +Inf everywhere and never sets the minimum.
+//
 // Concurrency: an Explorer is a single-goroutine value. Every method —
 // including the read-looking getters — may touch the memo maps, so no
 // Explorer method is safe to call concurrently with any other on the same
@@ -103,24 +113,16 @@ func (e *Explorer) memo(v [][]float64) [][]float64 {
 	return v
 }
 
-// SrcDoors returns the source partition's doors; PointOffsets rows follow
-// this order.
+// SrcDoors returns the source partition's doors; the rows of every
+// vector, and the offsets PointOffsetsAppend computes, follow this order.
 func (e *Explorer) SrcDoors() []indoor.DoorID { return e.srcDoors }
 
-// PointOffsets returns, for a point inside the source partition, its
-// in-partition distance to each source door — the per-client row offsets.
-func (e *Explorer) PointOffsets(pt geom.Point) []float64 {
-	out := make([]float64, len(e.srcDoors))
-	for i, d := range e.srcDoors {
-		out[i] = e.t.venue.PointDoorDist(e.src, pt, d)
-	}
-	return out
-}
-
-// PointOffsetsAppend appends the same per-door offsets PointOffsets
-// computes to dst and returns the extended slice. Query engines that pool
-// scratch memory pass a zero-length slice with retained capacity, so a warm
-// buffer computes the offsets without allocating.
+// PointOffsetsAppend appends, for a point inside the source partition, its
+// in-partition distance to each source door — the per-client row offsets —
+// to dst and returns the extended slice. Query engines that pool scratch
+// memory pass a zero-length slice with retained capacity, so a warm buffer
+// computes the offsets without allocating; a one-off caller passes a slice
+// with capacity len(SrcDoors()), so it allocates once.
 func (e *Explorer) PointOffsetsAppend(dst []float64, pt geom.Point) []float64 {
 	for _, d := range e.srcDoors {
 		dst = append(dst, e.t.venue.PointDoorDist(e.src, pt, d))
@@ -324,27 +326,6 @@ func (e *Explorer) nodeBound(off []float64, n NodeID) float64 {
 	return best
 }
 
-// MinToPartition returns iMinD(src, f): the shortest indoor distance from
-// the source partition to partition f.
-func (e *Explorer) MinToPartition(f indoor.PartitionID) float64 {
-	if f == e.src {
-		return 0
-	}
-	t := e.t
-	leaf := t.leafOf[f]
-	dv := e.DoorVec(leaf)
-	nd := t.nodes[leaf]
-	best := math.Inf(1)
-	for _, row := range dv {
-		for _, d := range t.venue.Partition(f).Doors {
-			if x := row[nd.doorIdx[d]]; x < best {
-				best = x
-			}
-		}
-	}
-	return best
-}
-
 // PointToNode returns the shortest indoor distance from a point in the
 // source partition (given its door offsets) to node n — zero when n contains
 // the source partition.
@@ -353,8 +334,12 @@ func (e *Explorer) PointToNode(offsets []float64, n NodeID) float64 {
 }
 
 // PointToPartition returns the exact indoor distance from a point in the
-// source partition (given its door offsets) to partition f: the distance to
-// f's nearest door, zero if f is the source partition itself.
+// source partition, given its door offsets, to partition f: the least
+// offsets[i] + D[i][d] over the source doors i and f's doors d, where D is
+// the leaf door vector DoorVec holds; zero if f is the source partition
+// itself. Nil offsets put every source door at zero and give iMinD(src,
+// f), the distance from the source partition itself; an exact zero added
+// to a cell leaves it unchanged, so that is the least cell bit for bit.
 func (e *Explorer) PointToPartition(offsets []float64, f indoor.PartitionID) float64 {
 	if f == e.src {
 		return 0
@@ -365,10 +350,37 @@ func (e *Explorer) PointToPartition(offsets []float64, f indoor.PartitionID) flo
 	nd := t.nodes[leaf]
 	best := math.Inf(1)
 	for i, row := range dv {
+		o := 0.0
+		if offsets != nil {
+			o = offsets[i]
+		}
 		for _, d := range t.venue.Partition(f).Doors {
-			if x := offsets[i] + row[nd.doorIdx[d]]; x < best {
+			if x := o + row[nd.doorIdx[d]]; x < best {
 				best = x
 			}
+		}
+	}
+	return best
+}
+
+// DoorToPartition returns the least distance from source door i (the i-th
+// of SrcDoors) to a door of partition f, zero if f is the source partition
+// itself. It reads the DoorVec row PointToPartition reads for door i, and
+// equals PointToPartition with offsets zero at door i and +Inf at every
+// other door bit for bit: +Inf plus any cell is +Inf, which never beats
+// the running minimum, and 0 + x = x.
+func (e *Explorer) DoorToPartition(i int, f indoor.PartitionID) float64 {
+	if f == e.src {
+		return 0
+	}
+	t := e.t
+	leaf := t.leafOf[f]
+	row := e.DoorVec(leaf)[i]
+	nd := t.nodes[leaf]
+	best := math.Inf(1)
+	for _, d := range t.venue.Partition(f).Doors {
+		if x := row[nd.doorIdx[d]]; x < best {
+			best = x
 		}
 	}
 	return best

@@ -20,7 +20,7 @@ func TestExplorerSourceAccessors(t *testing.T) {
 		t.Fatalf("SrcDoors = %d, want %d", got, want)
 	}
 	p := v.Partition(1).Rect.Center()
-	offsets := e.PointOffsets(p)
+	offsets := e.PointOffsetsAppend(nil, p)
 	if len(offsets) != len(e.SrcDoors()) {
 		t.Fatalf("offsets size %d", len(offsets))
 	}
@@ -84,7 +84,7 @@ func TestPointToPointPanicsOnSamePartition(t *testing.T) {
 			t.Fatal("expected panic for same-partition PointToPoint")
 		}
 	}()
-	e.PointToPoint(e.PointOffsets(v.Partition(0).Rect.Center()), v.Partition(0).Rect.Center(), 0)
+	e.PointToPoint(e.PointOffsetsAppend(nil, v.Partition(0).Rect.Center()), v.Partition(0).Rect.Center(), 0)
 }
 
 func TestExplorerMemoization(t *testing.T) {
@@ -151,8 +151,8 @@ func TestMinToPartitionSelf(t *testing.T) {
 	tree := MustBuild(v, DefaultOptions())
 	for p := 0; p < v.NumPartitions(); p++ {
 		e := tree.NewExplorer(indoor.PartitionID(p))
-		if got := e.MinToPartition(indoor.PartitionID(p)); got != 0 {
-			t.Fatalf("MinToPartition(self) = %v", got)
+		if got := e.PointToPartition(nil, indoor.PartitionID(p)); got != 0 {
+			t.Fatalf("PointToPartition(nil, self) = %v", got)
 		}
 	}
 }
@@ -170,7 +170,7 @@ func TestExplorerOnLargeVenueSample(t *testing.T) {
 		for j := 0; j < 10; j++ {
 			dst := rooms[(j*53+11)%len(rooms)]
 			want := g.PartitionToPartition(src, dst)
-			got := e.MinToPartition(dst)
+			got := e.PointToPartition(nil, dst)
 			if math.Abs(got-want) > 1e-6 {
 				t.Fatalf("src %d dst %d: %v != oracle %v", src, dst, got, want)
 			}

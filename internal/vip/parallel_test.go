@@ -69,7 +69,7 @@ func TestConcurrentReads(t *testing.T) {
 				b := indoor.PartitionID((g * 7) % v.NumPartitions())
 				_ = tree.DistPartitionToPartition(a, b)
 				e := tree.NewExplorer(a)
-				_ = e.MinToPartition(b)
+				_ = e.PointToPartition(nil, b)
 			}
 		}(g)
 	}

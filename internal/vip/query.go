@@ -1,7 +1,6 @@
 package vip
 
 import (
-	"math"
 	"sync"
 
 	"github.com/indoorspatial/ifls/internal/geom"
@@ -19,7 +18,7 @@ func (t *Tree) DistPointToPoint(p geom.Point, pp indoor.PartitionID, q geom.Poin
 		return t.venue.IntraPointDist(pp, p, q)
 	}
 	e := t.NewExplorer(pp)
-	return e.PointToPoint(e.PointOffsets(p), q, qp)
+	return e.PointToPoint(e.PointOffsetsAppend(make([]float64, 0, len(e.SrcDoors())), p), q, qp)
 }
 
 // DistPointToPartition returns the exact indoor distance from a located
@@ -30,7 +29,7 @@ func (t *Tree) DistPointToPartition(p geom.Point, pp indoor.PartitionID, f indoo
 		return 0
 	}
 	e := t.NewExplorer(pp)
-	return e.PointToPartition(e.PointOffsets(p), f)
+	return e.PointToPartition(e.PointOffsetsAppend(make([]float64, 0, len(e.SrcDoors())), p), f)
 }
 
 // DistPartitionToPartition returns the exact indoor distance between two
@@ -40,7 +39,7 @@ func (t *Tree) DistPartitionToPartition(a, b indoor.PartitionID) float64 {
 	if a == b {
 		return 0
 	}
-	return t.NewExplorer(a).MinToPartition(b)
+	return t.NewExplorer(a).PointToPartition(nil, b)
 }
 
 // FacilitySet marks a subset of partitions as facilities, supporting O(1)
@@ -75,12 +74,11 @@ func (fs *FacilitySet) Len() int { return len(fs.list) }
 // callers must not modify the returned slice.
 func (fs *FacilitySet) List() []indoor.PartitionID { return fs.list }
 
-// nnEntry is a priority-queue entry of the top-down NN search: either a tree
-// node (lower-bound priority) or a facility partition (exact priority).
-type nnEntry struct {
-	node   NodeID
-	part   indoor.PartitionID
-	isPart bool
+// Neighbor is one facility of a Nearest answer with its exact indoor
+// distance. A plain value; copy freely.
+type Neighbor struct {
+	Facility indoor.PartitionID
+	Dist     float64
 }
 
 // SearchStats counts the work one top-down index search performed, on the
@@ -93,78 +91,62 @@ type SearchStats struct {
 	QueuePops     int
 }
 
-// NearestFacility returns the facility partition nearest to point p located
-// in partition pp, and its exact indoor distance. It implements the
-// top-down best-first VIP-tree NN search of Shao et al.: nodes enter the
-// queue with exact lower bounds (distance to their nearest access door) and
-// facilities with exact distances, so the first facility dequeued is the
-// answer. Returns (NoPartition, +Inf) when the set is empty. Safe for
-// concurrent use: the search state is call-local, and the tree and
-// facility set are only read.
-func (t *Tree) NearestFacility(p geom.Point, pp indoor.PartitionID, fs *FacilitySet) (indoor.PartitionID, float64) {
-	return t.NearestFacilityCounted(p, pp, fs, nil)
+// nnEntry is a priority-queue entry of Nearest: either a tree node (lower
+// bound priority) or a facility partition (exact priority).
+type nnEntry struct {
+	node   NodeID
+	part   indoor.PartitionID
+	isPart bool
 }
 
-// NearestFacilityCounted is NearestFacility with work accounting: when st
-// is non-nil, the search's exact distance computations and queue dequeues
-// are added to it, so callers comparing solvers (the baseline counts one
-// NN search per client) charge the search the same way the bottom-up
-// traversal charges itself. A nil st skips all accounting.
-func (t *Tree) NearestFacilityCounted(p geom.Point, pp indoor.PartitionID, fs *FacilitySet, st *SearchStats) (indoor.PartitionID, float64) {
-	var part [1]indoor.PartitionID
-	var dist [1]float64
-	parts, dists := t.nearest(p, pp, fs, 1, st, part[:0], dist[:0])
-	if len(parts) == 0 {
-		return indoor.NoPartition, math.Inf(1)
-	}
-	return parts[0], dists[0]
-}
-
-// KNearestFacilities returns up to k facilities nearest to p in ascending
-// distance order, with their exact distances. A k of zero or less returns
-// nil. Safe for concurrent use.
-func (t *Tree) KNearestFacilities(p geom.Point, pp indoor.PartitionID, fs *FacilitySet, k int) ([]indoor.PartitionID, []float64) {
-	if k <= 0 {
-		return nil, nil
-	}
-	return t.nearest(p, pp, fs, k, nil, nil, nil)
-}
-
-// nnQueues recycles the NN search queues across calls and goroutines;
-// each is reset before it goes back.
+// nnQueues recycles the search queues across calls and goroutines; each
+// is reset before it goes back.
 var nnQueues = sync.Pool{New: func() any { return new(pq.Bucket[nnEntry]) }}
 
-// nearest is the top-down best-first search behind the NN and kNN queries:
-// it appends up to k facilities nearest to p, in dequeue order, to parts
-// and dists. The point's own partition, when it is a facility, comes first
-// at distance zero without any search work, so a 1-NN query from inside a
-// facility charges st nothing; the leaves then skip it. A non-nil st
-// accumulates the search's distance computations and dequeues.
-func (t *Tree) nearest(p geom.Point, pp indoor.PartitionID, fs *FacilitySet, k int, st *SearchStats, parts []indoor.PartitionID, dists []float64) ([]indoor.PartitionID, []float64) {
-	if fs.Len() == 0 {
-		return parts, dists
+// Nearest is the top-down best-first VIP-tree facility search of Shao et
+// al. The NN, kNN and range queries are this one search and differ only in
+// when it stops: it appends to dst up to k facilities (all of them when k
+// is negative) within indoor distance r of point p located in partition pp
+// (inclusive), in dequeue order, and returns the extended slice.
+//
+// Nodes enter the queue with exact lower bounds (the distance to their
+// nearest access door) and facilities with exact distances, so facilities
+// dequeue in ascending distance; equal distances dequeue in push order.
+// Nothing farther than r is pushed. The point's own partition, when it is
+// a facility, comes first at distance zero without any search work, so a
+// 1-NN search from inside a facility charges st nothing; the leaves then
+// skip it. A k of zero, a negative r or an empty set appends nothing.
+//
+// A non-nil st accumulates the search's exact distance computations and
+// dequeues; a nil st skips all accounting. Safe for concurrent use: the
+// search state is call-local, and the tree and facility set are only read.
+func (t *Tree) Nearest(p geom.Point, pp indoor.PartitionID, fs *FacilitySet, k int, r float64, st *SearchStats, dst []Neighbor) []Neighbor {
+	if k == 0 || r < 0 || fs.Len() == 0 {
+		return dst
 	}
+	n := 0 // facilities appended; never equals a negative k
 	if fs.Contains(pp) {
-		parts, dists = append(parts, pp), append(dists, 0)
-		if len(parts) == k {
-			return parts, dists
+		dst = append(dst, Neighbor{Facility: pp})
+		if n++; n == k {
+			return dst
 		}
 	}
 	e := t.NewExplorer(pp)
-	offsets := e.PointOffsets(p)
+	offsets := e.PointOffsetsAppend(make([]float64, 0, len(e.SrcDoors())), p)
 	q := nnQueues.Get().(*pq.Bucket[nnEntry])
 	defer func() {
 		q.Reset()
 		nnQueues.Put(q)
 	}()
 	q.Push(nnEntry{node: t.root}, 0)
-	for !q.Empty() && len(parts) < k {
+	for !q.Empty() && n != k {
 		entry, prio := q.Pop()
 		if st != nil {
 			st.QueuePops++
 		}
 		if entry.isPart {
-			parts, dists = append(parts, entry.part), append(dists, prio)
+			dst = append(dst, Neighbor{Facility: entry.part, Dist: prio})
+			n++
 			continue
 		}
 		nd := t.nodes[entry.node]
@@ -174,14 +156,18 @@ func (t *Tree) nearest(p geom.Point, pp indoor.PartitionID, fs *FacilitySet, k i
 					if st != nil {
 						st.DistanceCalcs++
 					}
-					q.Push(nnEntry{part: f, isPart: true}, e.PointToPartition(offsets, f))
+					if d := e.PointToPartition(offsets, f); d <= r {
+						q.Push(nnEntry{part: f, isPart: true}, d)
+					}
 				}
 			}
 			continue
 		}
 		for _, c := range nd.children {
-			q.Push(nnEntry{node: c}, e.PointToNode(offsets, c))
+			if b := e.PointToNode(offsets, c); b <= r {
+				q.Push(nnEntry{node: c}, b)
+			}
 		}
 	}
-	return parts, dists
+	return dst
 }

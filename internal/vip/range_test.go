@@ -29,7 +29,7 @@ func TestRangeFacilitiesMatchesBruteForce(t *testing.T) {
 				p := v.RandomPointIn(pp, rng.Float64(), rng.Float64())
 				r := rng.Float64() * 60
 
-				got := tree.RangeFacilities(p, pp, fs, r)
+				got := tree.Nearest(p, pp, fs, -1, r, nil, nil)
 				want := map[indoor.PartitionID]float64{}
 				for _, f := range fac {
 					if d := g.PointToPartition(p, pp, f); d <= r {
@@ -62,20 +62,20 @@ func TestRangeFacilitiesEdgeCases(t *testing.T) {
 	fs := NewFacilitySet(v, []indoor.PartitionID{1, 3})
 	p := v.Partition(2).Rect.Center() // R1 center
 
-	if got := tree.RangeFacilities(p, 2, fs, -1); got != nil {
+	if got := tree.Nearest(p, 2, fs, -1, -1, nil, nil); got != nil {
 		t.Fatalf("negative radius: %v", got)
 	}
-	if got := tree.RangeFacilities(p, 2, NewFacilitySet(v, nil), 100); got != nil {
+	if got := tree.Nearest(p, 2, NewFacilitySet(v, nil), -1, 100, nil, nil); got != nil {
 		t.Fatalf("empty set: %v", got)
 	}
 	// Radius 0 from inside a facility partition returns it.
 	q := v.Partition(1).Rect.Center()
-	got := tree.RangeFacilities(q, 1, fs, 0)
+	got := tree.Nearest(q, 1, fs, -1, 0, nil, nil)
 	if len(got) != 1 || got[0].Facility != 1 || got[0].Dist != 0 {
 		t.Fatalf("radius-0 self = %v", got)
 	}
 	// A huge radius returns every facility.
-	if got := tree.RangeFacilities(p, 2, fs, 1e9); len(got) != 2 {
+	if got := tree.Nearest(p, 2, fs, -1, 1e9, nil, nil); len(got) != 2 {
 		t.Fatalf("huge radius = %v", got)
 	}
 }

@@ -50,7 +50,7 @@ func (t *Tree) Expand(e *Explorer, self indoor.PartitionID, n NodeID, fr Frontie
 				continue // the source partition is seeded by the caller
 			}
 			if fr.Wanted(f) {
-				fr.PushFacility(f, e.MinToPartition(f))
+				fr.PushFacility(f, e.PointToPartition(nil, f))
 			}
 		}
 		return

@@ -91,8 +91,8 @@ func TestExpandLeaf(t *testing.T) {
 		t.Fatalf("pushed %d facilities, want %d (all leaf partitions except the source)", len(fr.facs), want)
 	}
 	for _, p := range fr.facs {
-		if fr.facPrio[p] != e.MinToPartition(p) {
-			t.Fatalf("facility %d prio %v, want MinToPartition %v", p, fr.facPrio[p], e.MinToPartition(p))
+		if fr.facPrio[p] != e.PointToPartition(nil, p) {
+			t.Fatalf("facility %d prio %v, want PointToPartition(nil, ·) %v", p, fr.facPrio[p], e.PointToPartition(nil, p))
 		}
 	}
 }
@@ -150,8 +150,9 @@ func TestExpandInternalNode(t *testing.T) {
 	}
 }
 
-// TestPointOffsetsAppendMatches: the allocation-free variant fills dst with
-// exactly the values PointOffsets computes.
+// TestPointOffsetsAppendMatches: PointOffsetsAppend fills dst with exactly
+// the in-partition door distances Venue.PointDoorDist computes, in
+// SrcDoors order.
 func TestPointOffsetsAppendMatches(t *testing.T) {
 	v := testvenue.Grid(testvenue.GridParams{Cols: 6, Levels: 1, InterRoomDoors: true})
 	tree := MustBuild(v, DefaultOptions())
@@ -159,7 +160,10 @@ func TestPointOffsetsAppendMatches(t *testing.T) {
 	e := tree.NewExplorer(self)
 	pt := v.Partition(self).Rect.Center()
 
-	want := e.PointOffsets(pt)
+	var want []float64
+	for _, d := range e.SrcDoors() {
+		want = append(want, v.PointDoorDist(self, pt, d))
+	}
 	got := e.PointOffsetsAppend(make([]float64, 0, 1), pt) // force a regrow mid-append
 	if len(got) != len(want) {
 		t.Fatalf("len %d, want %d", len(got), len(want))

@@ -179,7 +179,7 @@ func TestExplorerReuseAcrossClients(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
 		p := v.RandomPointIn(1, rng.Float64(), rng.Float64())
-		offsets := e.PointOffsets(p)
+		offsets := e.PointOffsetsAppend(nil, p)
 		for f := 0; f < v.NumPartitions(); f++ {
 			if f == 1 {
 				continue
@@ -280,7 +280,7 @@ func TestNearestFacilityMatchesBruteForce(t *testing.T) {
 				pp := indoor.PartitionID(rng.Intn(n))
 				p := v.RandomPointIn(pp, rng.Float64(), rng.Float64())
 				_, wantD := bruteNN(g, p, pp, fac)
-				gotF, gotD := tree.NearestFacility(p, pp, fs)
+				gotF, gotD := nearest1(tree, p, pp, fs)
 				if !almostEq(gotD, wantD) {
 					t.Fatalf("NearestFacility dist = %v (%d), brute %v", gotD, gotF, wantD)
 				}
@@ -289,11 +289,21 @@ func TestNearestFacilityMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// nearest1 is the 1-NN search as the solvers ask for it: the nearest
+// facility and its distance, or (NoPartition, +Inf) for an empty set.
+func nearest1(tree *Tree, p geom.Point, pp indoor.PartitionID, fs *FacilitySet) (indoor.PartitionID, float64) {
+	nn := tree.Nearest(p, pp, fs, 1, math.Inf(1), nil, nil)
+	if len(nn) == 0 {
+		return indoor.NoPartition, math.Inf(1)
+	}
+	return nn[0].Facility, nn[0].Dist
+}
+
 func TestNearestFacilityEmptySet(t *testing.T) {
 	v := testvenue.TwoRooms()
 	tree := MustBuild(v, DefaultOptions())
 	fs := NewFacilitySet(v, nil)
-	f, d := tree.NearestFacility(geom.Pt(5, 5, 0), 0, fs)
+	f, d := nearest1(tree, geom.Pt(5, 5, 0), 0, fs)
 	if f != indoor.NoPartition || !math.IsInf(d, 1) {
 		t.Fatalf("empty set NN = (%d, %v)", f, d)
 	}
@@ -303,7 +313,7 @@ func TestNearestFacilityInOwnPartition(t *testing.T) {
 	v := testvenue.TwoRooms()
 	tree := MustBuild(v, DefaultOptions())
 	fs := NewFacilitySet(v, []indoor.PartitionID{0, 1})
-	f, d := tree.NearestFacility(geom.Pt(5, 5, 0), 0, fs)
+	f, d := nearest1(tree, geom.Pt(5, 5, 0), 0, fs)
 	if f != 0 || d != 0 {
 		t.Fatalf("own-partition NN = (%d, %v), want (0, 0)", f, d)
 	}
@@ -319,30 +329,30 @@ func TestKNearestFacilities(t *testing.T) {
 	pp := rooms[0]
 	p := v.RandomPointIn(pp, rng.Float64(), rng.Float64())
 	const k = 4
-	parts, dists := tree.KNearestFacilities(p, pp, fs, k)
-	if len(parts) != k || len(dists) != k {
-		t.Fatalf("got %d results, want %d", len(parts), k)
+	got := tree.Nearest(p, pp, fs, k, math.Inf(1), nil, nil)
+	if len(got) != k {
+		t.Fatalf("got %d results, want %d", len(got), k)
 	}
 	// Ascending order.
 	for i := 1; i < k; i++ {
-		if dists[i] < dists[i-1]-1e-9 {
-			t.Fatalf("distances not ascending: %v", dists)
+		if got[i].Dist < got[i-1].Dist-1e-9 {
+			t.Fatalf("distances not ascending: %v", got)
 		}
 	}
 	// Each distance exact.
-	for i, f := range parts {
-		want := g.PointToPartition(p, pp, f)
-		if !almostEq(dists[i], want) {
-			t.Fatalf("kNN dist[%d] = %v, oracle %v", i, dists[i], want)
+	for i, nb := range got {
+		want := g.PointToPartition(p, pp, nb.Facility)
+		if !almostEq(nb.Dist, want) {
+			t.Fatalf("kNN dist[%d] = %v, oracle %v", i, nb.Dist, want)
 		}
 	}
 	// k exceeding facility count returns all facilities.
-	all, _ := tree.KNearestFacilities(p, pp, fs, 1000)
+	all := tree.Nearest(p, pp, fs, 1000, math.Inf(1), nil, nil)
 	if len(all) != fs.Len() {
 		t.Fatalf("oversized k returned %d of %d", len(all), fs.Len())
 	}
 	// Degenerate k.
-	if parts, _ := tree.KNearestFacilities(p, pp, fs, 0); parts != nil {
+	if got := tree.Nearest(p, pp, fs, 0, math.Inf(1), nil, nil); got != nil {
 		t.Fatal("k=0 should return nil")
 	}
 }
@@ -412,11 +422,12 @@ func BenchmarkNearestFacility(b *testing.B) {
 	}
 	fs := NewFacilitySet(v, fac)
 	rng := rand.New(rand.NewSource(1))
+	var nn [1]Neighbor
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pp := rooms[rng.Intn(len(rooms))]
 		p := v.RandomPointIn(pp, 0.5, 0.5)
-		tree.NearestFacility(p, pp, fs)
+		tree.Nearest(p, pp, fs, 1, math.Inf(1), nil, nn[:0])
 	}
 }
