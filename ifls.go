@@ -528,11 +528,11 @@ func (ix *Index) KNearestFacilities(p Point, facilities []PartitionID, k int) []
 
 // FacilitiesWithin returns every facility within indoor distance r of a
 // point (inclusive), in ascending distance order. It returns nil when the
-// point is outside the venue or facilities names a partition the venue does
-// not have.
+// point is outside the venue, r is NaN, or facilities names a partition the
+// venue does not have.
 func (ix *Index) FacilitiesWithin(p Point, facilities []PartitionID, r float64) []Neighbor {
 	pp := ix.venue.PartitionAt(p)
-	if pp == NoPartition || !ix.knownPartitions(facilities...) {
+	if pp == NoPartition || math.IsNaN(r) || !ix.knownPartitions(facilities...) {
 		return nil
 	}
 	fs := vip.NewFacilitySet(ix.venue, facilities)
@@ -620,9 +620,9 @@ func (ix *Index) NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 
 // ContinuousEngine maintains one MinMax IFLS answer incrementally across
 // simulation ticks, re-solving only clients whose cached distance state a
-// tick actually disturbed. See internal/continuous for the exactness
-// contract: every maintained answer is bit-identical to a fresh solve over
-// the same snapshot.
+// tick disturbed enough to change the answer. See internal/continuous for
+// the exactness contract: every maintained answer is bit-identical to a
+// fresh solve over the same snapshot.
 type ContinuousEngine = continuous.Engine
 
 // ContinuousEvent is one engine notification delivered to Subscribe

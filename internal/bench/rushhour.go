@@ -36,17 +36,19 @@ const (
 // solver on every tick's snapshot. One standing MinMax query per venue at
 // the venue's Table-2 default facility sets; a seeded walker population
 // steps in 30 s ticks from 08:55 through two door-schedule transitions.
-// Per tick the engine's incremental maintenance (diff the snapshot, re-solve
-// only moved clients, combine) is timed against the from-scratch
-// alternative, and the two answers are required to be identical — the
-// table is a benchmark and a differential test at once. Both columns price
+// Per tick the engine's incremental maintenance (diff the snapshot, resolve
+// the moved clients that can set the answer, combine) is timed against the
+// from-scratch alternative, and the two answers are required to be
+// identical — the table is a benchmark and a differential test at once.
+// res/tick, reuse/tick and carry/tick split the walkers as Event's
+// Resolved, Reused and Carried do. Both columns price
 // a full deployment tick: inc-tick is Engine.Tick (simulation step + era
 // rebuilds + incremental maintenance); scratch steps an identically-seeded
 // twin simulation and runs core.Exec over the engine's snapshot.
 func RushHour(w io.Writer, r *Runner, cfg Config) ([]Measurement, error) {
 	writeHeader(w, "Rush hour — standing query vs per-tick re-solve, two door transitions")
-	fmt.Fprintf(w, "%-6s %8s %6s %6s %10s %10s %12s %12s %9s\n",
-		"venue", "walkers", "ticks", "trans", "res/tick", "reuse/tick", "inc-tick", "scratch", "speedup")
+	fmt.Fprintf(w, "%-6s %8s %6s %6s %10s %10s %10s %12s %12s %9s\n",
+		"venue", "walkers", "ticks", "trans", "res/tick", "reuse/tick", "carry/tick", "inc-tick", "scratch", "speedup")
 	ctx := context.Background()
 	for _, name := range cfg.Venues {
 		v, err := r.Venue(name)
@@ -137,9 +139,9 @@ func RushHour(w io.Writer, r *Runner, cfg Config) ([]Measurement, error) {
 		if incMean > 0 {
 			ratio = float64(scratchMean) / float64(incMean)
 		}
-		fmt.Fprintf(w, "%-6s %8d %6d %6d %10.1f %10.1f %12s %12s %8.1fx\n",
+		fmt.Fprintf(w, "%-6s %8d %6d %6d %10.1f %10.1f %10.1f %12s %12s %8.1fx\n",
 			name, walkers, rushTicks, st.Transitions,
-			float64(st.Resolved)/rushTicks, float64(st.Reused)/rushTicks,
+			float64(st.Resolved)/rushTicks, float64(st.Reused)/rushTicks, float64(st.Carried)/rushTicks,
 			incMean.Round(time.Microsecond), scratchMean.Round(time.Microsecond), ratio)
 	}
 	return nil, nil

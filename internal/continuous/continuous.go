@@ -14,14 +14,34 @@
 // partition with the same vip.Explorer primitives the batch solver uses,
 // plus the doors' locations. Resolve bounds each door's in-partition
 // offset from below by max(|Δx|, |Δy|) and takes the exact offset only
-// for doors the bound cannot rule out. Between ticks only clients whose
-// position changed (walkers mid-trip) recompute their rows; dwelling
-// walkers reuse theirs. The per-tick combine over cached rows is
-// a dense O(|C|·|Fn|) min/max scan that reproduces the solver's exact
-// semantics — Found iff the best candidate strictly improves on the status
-// quo, ties broken to the lowest candidate partition ID — so the
-// maintained answer is identical to a fresh core.Exec over the same
-// snapshot (pinned by the package's differential tests).
+// for doors the bound cannot rule out.
+//
+// A client that has not moved since its row was resolved reuses the row
+// as it is. A client that moved need not be resolved either: a point's
+// distance to any facility is 1-Lipschitz in indoor distance, and the
+// walker's odometer (motion.Simulation.Odometer) bounds the indoor
+// distance it has covered since the resolve. So each value the row holds
+// lies within the odometer's advance, padded for rounding, of the stored
+// one. Combine then resolves only the stale rows that can set the answer,
+// the paper's pruning (Algorithms 2–3 drop clients that cannot change the
+// answer) carried across ticks. It settles the status quo, then visits
+// the candidates by ascending upper bound: a candidate whose lower bound
+// loses to the best so far is skipped, and otherwise the stale rows whose
+// upper bounds reach above its known maximum are resolved, highest first,
+// until the maximum is exact. Every other moved row is carried on its
+// bound to the next tick. Bookkeeping is O(|C|·|Fn|) per tick. The result
+// reproduces the solver's exact semantics — Found iff the best candidate
+// strictly improves on the status quo, ties broken to the lowest
+// candidate partition ID — and is bit-identical to a combine over fully
+// resolved rows, so the maintained answer is identical to a fresh
+// core.Exec over the same snapshot (pinned by the package's differential
+// tests).
+//
+// Bounds hold only where the walkers and the era share one metric. Walkers
+// walk the base venue, through closed doors too, so the engine carries
+// rows only in the all-open era, and only on a venue whose door graph
+// prices walks as walkers walk them (legMetric). With any door closed,
+// and on every transition tick, each moved row is resolved.
 //
 // # Topology eras
 //
@@ -95,9 +115,11 @@ type Event struct {
 	At time.Duration
 	// Result is the maintained IFLS answer for the snapshot.
 	Result core.Result
-	// Resolved and Reused split the snapshot's clients into rows
-	// recomputed this tick versus carried over from earlier ticks.
-	Resolved, Reused int
+	// Resolved, Reused and Carried split the snapshot's clients: rows
+	// recomputed this tick, rows exact from an earlier tick because the
+	// client has not moved since, and rows of moved clients kept on a
+	// drift bound because they could not change the answer.
+	Resolved, Reused, Carried int
 	// Invalidated counts client rows discarded by a door-schedule
 	// transition during this tick (0 on steady-state ticks).
 	Invalidated int
@@ -128,15 +150,22 @@ type Config struct {
 // row is one client's cached distance state for the era it was computed
 // in and the position it was computed at.
 //
-// Invariant: nn is exact, and cand[k] is exact wherever it is below nn; at
-// or above nn it may overstate the true distance (resolve skips doors
-// that cannot beat nn). Only min(nn, cand[k]) — all that combine reads —
-// is exact for every k. Anything that reuses cand across eras or reads it
-// for another purpose must respect this.
+// Invariant: at loc, nn is exact, and cand[k] is exact wherever it is
+// below nn; at or above nn it may overstate the true distance (resolve
+// skips doors that cannot beat nn). Only min(nn, cand[k]) — all that
+// combine reads — is exact for every k. Anything that reuses cand across
+// eras or reads it for another purpose must respect this. Once the client
+// has moved from loc, the row is stale: its values are exact only for loc,
+// and combine reads them as intervals around the stored values, of width
+// the walker's drift since odo.
 type row struct {
 	valid bool
 	loc   geom.Point
 	part  indoor.PartitionID
+	// odo is the walker's drift odometer (motion.Simulation.Odometer) at
+	// loc. While the walker's odometer reads odo+w, each value combine
+	// reads from the row lies within w of the stored one (see drift).
+	odo float64
 	// nn is the distance to the nearest existing facility (+Inf when the
 	// query has none).
 	nn float64
@@ -334,6 +363,26 @@ type Engine struct {
 	// and the exact offsets computed so far (-1 where none was needed).
 	bounds, offsets []float64
 
+	// legMetric records whether the venue prices walks between doors the
+	// way walkers walk them (see legMetric); drift bounds need it.
+	legMetric bool
+	// The tick's drift state, indexed like rows: the snapshot, which rows
+	// are stale (moved, kept on a bound), each stale row's slack (its
+	// padded drift), and the stale rows' indices.
+	snap     []core.Client
+	stale    []bool
+	slack    []float64
+	staleIdx []int32
+	// combine's scratch, one column per value it folds: column 0 is the
+	// status quo (nn), column k+1 candidate k (min(nn, cand[k])). known is
+	// the maximum over rows whose value is exact, lower and upper the
+	// maxima of the stale rows' bounds.
+	known, lower, upper []float64
+	order               []int32
+	contenders          []contender
+	// settled counts the stale rows combine resolved this tick.
+	settled int
+
 	subs   map[int]func(Event)
 	nextID int
 
@@ -346,9 +395,10 @@ type Stats struct {
 	// Ticks counts Tick calls; Transitions the subset that crossed a
 	// door-schedule boundary and rebuilt the topology era.
 	Ticks, Transitions int64
-	// Resolved and Reused total the per-tick client row recomputes and
-	// carry-overs; Invalidated totals rows discarded by transitions.
-	Resolved, Reused, Invalidated int64
+	// Resolved, Reused and Carried total the per-tick client row
+	// recomputes, exact reuses and rows kept on a drift bound (see
+	// Event); Invalidated totals rows discarded by transitions.
+	Resolved, Reused, Carried, Invalidated int64
 	// AnswerChanges counts ticks whose result differed from the previous.
 	AnswerChanges int64
 }
@@ -382,6 +432,7 @@ func New(cfg Config) (*Engine, error) {
 		m:          cfg.Metrics,
 		clock:      cfg.ClockStart,
 		subs:       make(map[int]func(Event)),
+		legMetric:  legMetric(cfg.Tree.Venue()),
 	}
 	n := e.baseVenue.NumPartitions()
 	for _, f := range append(append([]indoor.PartitionID(nil), e.existing...), e.candidates...) {
@@ -396,11 +447,38 @@ func New(cfg Config) (*Engine, error) {
 	e.era = er
 	snap := e.sim.Snapshot()
 	e.rows = make([]row, len(snap))
+	e.stale, e.slack = make([]bool, len(snap)), make([]float64, len(snap))
+	cols := 1 + len(e.candidates)
+	e.known, e.lower, e.upper = make([]float64, cols), make([]float64, cols), make([]float64, cols)
+	e.order = make([]int32, len(e.candidates))
 	for i := range snap {
 		e.resolve(&e.rows[i], snap[i])
+		e.rows[i].odo = e.sim.Odometer(i)
 	}
+	e.snap = snap
 	e.last = e.combine()
 	return e, nil
+}
+
+// legMetric reports whether v prices the walk between any two doors of a
+// partition as motion prices a walker's leg (Venue.PointDoorDist): the
+// straight line between doors on one level, the stair length across
+// levels. Only a stairwell with two doors on one level, which
+// Venue.IntraDoorDist prices at least a stair length apart, breaks it.
+// Drift bounds need it (see drift).
+func legMetric(v *indoor.Venue) bool {
+	for pi := range v.Partitions {
+		p := &v.Partitions[pi]
+		for i, a := range p.Doors {
+			for _, b := range p.Doors[i+1:] {
+				la, lb := v.Door(a).Loc, v.Door(b).Loc
+				if la.Level == lb.Level && v.IntraDoorDist(p.ID, a, b) != la.Dist(lb) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // facs returns the combined facility list signatures are computed over.
@@ -550,44 +628,203 @@ func (e *Engine) resolve(r *row, c core.Client) {
 	r.valid = true
 }
 
-// combine folds the cached rows into the exact MinMax result, reproducing
-// the batch solver's semantics: the status quo is the maximum
-// nearest-existing distance; a candidate's objective is the maximum over
-// clients of min(nearest-existing, candidate distance); the answer is the
+// driftRel and driftAbs pad a stale row's drift for rounding (see drift).
+const (
+	driftRel = 0x1p-26
+	driftAbs = 1e-9
+)
+
+// drift returns the slack of a row resolved at odometer reading then, now
+// that the walker's odometer reads now: every value combine reads from the
+// row lies within the stored value ± slack, widened by driftRel of itself
+// (lowerOf, upperOf).
+//
+// Why: on the base topology a value the row holds is a min over
+// facilities of g_P(x) = min over the doors j of the client's partition P
+// of offset_j(x) + D[j][f]. For any two points x of P and y of Q,
+// g_Q(y) ≤ g_P(x) + d, where d is the indoor distance between them
+// (d2d.Graph.PointToPoint): take the doors the shortest path leaves P and
+// enters Q by, and the door of P that attains g_P(x); the door graph
+// prices the step between two doors of P at most at the two offsets via x
+// (legMetric), so D obeys the triangle inequality through x. So the values
+// are 1-Lipschitz in the indoor distance, which the walker's odometer
+// bounds between its reported positions (motion.Simulation.Odometer): they
+// move by at most now−then. The padding covers rounding: of the odometer's
+// sum (driftRel of its reading), of the D cells, which obey the triangle
+// inequality only to a few ulps (driftRel of the value), and of
+// interpolated coordinates (driftAbs, a nanometre).
+func drift(then, now float64) float64 {
+	return (now-then+driftRel*now)*(1+driftRel) + driftAbs
+}
+
+func upperOf(v, slack float64) float64 { return v*(1+driftRel) + slack }
+func lowerOf(v, slack float64) float64 { return v*(1-driftRel) - slack }
+
+// value returns what combine reads from r in column c: nn for column 0,
+// min(nn, cand[c-1]) for candidate c-1.
+func (r *row) value(c int) float64 {
+	if c > 0 && r.cand[c-1] < r.nn {
+		return r.cand[c-1]
+	}
+	return r.nn
+}
+
+// contender is a stale row whose upper bound in the column being settled
+// lies above everything the column is known to reach.
+type contender struct {
+	hi float64
+	i  int32
+}
+
+// combine folds the rows into the exact MinMax result, reproducing the
+// batch solver's semantics: the status quo is the maximum nearest-existing
+// distance; a candidate's objective is the maximum over clients of
+// min(nearest-existing, candidate distance); the answer is the
 // lowest-objective candidate, ties broken to the lowest candidate
 // partition ID; Found requires a strict improvement over the status quo.
+//
+// Stale rows (Tick) enter as intervals, and combine resolves only those
+// that can set the answer. It settles the status quo first, then visits
+// the candidates in ascending upper bound: one whose lower bound cannot
+// win against the best so far (objective, then partition ID) is skipped;
+// otherwise its maximum is settled, with an early stop once what is known
+// of it already loses. The result is the one a combine over fully
+// resolved rows returns, bit for bit: every maximum it reads is attained
+// by an exact row, and every skipped row or candidate is bounded out.
+// Bookkeeping is one O(|C|·|Fn|) pass plus one pass over the stale rows
+// per settled column.
 func (e *Engine) combine() core.Result {
 	if len(e.rows) == 0 {
 		return core.Result{Found: false, Answer: indoor.NoPartition, Objective: math.NaN()}
 	}
-	statusQuo := 0.0
+	known, lower, upper := e.known, e.lower, e.upper
+	clear(known)
+	clear(lower)
+	clear(upper)
 	for i := range e.rows {
-		if e.rows[i].nn > statusQuo {
-			statusQuo = e.rows[i].nn
+		r := &e.rows[i]
+		if !e.stale[i] {
+			if r.nn > known[0] {
+				known[0] = r.nn
+			}
+			for k, d := range r.cand {
+				if r.nn < d {
+					d = r.nn
+				}
+				if d > known[k+1] {
+					known[k+1] = d
+				}
+			}
+			continue
 		}
-	}
-	best := indoor.NoPartition
-	bestObj := math.Inf(1)
-	for k, f := range e.candidates {
-		obj := 0.0
-		for i := range e.rows {
-			r := &e.rows[i]
-			d := r.cand[k]
+		s := e.slack[i]
+		fold := func(c int, v float64) {
+			if lo := lowerOf(v, s); lo > lower[c] {
+				lower[c] = lo
+			}
+			if hi := upperOf(v, s); hi > upper[c] {
+				upper[c] = hi
+			}
+		}
+		fold(0, r.nn)
+		for k, d := range r.cand {
 			if r.nn < d {
 				d = r.nn
 			}
-			if d > obj {
-				obj = d
-			}
+			fold(k+1, d)
 		}
-		if obj < bestObj || (obj == bestObj && f < best) {
-			bestObj, best = obj, f
+	}
+	for c, lo := range lower {
+		// +Inf is exact even on a stale row: a walker never reaches a
+		// facility it could not reach before.
+		if math.IsInf(lo, 1) {
+			known[c] = lo
+		}
+	}
+
+	e.settle(0, nil)
+	statusQuo := known[0]
+
+	order := e.order
+	for k := range order {
+		order[k] = int32(k)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		ua, ub := max(known[a+1], upper[a+1]), max(known[b+1], upper[b+1])
+		if c := cmp.Compare(ua, ub); c != 0 {
+			return c
+		}
+		return cmp.Compare(e.candidates[a], e.candidates[b])
+	})
+	best := indoor.NoPartition
+	bestObj := math.Inf(1)
+	wins := func(obj float64, f indoor.PartitionID) bool {
+		return obj < bestObj || (obj == bestObj && f < best)
+	}
+	for _, k := range order {
+		f := e.candidates[k]
+		if !wins(max(known[k+1], lower[k+1]), f) {
+			continue
+		}
+		if e.settle(int(k)+1, func(obj float64) bool { return wins(obj, f) }) && wins(known[k+1], f) {
+			bestObj, best = known[k+1], f
 		}
 	}
 	if best == indoor.NoPartition || bestObj >= statusQuo {
 		return core.Result{Found: false, Answer: indoor.NoPartition, Objective: math.NaN()}
 	}
 	return core.Result{Found: true, Answer: best, Objective: bestObj}
+}
+
+// settle resolves stale rows until known[c] is column c's exact maximum,
+// and reports true. It resolves the contenders, the stale rows whose upper
+// bound exceeds both known[c] and lower[c], in descending upper bound,
+// until the next one's upper bound is at most known[c]. Every other stale
+// row lies at or below lower[c], and so at or below the final known[c]:
+// the row that set lower[c] is a contender, and it is either resolved or
+// bounded by known[c]. When wins is non-nil and known[c] no longer wins,
+// settle stops early and reports false: the column's maximum, at least
+// known[c], cannot win either.
+func (e *Engine) settle(c int, wins func(float64) bool) bool {
+	floor := max(e.known[c], e.lower[c])
+	cs := e.contenders[:0]
+	for _, i := range e.staleIdx {
+		if !e.stale[i] {
+			continue
+		}
+		if hi := upperOf(e.rows[i].value(c), e.slack[i]); hi > floor {
+			cs = append(cs, contender{hi, i})
+		}
+	}
+	e.contenders = cs
+	slices.SortFunc(cs, func(a, b contender) int {
+		return cmp.Or(cmp.Compare(b.hi, a.hi), cmp.Compare(a.i, b.i))
+	})
+	for _, x := range cs {
+		if x.hi <= e.known[c] {
+			break
+		}
+		if wins != nil && !wins(e.known[c]) {
+			return false
+		}
+		e.settleRow(int(x.i))
+	}
+	return true
+}
+
+// settleRow resolves stale row i at the tick's position and folds its
+// exact values into known.
+func (e *Engine) settleRow(i int) {
+	r := &e.rows[i]
+	e.resolve(r, e.snap[i])
+	r.odo = e.sim.Odometer(i)
+	e.stale[i] = false
+	e.settled++
+	for c := range e.known {
+		if v := r.value(c); v > e.known[c] {
+			e.known[c] = v
+		}
+	}
 }
 
 // transition crosses into the era at the engine's current clock,
@@ -626,8 +863,9 @@ func (e *Engine) transition() (int, error) {
 
 // Tick advances the simulation (and the simulated clock) by dt and brings
 // the maintained answer up to date: door-schedule transitions rebuild the
-// topology era and invalidate affected rows, moved clients recompute their
-// rows, everything else is reused. Subscribers receive an EventTick (and,
+// topology era and invalidate affected rows, moved clients' rows are
+// resolved or, where drift bounds apply, carried until combine needs them,
+// everything else is reused. Subscribers receive an EventTick (and,
 // when the result changed, an EventAnswerChanged) before Tick returns.
 //
 // A transition whose snapshot disconnects the venue fails; the engine's
@@ -643,7 +881,7 @@ func (e *Engine) Tick(dt time.Duration) (core.Result, error) {
 	e.tick++
 	e.stats.Ticks++
 
-	invalidated := 0
+	invalidated, transitioned := 0, false
 	if e.tt != nil {
 		mask := e.tt.Mask(e.clock)
 		if !slices.Equal(mask, e.era.mask) {
@@ -651,7 +889,7 @@ func (e *Engine) Tick(dt time.Duration) (core.Result, error) {
 			if err != nil {
 				return core.Result{}, err
 			}
-			invalidated = n
+			invalidated, transitioned = n, true
 			e.stats.Transitions++
 			e.stats.Invalidated += int64(n)
 			if e.m != nil {
@@ -660,35 +898,59 @@ func (e *Engine) Tick(dt time.Duration) (core.Result, error) {
 		}
 	}
 
+	// Drift bounds need the walkers' metric: the base topology, which
+	// walkers walk even through closed doors. A transition tick resolves
+	// every moved row on the new era.
+	bounded := e.legMetric && !transitioned && e.era.venue == e.baseVenue
 	snap := e.sim.Snapshot()
 	resolved, reused := 0, 0
+	e.staleIdx = e.staleIdx[:0]
 	for i := range snap {
 		r := &e.rows[i]
+		e.stale[i] = false
 		if r.valid && r.loc == snap[i].Loc && r.part == snap[i].Part {
 			reused++
 			continue
 		}
+		odo := e.sim.Odometer(i)
+		if s := drift(r.odo, odo); bounded && r.valid && s < math.Inf(1) {
+			// Sign the walker's partition now, as a resolve would. A
+			// carried row needs the signature once combine resolves
+			// it, and paying it on arrival keeps a tick's cost and the
+			// memo's growth independent of which rows bounds carry.
+			e.era.signature(snap[i].Part)
+			e.stale[i] = true
+			e.slack[i] = s
+			e.staleIdx = append(e.staleIdx, int32(i))
+			continue
+		}
 		e.resolve(r, snap[i])
+		r.odo = odo
 		resolved++
 	}
+	e.snap = snap
+	e.settled = 0
+	res := e.combine()
+	resolved += e.settled
+	carried := len(e.staleIdx) - e.settled
 	e.stats.Resolved += int64(resolved)
 	e.stats.Reused += int64(reused)
+	e.stats.Carried += int64(carried)
 
-	res := e.combine()
 	changedAnswer := !sameResult(res, e.last)
 	e.last = res
 	if changedAnswer {
 		e.stats.AnswerChanges++
 	}
 	if e.m != nil {
-		e.m.ContinuousTick(resolved, reused)
+		e.m.ContinuousTick(resolved, reused, carried)
 		if changedAnswer {
 			e.m.ContinuousAnswerChange()
 		}
 	}
 	ev := Event{
 		Kind: EventTick, Tick: e.tick, At: e.clock, Result: res,
-		Resolved: resolved, Reused: reused, Invalidated: invalidated,
+		Resolved: resolved, Reused: reused, Carried: carried, Invalidated: invalidated,
 	}
 	e.publish(ev)
 	if changedAnswer {

@@ -396,8 +396,8 @@ func TestSubscribe(t *testing.T) {
 		if ev.Tick != int64(i+1) {
 			t.Fatalf("tick event %d has Tick=%d", i, ev.Tick)
 		}
-		if ev.Resolved+ev.Reused != 25 {
-			t.Fatalf("tick event %d: resolved %d + reused %d != 25", i, ev.Resolved, ev.Reused)
+		if ev.Resolved+ev.Reused+ev.Carried != 25 {
+			t.Fatalf("tick event %d: resolved %d + reused %d + carried %d != 25", i, ev.Resolved, ev.Reused, ev.Carried)
 		}
 	}
 	if eng.Stats().AnswerChanges != int64(wantChanges) {

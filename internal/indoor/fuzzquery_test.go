@@ -94,3 +94,55 @@ func FuzzQueryValidate(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPointQueries drives the point queries — NearestFacility,
+// KNearestFacilities, FacilitiesWithin, Distance and DistanceToPartition —
+// with coordinates, radii and k that may be NaN, infinite, negative or
+// huge, and facility IDs that may name no partition. None may panic. A
+// neighbour list must be in ascending distance order (ties by facility ID
+// for FacilitiesWithin), hold at most k entries from KNearestFacilities,
+// and lie within the radius from FacilitiesWithin, which answers a NaN
+// radius with nil.
+func FuzzPointQueries(f *testing.F) {
+	v, ix := fuzzFixture(f)
+	np := int64(len(v.Partitions))
+	f.Add(30.0, 20.0, int64(0), 50.0, 3, int64(1), int64(5))             // plausible
+	f.Add(math.NaN(), 20.0, int64(0), 50.0, 3, int64(1), int64(5))       // NaN coordinate
+	f.Add(30.0, math.Inf(1), int64(0), 50.0, 3, int64(1), int64(5))      // infinite coordinate
+	f.Add(30.0, 20.0, int64(0), math.NaN(), 3, int64(1), int64(5))       // NaN radius
+	f.Add(30.0, 20.0, int64(0), math.Inf(1), -1, int64(1), int64(5))     // infinite radius, negative k
+	f.Add(30.0, 20.0, int64(0), math.Inf(-1), 1<<30, int64(1), int64(5)) // negative radius, huge k
+	f.Add(30.0, 20.0, int64(7), 50.0, 3, int64(-1), np)                  // wrong level, unknown IDs
+	f.Fuzz(func(t *testing.T, x, y float64, level int64, r float64, k int, f1, f2 int64) {
+		p := ifls.Pt(x, y, int(level))
+		q := ifls.Pt(y, x, 0)
+		facilities := []ifls.PartitionID{ifls.PartitionID(f1), ifls.PartitionID(f2), ifls.PartitionID(f1 % np)}
+		ix.NearestFacility(p, facilities)
+		_, _ = ix.Distance(p, q)
+		_, _ = ix.DistanceToPartition(p, ifls.PartitionID(f2))
+
+		sorted := func(name string, ns []ifls.Neighbor, byID bool) {
+			for i := 1; i < len(ns); i++ {
+				a, b := ns[i-1], ns[i]
+				if a.Dist > b.Dist || (byID && a.Dist == b.Dist && a.Facility > b.Facility) {
+					t.Fatalf("%s: neighbours out of order at %d: %v", name, i, ns)
+				}
+			}
+		}
+		kn := ix.KNearestFacilities(p, facilities, k)
+		sorted("KNearestFacilities", kn, false)
+		if len(kn) > max(k, 0) {
+			t.Fatalf("KNearestFacilities(k=%d) returned %d neighbours", k, len(kn))
+		}
+		in := ix.FacilitiesWithin(p, facilities, r)
+		sorted("FacilitiesWithin", in, true)
+		if math.IsNaN(r) && in != nil {
+			t.Fatalf("FacilitiesWithin with a NaN radius = %v, want nil", in)
+		}
+		for _, n := range in {
+			if !(n.Dist <= r) {
+				t.Fatalf("FacilitiesWithin(r=%v) returned %v", r, n)
+			}
+		}
+	})
+}

@@ -120,14 +120,16 @@ type Metrics struct {
 	pagesRead          atomic.Int64
 
 	// Standing-query counters (internal/continuous): ticks counts engine
-	// ticks; resolved and reused split each tick's clients into rows
-	// recomputed versus carried over; invalidations counts client rows
-	// discarded because a door-schedule transition changed their
-	// partition's distance state; answer changes counts ticks whose
+	// ticks; resolved, reused and carried split each tick's clients into
+	// rows recomputed, rows reused exact because the client did not move,
+	// and moved clients' rows kept on a drift bound; invalidations counts
+	// client rows discarded because a door-schedule transition changed
+	// their partition's distance state; answer changes counts ticks whose
 	// maintained answer differed from the previous one.
 	continuousTicks         atomic.Int64
 	continuousResolved      atomic.Int64
 	continuousReused        atomic.Int64
+	continuousCarried       atomic.Int64
 	continuousInvalidations atomic.Int64
 	continuousAnswerChanges atomic.Int64
 }
@@ -216,12 +218,13 @@ func (m *Metrics) PageCacheEviction() { m.pageCacheEvictions.Add(1) }
 func (m *Metrics) PageRead() { m.pagesRead.Add(1) }
 
 // ContinuousTick records one standing-query engine tick that re-solved
-// `resolved` client rows and reused `reused` cached ones. Safe for
-// concurrent use.
-func (m *Metrics) ContinuousTick(resolved, reused int) {
+// `resolved` client rows, reused `reused` exact ones and carried `carried`
+// on a drift bound. Safe for concurrent use.
+func (m *Metrics) ContinuousTick(resolved, reused, carried int) {
 	m.continuousTicks.Add(1)
 	m.continuousResolved.Add(int64(resolved))
 	m.continuousReused.Add(int64(reused))
+	m.continuousCarried.Add(int64(carried))
 }
 
 // ContinuousInvalidation records n client rows discarded because a
@@ -292,12 +295,13 @@ type Snapshot struct {
 	// counts physical page reads.
 	PageCacheHits, PageCacheMisses, PageCacheEvictions, PagesRead int64
 	// ContinuousTicks counts standing-query engine ticks;
-	// ContinuousResolved and ContinuousReused split each tick's clients
-	// into recomputed versus carried-over rows;
-	// ContinuousInvalidations counts rows discarded on door-schedule
-	// transitions; ContinuousAnswerChanges counts answer flips.
-	ContinuousTicks, ContinuousResolved, ContinuousReused int64
-	ContinuousInvalidations, ContinuousAnswerChanges      int64
+	// ContinuousResolved, ContinuousReused and ContinuousCarried split
+	// each tick's clients into recomputed rows, exact reused rows and rows
+	// carried on a drift bound; ContinuousInvalidations counts rows
+	// discarded on door-schedule transitions; ContinuousAnswerChanges
+	// counts answer flips.
+	ContinuousTicks, ContinuousResolved, ContinuousReused, ContinuousCarried int64
+	ContinuousInvalidations, ContinuousAnswerChanges                         int64
 }
 
 // Snapshot returns a consistent-enough copy for serving: each field is
@@ -327,6 +331,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		ContinuousTicks:         m.continuousTicks.Load(),
 		ContinuousResolved:      m.continuousResolved.Load(),
 		ContinuousReused:        m.continuousReused.Load(),
+		ContinuousCarried:       m.continuousCarried.Load(),
 		ContinuousInvalidations: m.continuousInvalidations.Load(),
 		ContinuousAnswerChanges: m.continuousAnswerChanges.Load(),
 	}
@@ -390,6 +395,7 @@ func (m *Metrics) expvarMap() map[string]any {
 		"continuous_ticks":                  s.ContinuousTicks,
 		"continuous_clients_resolved":       s.ContinuousResolved,
 		"continuous_clients_reused":         s.ContinuousReused,
+		"continuous_clients_carried":        s.ContinuousCarried,
 		"continuous_schedule_invalidations": s.ContinuousInvalidations,
 		"continuous_answer_changes":         s.ContinuousAnswerChanges,
 	}

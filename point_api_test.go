@@ -2,6 +2,7 @@ package ifls_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	ifls "github.com/indoorspatial/ifls"
@@ -49,6 +50,24 @@ func TestPointAPIRejectsUnknownPartitions(t *testing.T) {
 	}
 	if _, err := ix.DistanceToPartition(p, good); err != nil {
 		t.Errorf("DistanceToPartition on a valid partition: %v", err)
+	}
+}
+
+// TestFacilitiesWithinRejectsNaNRadius: a NaN radius is no radius, so the
+// range query answers it like an unknown facility ID, with nil. It used to
+// compare false against every distance but the source partition's own 0
+// and return that facility alone.
+func TestFacilitiesWithinRejectsNaNRadius(t *testing.T) {
+	_, ix, q := robustnessFixture(t)
+	p := q.Clients[0].Loc
+	own := q.Clients[0].Part
+	facilities := append([]ifls.PartitionID{own}, q.Candidates...)
+	if got := ix.FacilitiesWithin(p, facilities, math.NaN()); got != nil {
+		t.Errorf("FacilitiesWithin with a NaN radius = %v, want nil", got)
+	}
+	all := ix.FacilitiesWithin(p, facilities, math.Inf(1))
+	if len(all) < 2 || all[0].Facility != own || all[0].Dist != 0 {
+		t.Fatalf("FacilitiesWithin with an infinite radius = %v, want the source partition first and more", all)
 	}
 }
 
