@@ -1,49 +1,29 @@
 package continuous
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
 	"time"
-
-	"github.com/indoorspatial/ifls/internal/motion"
-	"github.com/indoorspatial/ifls/internal/venues"
-	"github.com/indoorspatial/ifls/internal/vip"
-	"github.com/indoorspatial/ifls/internal/workload"
 )
 
-// BenchmarkTick times steady ticks of a standing query on MC and CH, set
-// up like the tick end-to-end workloads but without a door timetable: 500
-// walkers with a 2 min dwell, stepped 30 simulated minutes before the
-// engine starts; |Fe|=20 and |Fn|=50 facilities; seed 1; 30 s ticks, the
-// first 200 untimed so that the per-partition signatures are memoized.
-// It reports the clients resolved per timed tick, which is fixed for a
-// given -benchtime Nx.
+// BenchmarkTick times ticks of a standing query set up like the tick
+// end-to-end workloads (newCrowd): 500 walkers, |Fe|=20 and |Fn|=50
+// facilities, seed 1, 30 s ticks.
+//
+// MC and CH run without a door timetable, after 200 untimed ticks that
+// memoize most per-partition signatures. They report the clients resolved
+// per timed tick, which is fixed for a given -benchtime Nx.
+//
+// MC-doors runs MC under the six-door rotation of tick-mc-doors, with no
+// untimed ticks, so every 8th tick crosses into a new era and signs its
+// occupied partitions cold. It reports the median transition tick and the
+// median steady tick separately, and the signatures computed per tick.
 func BenchmarkTick(b *testing.B) {
-	const dt = 30 * time.Second
 	for _, name := range []string{"MC", "CH"} {
 		b.Run(name, func(b *testing.B) {
-			v, err := venues.ByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tree := vip.MustBuild(v, vip.DefaultOptions())
-			fe, fn, err := workload.NewGenerator(v).Facilities(20, 50, rand.New(rand.NewSource(1)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim, err := motion.NewSimulation(v, tree.Graph(), motion.Config{Walkers: 500, Dwell: 2 * time.Minute, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for t := time.Duration(0); t < 30*time.Minute; t += dt {
-				sim.Step(dt)
-			}
-			eng, err := New(Config{Tree: tree, Sim: sim, Existing: fe, Candidates: fn, ClockStart: 8 * time.Hour})
-			if err != nil {
-				b.Fatal(err)
-			}
+			eng := newCrowd(b, name, 500, 1, false)
 			for i := 0; i < 200; i++ {
-				if _, err := eng.Tick(dt); err != nil {
+				if _, err := eng.Tick(crowdDT); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -51,7 +31,7 @@ func BenchmarkTick(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Tick(dt); err != nil {
+				if _, err := eng.Tick(crowdDT); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -59,4 +39,41 @@ func BenchmarkTick(b *testing.B) {
 			b.ReportMetric(float64(eng.Stats().Resolved-before)/float64(b.N), "resolved/tick")
 		})
 	}
+	b.Run("MC-doors", func(b *testing.B) {
+		eng := newCrowd(b, "MC", 500, 1, true)
+		var transition, steady []float64 // tick times in ms
+		before := eng.Stats()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n := eng.Stats().Transitions
+			start := time.Now()
+			if _, err := eng.Tick(crowdDT); err != nil {
+				b.Fatal(err)
+			}
+			ms := float64(time.Since(start)) / float64(time.Millisecond)
+			if eng.Stats().Transitions != n {
+				transition = append(transition, ms)
+			} else {
+				steady = append(steady, ms)
+			}
+		}
+		b.StopTimer()
+		if len(transition) > 0 {
+			b.ReportMetric(median(transition), "transition-ms")
+		}
+		if len(steady) > 0 {
+			b.ReportMetric(median(steady), "steady-ms")
+		}
+		b.ReportMetric(float64(eng.Stats().Signed-before.Signed)/float64(b.N), "signed/tick")
+	})
+}
+
+// median returns the median of xs, reordering xs.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }

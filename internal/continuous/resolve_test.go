@@ -105,10 +105,8 @@ func TestResolveMatchesNaive(t *testing.T) {
 		e := &Engine{existing: existing, candidates: candidates}
 		facs := e.facs()
 		sig := seededSig(rng, v, facs, part, len(existing))
-		e.era = &era{
-			tree: tree, facs: facs, ne: len(existing),
-			sigs: map[indoor.PartitionID]*partSig{part: sig},
-		}
+		e.era = &era{tree: tree, facs: facs, ne: len(existing), sigs: make([]*partSig, n)}
+		e.era.sigs[part] = sig
 		var r row // reused across points, as the engine reuses rows
 		for pt := 0; pt < 5; pt++ {
 			loc := v.RandomPointIn(part, rng.Float64(), rng.Float64())

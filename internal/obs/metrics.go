@@ -125,13 +125,15 @@ type Metrics struct {
 	// and moved clients' rows kept on a drift bound; invalidations counts
 	// client rows discarded because a door-schedule transition changed
 	// their partition's distance state; answer changes counts ticks whose
-	// maintained answer differed from the previous one.
+	// maintained answer differed from the previous one; signatures counts
+	// the partition signatures ticks computed.
 	continuousTicks         atomic.Int64
 	continuousResolved      atomic.Int64
 	continuousReused        atomic.Int64
 	continuousCarried       atomic.Int64
 	continuousInvalidations atomic.Int64
 	continuousAnswerChanges atomic.Int64
+	continuousSignatures    atomic.Int64
 }
 
 // NewMetrics returns an empty Metrics.
@@ -218,13 +220,15 @@ func (m *Metrics) PageCacheEviction() { m.pageCacheEvictions.Add(1) }
 func (m *Metrics) PageRead() { m.pagesRead.Add(1) }
 
 // ContinuousTick records one standing-query engine tick that re-solved
-// `resolved` client rows, reused `reused` exact ones and carried `carried`
-// on a drift bound. Safe for concurrent use.
-func (m *Metrics) ContinuousTick(resolved, reused, carried int) {
+// `resolved` client rows, reused `reused` exact ones, carried `carried` on
+// a drift bound and computed `signed` partition signatures. Safe for
+// concurrent use.
+func (m *Metrics) ContinuousTick(resolved, reused, carried, signed int) {
 	m.continuousTicks.Add(1)
 	m.continuousResolved.Add(int64(resolved))
 	m.continuousReused.Add(int64(reused))
 	m.continuousCarried.Add(int64(carried))
+	m.continuousSignatures.Add(int64(signed))
 }
 
 // ContinuousInvalidation records n client rows discarded because a
@@ -299,9 +303,10 @@ type Snapshot struct {
 	// each tick's clients into recomputed rows, exact reused rows and rows
 	// carried on a drift bound; ContinuousInvalidations counts rows
 	// discarded on door-schedule transitions; ContinuousAnswerChanges
-	// counts answer flips.
+	// counts answer flips; ContinuousSignatures counts the partition
+	// signatures ticks computed.
 	ContinuousTicks, ContinuousResolved, ContinuousReused, ContinuousCarried int64
-	ContinuousInvalidations, ContinuousAnswerChanges                         int64
+	ContinuousInvalidations, ContinuousAnswerChanges, ContinuousSignatures   int64
 }
 
 // Snapshot returns a consistent-enough copy for serving: each field is
@@ -334,6 +339,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		ContinuousCarried:       m.continuousCarried.Load(),
 		ContinuousInvalidations: m.continuousInvalidations.Load(),
 		ContinuousAnswerChanges: m.continuousAnswerChanges.Load(),
+		ContinuousSignatures:    m.continuousSignatures.Load(),
 	}
 	for i := range m.stages {
 		s.Stages[i] = m.stages[i].Load()
@@ -398,6 +404,7 @@ func (m *Metrics) expvarMap() map[string]any {
 		"continuous_clients_carried":        s.ContinuousCarried,
 		"continuous_schedule_invalidations": s.ContinuousInvalidations,
 		"continuous_answer_changes":         s.ContinuousAnswerChanges,
+		"continuous_signatures":             s.ContinuousSignatures,
 	}
 	if !math.IsNaN(s.GdFinalAvg) {
 		out["gd_final_avg"] = s.GdFinalAvg

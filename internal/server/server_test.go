@@ -436,7 +436,7 @@ func TestExpvarCatalog(t *testing.T) {
 		"queries_timed_out", "flights_reaped",
 		"page_cache_hits", "page_cache_misses", "page_cache_evictions", "pages_read",
 		"continuous_ticks", "continuous_clients_resolved", "continuous_clients_reused", "continuous_clients_carried",
-		"continuous_schedule_invalidations", "continuous_answer_changes",
+		"continuous_schedule_invalidations", "continuous_answer_changes", "continuous_signatures",
 	} {
 		if _, ok := rendered[key]; !ok {
 			t.Errorf("expvar key %q missing from metrics export", key)

@@ -32,6 +32,22 @@ func UnionCells(tree *Tree) []int64 {
 	return out
 }
 
+// UnionCellOn returns a cell of an internal node's union matrix that lies
+// on page page of the page section (pages of pageSize bytes), or -1 when
+// no union cell does.
+func UnionCellOn(tree *Tree, page int64, pageSize int) int64 {
+	lo, hi := page*int64(pageSize)/cellSize, (page+1)*int64(pageSize)/cellSize
+	for _, nd := range tree.nodes {
+		if nd.leaf {
+			continue
+		}
+		if start, end := nd.uD.off, nd.uD.off+int64(nd.uD.rows*nd.uD.cols); start < hi && end > lo {
+			return max(start, lo)
+		}
+	}
+	return -1
+}
+
 // RecordPages returns a reader over index file data that records, in the
 // returned set, every page of the page section (pages of pageSize bytes)
 // read through it.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/indoorspatial/ifls/internal/faults"
@@ -509,16 +510,20 @@ func TestPagedCachedRowReadAllocs(t *testing.T) {
 }
 
 // pageRecorder is an io.ReaderAt that records which pages of the page
-// section a reader touches.
+// section a reader touches. Concurrent page faults may record at once;
+// read pages once they have joined.
 type pageRecorder struct {
 	r              io.ReaderAt
 	secOff, stride int64
+	mu             sync.Mutex
 	pages          map[int64]bool
 }
 
 func (p *pageRecorder) ReadAt(b []byte, off int64) (int, error) {
 	if off >= p.secOff {
+		p.mu.Lock()
 		p.pages[(off-p.secOff)/p.stride] = true
+		p.mu.Unlock()
 	}
 	return p.r.ReadAt(b, off)
 }
