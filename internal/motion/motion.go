@@ -14,6 +14,7 @@ package motion
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -39,78 +40,49 @@ type Trajectory struct {
 	Waypoints []Waypoint
 	// Length is the total route distance.
 	Length float64
-	// relabel[i] totals the relabelling costs up to waypoint i: the indoor
-	// distance from waypoint j as a point of the partition the walker is
-	// reported in before j to the same point as one of the partition it
-	// is reported in after j, summed over j <= i. Such a cost is 0 when
-	// the door at j borders both partitions, as it does on every
-	// well-labelled route; nil when it is 0 at every waypoint.
-	relabel []float64
 }
 
 // PlanTrajectory computes a shortest-route trajectory from a located start
 // to a located goal. The waypoints are the start, each door crossed, and
-// the goal.
+// the goal. Each leg is labelled with the partition it walks: the start's
+// for the first leg, the goal's for the last, and between two doors the
+// partition of the door-graph edge joining them (legPart).
 func PlanTrajectory(g *d2d.Graph, from geom.Point, fromPart indoor.PartitionID, to geom.Point, toPart indoor.PartitionID) Trajectory {
 	v := g.Venue()
 	doors, total := g.PointRoute(from, fromPart, to, toPart)
 	tr := Trajectory{Length: total}
 	tr.Waypoints = append(tr.Waypoints, Waypoint{Loc: from, LegPart: fromPart})
 	walked := 0.0
-	prevLoc, prevPart := from, fromPart
-	for _, d := range doors {
-		door := v.Door(d)
-		// The leg to this door happens inside prevPart.
-		walked += v.PointDoorDist(prevPart, prevLoc, d)
-		tr.Waypoints = append(tr.Waypoints, Waypoint{Loc: door.Loc, LegPart: prevPart, DistFromStart: walked})
-		next := door.Other(prevPart)
-		if next == indoor.NoPartition {
-			next = prevPart // exterior doors are never on indoor routes, be safe
+	prevLoc, part := from, fromPart
+	for i, d := range doors {
+		walked += v.PointDoorDist(part, prevLoc, d)
+		prevLoc = v.Door(d).Loc
+		tr.Waypoints = append(tr.Waypoints, Waypoint{Loc: prevLoc, LegPart: part, DistFromStart: walked})
+		part = toPart
+		if i+1 < len(doors) {
+			part = legPart(v, d, doors[i+1])
 		}
-		prevLoc, prevPart = door.Loc, next
 	}
 	tr.Waypoints = append(tr.Waypoints, Waypoint{Loc: to, LegPart: toPart, DistFromStart: tr.Length})
-	tr.relabel = relabelCosts(g, tr.Waypoints, doors)
 	return tr
 }
 
-// relabelCosts returns Trajectory.relabel for wps, nil when every cost is
-// 0. A door path can pass through a door without crossing it (collinear
-// doors along a corridor), and the leg labels, which follow Door.Other,
-// then name a partition the door does not lead into; the walker's
-// reported partition changes at that waypoint to one the door does not
-// border. The cost prices that change as the indoor distance between
-// the two reported points, so that the odometer still bounds the indoor
-// distance between reported positions.
-func relabelCosts(g *d2d.Graph, wps []Waypoint, doors []indoor.DoorID) []float64 {
-	v := g.Venue()
-	var out []float64
-	total := 0.0
-	for i := 1; i+1 < len(wps); i++ {
-		before, after := wps[i].LegPart, wps[i+1].LegPart
-		if d := v.Door(doors[i-1]); before != after && !(d.Borders(before) && d.Borders(after)) {
-			_, cost := g.PointRoute(wps[i].Loc, before, wps[i].Loc, after)
-			total += cost
-			if out == nil {
-				out = make([]float64, len(wps))
-			}
+// legPart returns the partition of the door-graph edge from door a to door
+// b: of the partitions bordering both, the one with the least
+// IntraDoorDist, the lowest ID on a tie. d2d.New lists a door's edges in
+// partition order, so this is the edge a shortest-path search keeps.
+func legPart(v *indoor.Venue, a, b indoor.DoorID) indoor.PartitionID {
+	da, db := v.Door(a), v.Door(b)
+	part, best := indoor.NoPartition, math.Inf(1)
+	for _, p := range [2]indoor.PartitionID{min(da.A, da.B), max(da.A, da.B)} {
+		if p == indoor.NoPartition || !db.Borders(p) {
+			continue
 		}
-		if out != nil {
-			out[i] = total
+		if d := v.IntraDoorDist(p, a, b); d < best {
+			part, best = p, d
 		}
 	}
-	if out != nil {
-		out[len(out)-1] = total
-	}
-	return out
-}
-
-// relabelled returns the relabelling costs up to waypoint i, 0 for i < 0.
-func (tr *Trajectory) relabelled(i int) float64 {
-	if tr.relabel == nil || i < 0 {
-		return 0
-	}
-	return tr.relabel[i]
+	return part
 }
 
 // At returns the position and partition after walking dist along the
@@ -121,15 +93,13 @@ func (tr *Trajectory) At(dist float64) (geom.Point, indoor.PartitionID) {
 }
 
 // at is At that also returns the route coordinate of the reported
-// position: how far along the route the point At reports lies, plus the
-// relabelling costs passed (see Trajectory.relabel). The route part is
+// position: how far along the route the point At reports lies. That is
 // dist itself on a planar leg and the coordinate of the reported door on
 // a stairwell leg. The coordinate never decreases as dist grows, and
 // between two reported positions, each a point of its reported
 // partition, the indoor distance is at most the difference: the route
-// joins them leg by leg, each leg priced as Venue.PointDoorDist prices
-// it, plus a relabelling cost wherever the reported partition changes
-// at a door it does not border.
+// joins them leg by leg, each leg inside the partition it is labelled
+// with and priced as Venue.PointDoorDist prices it.
 func (tr *Trajectory) at(dist float64) (geom.Point, indoor.PartitionID, float64) {
 	wps := tr.Waypoints
 	if len(wps) == 0 {
@@ -140,7 +110,7 @@ func (tr *Trajectory) at(dist float64) (geom.Point, indoor.PartitionID, float64)
 	}
 	last := wps[len(wps)-1]
 	if dist >= tr.Length {
-		return last.Loc, last.LegPart, tr.Length + tr.relabelled(len(wps)-1)
+		return last.Loc, last.LegPart, tr.Length
 	}
 	for i := 1; i < len(wps); i++ {
 		if dist > wps[i].DistFromStart {
@@ -149,7 +119,7 @@ func (tr *Trajectory) at(dist float64) (geom.Point, indoor.PartitionID, float64)
 		a, b := wps[i-1], wps[i]
 		segLen := b.DistFromStart - a.DistFromStart
 		if segLen <= 0 {
-			return b.Loc, b.LegPart, b.DistFromStart + tr.relabelled(i-1)
+			return b.Loc, b.LegPart, b.DistFromStart
 		}
 		f := (dist - a.DistFromStart) / segLen
 		if a.Loc.Level != b.Loc.Level {
@@ -158,17 +128,17 @@ func (tr *Trajectory) at(dist float64) (geom.Point, indoor.PartitionID, float64)
 			// is passing through on that side, so snapshots always carry
 			// a position inside the reported partition.
 			if f < 0.5 {
-				return a.Loc, wps[i-1].LegPart, a.DistFromStart + tr.relabelled(i-2)
+				return a.Loc, wps[i-1].LegPart, a.DistFromStart
 			}
 			if i+1 < len(wps) {
-				return b.Loc, wps[i+1].LegPart, b.DistFromStart + tr.relabelled(i)
+				return b.Loc, wps[i+1].LegPart, b.DistFromStart
 			}
-			return b.Loc, b.LegPart, b.DistFromStart + tr.relabelled(i-1)
+			return b.Loc, b.LegPart, b.DistFromStart
 		}
 		p := geom.Pt(a.Loc.X+f*(b.Loc.X-a.Loc.X), a.Loc.Y+f*(b.Loc.Y-a.Loc.Y), a.Loc.Level)
-		return p, b.LegPart, dist + tr.relabelled(i-1)
+		return p, b.LegPart, dist
 	}
-	return last.Loc, last.LegPart, tr.Length + tr.relabelled(len(wps)-1)
+	return last.Loc, last.LegPart, tr.Length
 }
 
 // Walker is one moving client.
@@ -217,7 +187,8 @@ type Simulation struct {
 type Config struct {
 	// Walkers is the population size.
 	Walkers int
-	// Speed is walking speed in m/s (default 1.4, a typical pedestrian).
+	// Speed is walking speed in m/s (default 1.4, a typical pedestrian);
+	// it must be positive and finite.
 	Speed float64
 	// Dwell is the pause at each goal (default 30s of simulated time).
 	Dwell time.Duration
@@ -233,8 +204,8 @@ func NewSimulation(v *indoor.Venue, g *d2d.Graph, cfg Config) (*Simulation, erro
 	if cfg.Speed == 0 {
 		cfg.Speed = 1.4
 	}
-	if cfg.Speed <= 0 {
-		return nil, fmt.Errorf("motion: non-positive speed %v", cfg.Speed)
+	if !(cfg.Speed > 0) || math.IsInf(cfg.Speed, 1) {
+		return nil, fmt.Errorf("motion: speed %v is not positive and finite", cfg.Speed)
 	}
 	if cfg.Dwell == 0 {
 		cfg.Dwell = 30 * time.Second
@@ -360,9 +331,8 @@ func (s *Simulation) TotalWalked() float64 {
 // Odometer returns walker i's drift odometer, in meters: the length of
 // the route between the positions the walker has reported, which is what
 // the snapshots see, with each leg priced as Venue.PointDoorDist prices
-// it, plus the relabelling costs of its trips (Trajectory.relabel). It
-// never decreases. Between any two snapshots it grows by at least the
-// indoor distance (d2d.Graph.PointToPoint) between the walker's two
+// it. It never decreases. Between any two snapshots it grows by at least
+// the indoor distance (d2d.Graph.PointToPoint) between the walker's two
 // reported positions, each a point of its reported partition, whenever
 // the venue prices a walk between two doors of a partition like a leg:
 // the straight line on one level, the stair length across levels. Only a
@@ -371,8 +341,7 @@ func (s *Simulation) TotalWalked() float64 {
 // It differs from the distance actually walked (TotalWalked's summands) on
 // a stairwell leg: the walker reports the nearer door, so past the leg's
 // midpoint its reported position, and the odometer, jump a whole stair
-// length ahead of its steps. Over a finished trip without relabelling the
-// two agree.
+// length ahead of its steps. Over a finished trip the two agree.
 func (s *Simulation) Odometer(i int) float64 { return s.walkers[i].odo }
 
 // Snapshot returns the current population as IFLS clients.

@@ -180,11 +180,19 @@ func TestSimulationStepAndSnapshot(t *testing.T) {
 func TestSimulationConfigValidation(t *testing.T) {
 	v := testvenue.TwoRooms()
 	g := d2d.New(v)
-	if _, err := NewSimulation(v, g, Config{Walkers: 0}); err == nil {
-		t.Error("expected error for zero walkers")
-	}
-	if _, err := NewSimulation(v, g, Config{Walkers: 1, Speed: -1}); err == nil {
-		t.Error("expected error for negative speed")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero walkers", Config{Walkers: 0}},
+		{"negative speed", Config{Walkers: 1, Speed: -1}},
+		{"NaN speed", Config{Walkers: 1, Speed: math.NaN()}},
+		{"infinite speed", Config{Walkers: 1, Speed: math.Inf(1)}},
+		{"negative dwell", Config{Walkers: 1, Dwell: -time.Second}},
+	} {
+		if _, err := NewSimulation(v, g, tc.cfg); err == nil {
+			t.Errorf("%s: expected an error", tc.name)
+		}
 	}
 }
 
@@ -249,47 +257,47 @@ func TestTrajectoryStairHandoffAtMidpoint(t *testing.T) {
 	}
 }
 
-func TestPlanTrajectoryExteriorDoorFallback(t *testing.T) {
+func TestPlanTrajectoryThroughExteriorDoor(t *testing.T) {
 	// A route whose door sequence includes an exterior door: the goal sits
 	// exactly at an entrance on the room's far wall, collinear with the
 	// interior door, and the entrance is listed first among the room's
-	// doors, so PointRoute's first-wins tie-break routes through it.
+	// doors, so PointRoute's first-wins tie-break routes through it. The
+	// entrance borders only the room, which labels the leg that reaches it.
 	b := indoor.NewBuilder("exterior")
 	cor := b.AddCorridor(geom.R(0, 0, 20, 2, 0), "C")
 	room := b.AddRoom(geom.R(0, 2, 10, 12, 0), "R", "")
-	b.AddDoor(geom.Pt(5, 12, 0), room, indoor.NoPartition) // entrance
+	entrance := b.AddDoor(geom.Pt(5, 12, 0), room, indoor.NoPartition)
 	b.AddDoor(geom.Pt(5, 2, 0), cor, room)
 	v, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := d2d.New(v)
-	start, goal := geom.Pt(5, 1, 0), geom.Pt(5, 12, 0)
+	start, goal := geom.Pt(5, 1, 0), v.Door(entrance).Loc
 	tr := PlanTrajectory(g, start, cor, goal, room)
 	if !almostEq(tr.Length, 11) {
 		t.Fatalf("Length = %v, want 11", tr.Length)
 	}
-	sawExterior := false
-	for _, wp := range tr.Waypoints {
-		if wp.Loc == geom.Pt(5, 12, 0) && wp.DistFromStart < tr.Length {
-			sawExterior = true
-		}
-		if wp.LegPart == indoor.NoPartition {
-			t.Fatalf("waypoint %+v located nowhere", wp)
-		}
+	// start, interior door, entrance, goal; each leg labelled with the
+	// partition it walks.
+	want := []indoor.PartitionID{cor, cor, room, room}
+	if len(tr.Waypoints) != len(want) || tr.Waypoints[2].Loc != goal {
+		t.Fatalf("waypoints %+v, want the entrance as the last door", tr.Waypoints)
 	}
-	if !sawExterior {
-		t.Skip("route avoided the exterior door; fallback not exercised")
+	for i, wp := range tr.Waypoints {
+		if wp.LegPart != want[i] {
+			t.Fatalf("waypoint %d labelled %d, want %d (%+v)", i, wp.LegPart, want[i], tr.Waypoints)
+		}
 	}
 	// Between the interior door and the entrance the walker is inside the
-	// room — the fallback must keep it there rather than NoPartition.
+	// room.
 	pt, part := tr.At(6)
 	if part != room || !almostEq(pt.X, 5) || !almostEq(pt.Y, 7) {
 		t.Fatalf("At(6) = %v in %d, want (5, 7) in room %d", pt, part, room)
 	}
 	for d := 0.0; d <= tr.Length; d += 0.25 {
-		if _, part := tr.At(d); part == indoor.NoPartition {
-			t.Fatalf("At(%v) located nowhere", d)
+		if pt, part := tr.At(d); !inPartition(v, pt, part) {
+			t.Fatalf("At(%v) = %v in %d, which does not hold it", d, pt, part)
 		}
 	}
 }

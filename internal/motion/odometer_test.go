@@ -96,50 +96,3 @@ func TestOdometerBoundsIndoorDistance(t *testing.T) {
 		})
 	}
 }
-
-// TestRelabelledRouteKeepsOdometerBound: on MC a door path can run along a
-// corridor through a collinear door it does not cross, and the legs after
-// it are then labelled with the partition behind that door. Along such a
-// trajectory the reported positions change partition at a door the old
-// one does not border; the route coordinate (Trajectory.at) must still
-// bound the indoor distance between any two of them. The test plans
-// room-to-room trips on MC until it finds a relabelled one.
-func TestRelabelledRouteKeepsOdometerBound(t *testing.T) {
-	v, err := venues.ByName("MC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := d2d.New(v)
-	rooms := v.Rooms()
-	for _, from := range rooms {
-		for _, to := range rooms {
-			fp, tp := v.RandomPointIn(from, 0.5, 0.5), v.RandomPointIn(to, 0.5, 0.5)
-			tr := PlanTrajectory(g, fp, from, tp, to)
-			if tr.relabel == nil {
-				continue
-			}
-			type report struct {
-				loc  geom.Point
-				part indoor.PartitionID
-				rep  float64
-			}
-			var reps []report
-			for d := 0.0; d <= tr.Length+1; d += 0.5 {
-				loc, part, rep := tr.at(d)
-				reps = append(reps, report{loc, part, rep})
-			}
-			for a := range reps {
-				for b := a + 1; b < len(reps); b++ {
-					x, y := reps[a], reps[b]
-					_, d := g.PointRoute(x.loc, x.part, y.loc, y.part)
-					if d > (y.rep-x.rep)*(1+1e-12)+1e-9 {
-						t.Fatalf("trip %d->%d: indoor distance %v > route coordinate difference %v (%v in %d to %v in %d)",
-							from, to, d, y.rep-x.rep, x.loc, x.part, y.loc, y.part)
-					}
-				}
-			}
-			return
-		}
-	}
-	t.Fatal("no room-to-room trip on MC is relabelled; the test shows nothing")
-}
