@@ -5,6 +5,10 @@
 // graceful drain on SIGINT/SIGTERM. SERVING.md documents the HTTP API,
 // the metrics catalog, and the operations runbook.
 //
+// Serving policy is fixed, not flagged: coalescing is always on, a flight
+// every client has abandoned is reaped after 100ms, and 429/503 responses
+// carry Retry-After: 1.
+//
 // Usage:
 //
 //	iflsd -addr :8080 -venues MC,CPH
@@ -64,11 +68,8 @@ func run() error {
 	lazy := flag.Bool("lazy", false, "build venue indexes on first query instead of at startup")
 	workers := flag.Int("workers", 0, "index build workers (0 = all cores)")
 	maxInFlight := flag.Int("max-inflight", 0, "per-venue admitted-query limit (0 = default 256, <0 = unlimited)")
-	noCoalesce := flag.Bool("no-coalesce", false, "disable request coalescing (each query runs its own traversal)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max wait for in-flight queries on shutdown")
 	queryTimeout := flag.Duration("query-timeout", 0, "server-side per-query deadline, 504 beyond it (0 = unbounded); must be below -drain-timeout")
-	reapGrace := flag.Duration("reap-grace", 0, "grace before an abandoned coalesced flight is cancelled (0 = default 100ms, negative = never reap)")
-	retryAfter := flag.Int("retry-after", 0, "Retry-After seconds sent with 429/503 responses (0 = default 1)")
 	saveIndexFiles := flag.String("saveindex", "", "comma-separated NAME=PATH destinations for built indexes (paged format), written atomically")
 	pageSize := flag.Int("page-size", 0, "page payload bytes for -saveindex files (0 = 64 KiB default; must be a positive multiple of 8)")
 	pageCache := flag.Int64("page-cache", 0, "page-cache byte budget for paged -indexfile indexes (0 = 64 MiB default, negative = unlimited)")
@@ -102,13 +103,10 @@ func run() error {
 
 	m := ifls.NewMetrics()
 	srv := ifls.NewServer(ifls.ServerOptions{
-		MaxInFlight:       *maxInFlight,
-		DisableCoalescing: *noCoalesce,
-		Metrics:           m,
-		QueryTimeout:      *queryTimeout,
-		AbandonGrace:      *reapGrace,
-		RetryAfterSeconds: *retryAfter,
-		Hooks:             hooks,
+		MaxInFlight:  *maxInFlight,
+		Metrics:      m,
+		QueryTimeout: *queryTimeout,
+		Hooks:        hooks,
 	})
 
 	ixOpts := ifls.IndexOptions{Workers: *workers}
@@ -195,7 +193,7 @@ func run() error {
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("serving on %s (coalescing %v, drain timeout %v)", *addr, !*noCoalesce, *drainTimeout)
+	log.Printf("serving on %s (drain timeout %v)", *addr, *drainTimeout)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

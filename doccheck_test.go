@@ -286,3 +286,75 @@ func modulePackages(t *testing.T) map[string]*pkgDoc {
 	}
 	return pkgs
 }
+
+// retiredIflsdFlags are iflsd flags that were deleted when their policy
+// became fixed: coalescing always on, a 100ms reap grace, Retry-After 1.
+var retiredIflsdFlags = []string{"no-coalesce", "reap-grace", "retry-after"}
+
+// TestIflsdFlagsDocumented holds SERVING.md to the flags cmd/iflsd
+// registers: every one appears there as -name, and no retired flag appears
+// in SERVING.md or README.md. CI runs it with the doc lint.
+func TestIflsdFlagsDocumented(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", "iflsd", "main.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flags []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		arg := 0 // flag.Int("name", ...); flag.IntVar(&v, "name", ...)
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			arg = 1
+		}
+		if len(call.Args) <= arg {
+			return true
+		}
+		if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flags = append(flags, name)
+		}
+		return true
+	})
+	if len(flags) == 0 {
+		t.Fatal("cmd/iflsd/main.go: no flag registrations found")
+	}
+	mentions := func(doc, name string) bool {
+		return regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `($|[^\w-])`).MatchString(doc)
+	}
+	docs := map[string]string{}
+	for _, path := range []string{"SERVING.md", "README.md"} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[path] = string(b)
+	}
+	for _, name := range flags {
+		if slices.Contains(retiredIflsdFlags, name) {
+			t.Errorf("cmd/iflsd registers the retired flag -%s", name)
+		}
+		if !mentions(docs["SERVING.md"], name) {
+			t.Errorf("SERVING.md does not document iflsd's -%s flag", name)
+		}
+	}
+	for path, doc := range docs {
+		for _, name := range retiredIflsdFlags {
+			if mentions(doc, name) {
+				t.Errorf("%s mentions the retired iflsd flag -%s", path, name)
+			}
+		}
+	}
+}

@@ -1118,11 +1118,6 @@ func (e *Engine) Ticks() int64 { return e.tick }
 // Stats returns the engine's lifetime counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Venue returns the current era's venue (the base venue, or the
-// timetable snapshot after a transition). Partition IDs always match the
-// base venue; door IDs are era-local.
-func (e *Engine) Venue() *indoor.Venue { return e.era.venue }
-
 // Tree returns the current era's VIP-tree — the index a from-scratch
 // solve of the current snapshot runs against (the differential tests'
 // oracle side).

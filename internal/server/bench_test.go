@@ -16,15 +16,15 @@ import (
 // newGridServer builds a server over a multi-level grid venue large
 // enough that a traversal costs real work, so coalescing has something to
 // save, plus a representative query request against it. Both the
-// coalesced and uncoalesced benchmark variants share this setup.
-func newGridServer(b *testing.B, opts Options) (*Server, QueryRequest) {
+// identical-query and distinct-query benchmark variants share this setup.
+func newGridServer(b *testing.B) (*Server, QueryRequest) {
 	b.Helper()
 	v := testvenue.Grid(testvenue.GridParams{Cols: 24, Levels: 4, InterRoomDoors: true})
 	tree, err := vip.Build(v, vip.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := New(NewRegistry(), opts)
+	s := New(NewRegistry(), Options{})
 	if err := s.Registry().Add("grid", v, tree); err != nil {
 		b.Fatal(err)
 	}
@@ -52,14 +52,26 @@ func newGridServer(b *testing.B, opts Options) (*Server, QueryRequest) {
 	return s, req
 }
 
-// benchConcurrent fires b.N queries from k concurrent clients that all
-// send the identical body — the coalescing sweet spot and the workload
-// the serving layer's throughput criterion is measured on.
-func benchConcurrent(b *testing.B, s *Server, req QueryRequest, k int) {
+// benchConcurrent fires b.N queries from k concurrent clients. With
+// distinct false every client sends the identical body — the coalescing
+// sweet spot and the workload the serving layer's throughput criterion is
+// measured on. With distinct true each client nudges its first client's
+// coordinate by its own offset, so no two clients' queries share a
+// fingerprint and every request runs its own traversal.
+func benchConcurrent(b *testing.B, s *Server, req QueryRequest, k int, distinct bool) {
 	b.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		b.Fatal(err)
+	bodies := make([][]byte, k)
+	for c := range bodies {
+		r := req
+		if distinct {
+			r.Clients = append([]ClientJSON(nil), req.Clients...)
+			r.Clients[0].X += float64(c) / 100
+		}
+		body, err := json.Marshal(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[c] = body
 	}
 	h := s.Handler()
 	b.ReportAllocs()
@@ -68,7 +80,7 @@ func benchConcurrent(b *testing.B, s *Server, req QueryRequest, k int) {
 	per := b.N/k + 1
 	for c := 0; c < k; c++ {
 		wg.Add(1)
-		go func() {
+		go func(body []byte) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				r := httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body))
@@ -79,27 +91,27 @@ func benchConcurrent(b *testing.B, s *Server, req QueryRequest, k int) {
 					return
 				}
 			}
-		}()
+		}(bodies[c])
 	}
 	wg.Wait()
 }
 
 func BenchmarkServeCoalesced8(b *testing.B) {
-	s, req := newGridServer(b, Options{})
-	benchConcurrent(b, s, req, 8)
+	s, req := newGridServer(b)
+	benchConcurrent(b, s, req, 8, false)
 }
 
-func BenchmarkServeUncoalesced8(b *testing.B) {
-	s, req := newGridServer(b, Options{DisableCoalescing: true})
-	benchConcurrent(b, s, req, 8)
+func BenchmarkServeDistinct8(b *testing.B) {
+	s, req := newGridServer(b)
+	benchConcurrent(b, s, req, 8, true)
 }
 
 func BenchmarkServeCoalesced16(b *testing.B) {
-	s, req := newGridServer(b, Options{})
-	benchConcurrent(b, s, req, 16)
+	s, req := newGridServer(b)
+	benchConcurrent(b, s, req, 16, false)
 }
 
-func BenchmarkServeUncoalesced16(b *testing.B) {
-	s, req := newGridServer(b, Options{DisableCoalescing: true})
-	benchConcurrent(b, s, req, 16)
+func BenchmarkServeDistinct16(b *testing.B) {
+	s, req := newGridServer(b)
+	benchConcurrent(b, s, req, 16, true)
 }

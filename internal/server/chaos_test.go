@@ -55,9 +55,9 @@ func TestChaosQueryPath(t *testing.T) {
 	s, _ := newTestServer(t, Options{
 		Metrics:      m,
 		QueryTimeout: 60 * time.Millisecond,
-		AbandonGrace: 5 * time.Millisecond,
 		Hooks:        Hooks{BeforeExecute: inj.BeforeExecute},
 	})
+	s.co.grace = 5 * time.Millisecond
 
 	const (
 		workers = 8

@@ -94,7 +94,7 @@ type coalescer struct {
 	// single request and dies on server drain.
 	life context.Context
 	// grace is how long an abandoned flight (zero live participants) keeps
-	// running before it is reaped. Negative disables reaping.
+	// running before it is reaped: abandonGrace outside tests.
 	grace time.Duration
 	// onReap, when non-nil, is called once per reaped flight (the
 	// flights_reaped counter hook).
@@ -102,7 +102,6 @@ type coalescer struct {
 
 	mu      sync.Mutex
 	flights map[string]*flight
-	waiting map[string]int // waiters currently blocked per key, for tests and overload visibility
 
 	// leaderGate, when non-nil, runs on the leader's goroutine after its
 	// flight is registered and before the work executes. Tests use it to
@@ -117,7 +116,6 @@ func newCoalescer(life context.Context, grace time.Duration, onReap func()) *coa
 		grace:   grace,
 		onReap:  onReap,
 		flights: map[string]*flight{},
-		waiting: map[string]int{},
 	}
 }
 
@@ -181,7 +179,7 @@ func (f *flight) leave(grace time.Duration, onReap func()) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.refs--
-	if f.refs > 0 || f.finished || grace < 0 {
+	if f.refs > 0 || f.finished {
 		return
 	}
 	f.reapT = time.AfterFunc(grace, func() {
@@ -234,13 +232,7 @@ func (c *coalescer) do(ctx context.Context, key string, run func(context.Context
 	c.mu.Lock()
 	if f, ok := c.flights[key]; ok {
 		f.join(ctx)
-		c.waiting[key]++
 		c.mu.Unlock()
-		defer func() {
-			c.mu.Lock()
-			c.waiting[key]--
-			c.mu.Unlock()
-		}()
 		select {
 		case <-f.done:
 			// A participant that outlived its own deadline still delivers
@@ -295,11 +287,4 @@ func (c *coalescer) do(ctx context.Context, key string, run func(context.Context
 // shape a solver returns when its context dies mid-traversal).
 func errorsIsCancel(err error) bool {
 	return errors.Is(err, faults.ErrCancelled) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// waiters reports how many callers are currently blocked on key's flight.
-func (c *coalescer) waiters(key string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.waiting[key]
 }

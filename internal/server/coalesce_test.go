@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func TestCoalescedMatchesSession(t *testing.T) {
 	release := make(chan struct{})
 	s.co.leaderGate = func(string) { <-release }
 	go func() {
-		for s.co.waiters(key) < K-1 {
+		for s.co.participants(key) < K {
 			time.Sleep(time.Millisecond)
 		}
 		close(release)
@@ -167,7 +168,7 @@ func TestWaiterCancelDoesNotCancelFlight(t *testing.T) {
 		canceledDone <- w
 	}()
 
-	for s.co.waiters(key) < 2 {
+	for s.co.participants(key) < 3 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
@@ -269,7 +270,7 @@ func TestDrainDeadlineCancelsFlights(t *testing.T) {
 // TestCoalescerSequentialFlights: non-overlapping identical queries do not
 // share results — each runs its own flight.
 func TestCoalescerSequentialFlights(t *testing.T) {
-	c := newCoalescer(context.Background(), -1, nil)
+	c := newCoalescer(context.Background(), time.Hour, nil)
 	runs := 0
 	run := func(context.Context) batch.Result {
 		runs++
@@ -287,7 +288,7 @@ func TestCoalescerSequentialFlights(t *testing.T) {
 
 // TestCoalescerWaiterError pins the waiter-cancellation error class.
 func TestCoalescerWaiterError(t *testing.T) {
-	c := newCoalescer(context.Background(), -1, nil)
+	c := newCoalescer(context.Background(), time.Hour, nil)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	c.leaderGate = func(string) {
@@ -306,4 +307,61 @@ func TestCoalescerWaiterError(t *testing.T) {
 		t.Errorf("hit=%v err=%v, want coalesced ErrCancelled wrapping context.Canceled", hit, err)
 	}
 	close(release)
+}
+
+// participants reports how many callers — the leader included — are live
+// participants of key's flight, or 0 when no flight for key is in the air.
+func (c *coalescer) participants(key string) int {
+	c.mu.Lock()
+	f := c.flights[key]
+	c.mu.Unlock()
+	if f == nil {
+		return 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.refs
+}
+
+// TestCoalescerKeepsNoFinishedKeys: once every flight has finished, the
+// coalescer holds no per-key state. A key is a full query fingerprint
+// (24 B per client), so an entry that outlived its flight would grow the
+// server's memory with every distinct query that ever coalesced. The check
+// reads every map field of the coalescer, so state added later is held to
+// the same bar.
+func TestCoalescerKeepsNoFinishedKeys(t *testing.T) {
+	c := newCoalescer(context.Background(), time.Hour, nil)
+	release := make(chan struct{})
+	c.leaderGate = func(string) { <-release }
+	run := func(context.Context) batch.Result { return batch.Result{} }
+	const flights = 5
+	for i := 0; i < flights; i++ {
+		key := string(rune('a' + i))
+		var wg sync.WaitGroup
+		hits := make([]bool, 2)
+		for j := range hits {
+			wg.Add(1)
+			go func(j int) {
+				defer wg.Done()
+				_, hits[j], _ = c.do(context.Background(), key, run)
+			}(j)
+			// The first caller must hold the flight before the second
+			// arrives, so the second one coalesces.
+			for c.participants(key) < j+1 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		release <- struct{}{}
+		wg.Wait()
+		if hits[0] == hits[1] {
+			t.Fatalf("flight %q: hits = %v, want one leader and one waiter", key, hits)
+		}
+	}
+	co := reflect.ValueOf(c).Elem()
+	for i := 0; i < co.NumField(); i++ {
+		if f := co.Field(i); f.Kind() == reflect.Map && f.Len() != 0 {
+			t.Errorf("coalescer.%s holds %d entries after %d finished flights, want 0",
+				co.Type().Field(i).Name, f.Len(), flights)
+		}
+	}
 }

@@ -15,36 +15,29 @@ import (
 
 // TestQueryTimeout504: a query that outlives the configured server-side
 // deadline terminates with 504 deadline_exceeded and increments the
-// queries_timed_out counter, on both the coalesced and uncoalesced paths.
+// queries_timed_out counter.
 func TestQueryTimeout504(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		name := "coalesced"
-		if disable {
-			name = "uncoalesced"
-		}
-		t.Run(name, func(t *testing.T) {
-			m := obs.NewMetrics()
-			s, _ := newTestServer(t, Options{
-				Metrics:           m,
-				QueryTimeout:      20 * time.Millisecond,
-				DisableCoalescing: disable,
-				Hooks: Hooks{BeforeExecute: func(ctx context.Context, _ string) error {
-					<-ctx.Done() // a traversal that never converges in budget
-					return ctx.Err()
-				}},
-			})
-			w := post(t, s.Handler(), c3Request())
-			if w.Code != http.StatusGatewayTimeout {
-				t.Fatalf("status = %d, want 504: %s", w.Code, w.Body.String())
-			}
-			if got := decodeError(t, w).Code; got != "deadline_exceeded" {
-				t.Errorf("code = %q, want deadline_exceeded", got)
-			}
-			if snap := m.Snapshot(); snap.QueriesTimedOut != 1 {
-				t.Errorf("queries_timed_out = %d, want 1", snap.QueriesTimedOut)
-			}
+	t.Run("coalesced", func(t *testing.T) {
+		m := obs.NewMetrics()
+		s, _ := newTestServer(t, Options{
+			Metrics:      m,
+			QueryTimeout: 20 * time.Millisecond,
+			Hooks: Hooks{BeforeExecute: func(ctx context.Context, _ string) error {
+				<-ctx.Done() // a traversal that never converges in budget
+				return ctx.Err()
+			}},
 		})
-	}
+		w := post(t, s.Handler(), c3Request())
+		if w.Code != http.StatusGatewayTimeout {
+			t.Fatalf("status = %d, want 504: %s", w.Code, w.Body.String())
+		}
+		if got := decodeError(t, w).Code; got != "deadline_exceeded" {
+			t.Errorf("code = %q, want deadline_exceeded", got)
+		}
+		if snap := m.Snapshot(); snap.QueriesTimedOut != 1 {
+			t.Errorf("queries_timed_out = %d, want 1", snap.QueriesTimedOut)
+		}
+	})
 }
 
 // TestTimeoutOverrideClamp pins queryDeadline's clamping: timeout_ms can
@@ -113,7 +106,6 @@ func TestRequestTimeoutMS(t *testing.T) {
 // the complete answer to everyone.
 func TestFlightCarriesMaxDeadline(t *testing.T) {
 	s, _ := newTestServer(t, Options{
-		AbandonGrace: -1, // isolate deadline behavior from reaping
 		Hooks: Hooks{BeforeExecute: func(ctx context.Context, _ string) error {
 			// Three leader-deadlines of work: if the flight still carried the
 			// leader's 100ms budget, this would be cut short.
@@ -125,6 +117,7 @@ func TestFlightCarriesMaxDeadline(t *testing.T) {
 			}
 		}},
 	})
+	s.co.grace = time.Hour // isolate deadline behavior from reaping
 	key := queryKey("c3", wireQuery(c3Request()))
 	var gateOnce sync.Once
 	registered := make(chan struct{})
@@ -144,7 +137,7 @@ func TestFlightCarriesMaxDeadline(t *testing.T) {
 
 	waiterDone := make(chan *httptest.ResponseRecorder, 1)
 	go func() { waiterDone <- post(t, s.Handler(), c3Request()) }()
-	for s.co.waiters(key) < 1 {
+	for s.co.participants(key) < 2 {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
@@ -170,14 +163,14 @@ func TestAbandonedFlightReaped(t *testing.T) {
 	m := obs.NewMetrics()
 	entered := make(chan struct{})
 	s, _ := newTestServer(t, Options{
-		Metrics:      m,
-		AbandonGrace: 5 * time.Millisecond,
+		Metrics: m,
 		Hooks: Hooks{BeforeExecute: func(ctx context.Context, _ string) error {
 			close(entered)
 			<-ctx.Done() // run until the reaper cancels the flight
 			return ctx.Err()
 		}},
 	})
+	s.co.grace = 5 * time.Millisecond
 
 	ctx, cancel := context.WithCancel(context.Background())
 	body, err := json.Marshal(c3Request())
@@ -212,8 +205,7 @@ func TestRejoinDisarmsReap(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	s, _ := newTestServer(t, Options{
-		Metrics:      m,
-		AbandonGrace: time.Hour, // the reap must be disarmed, not merely slow
+		Metrics: m,
 		Hooks: Hooks{BeforeExecute: func(ctx context.Context, _ string) error {
 			enterOnce.Do(func() { close(entered) })
 			select {
@@ -224,6 +216,7 @@ func TestRejoinDisarmsReap(t *testing.T) {
 			}
 		}},
 	})
+	s.co.grace = time.Hour // the reap must be disarmed, not merely slow
 	key := queryKey("c3", wireQuery(c3Request()))
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -262,7 +255,7 @@ func TestRejoinDisarmsReap(t *testing.T) {
 	// The retry joins the abandoned flight inside the grace window.
 	retryDone := make(chan *httptest.ResponseRecorder, 1)
 	go func() { retryDone <- post(t, s.Handler(), c3Request()) }()
-	for s.co.waiters(key) < 1 {
+	for s.co.participants(key) < 1 {
 		time.Sleep(time.Millisecond)
 	}
 	fl.mu.Lock()
@@ -289,10 +282,10 @@ func TestRejoinDisarmsReap(t *testing.T) {
 	}
 }
 
-// TestDrainingRetryAfter: 503 draining responses carry Retry-After, and the
-// value honors Options.RetryAfterSeconds.
+// TestDrainingRetryAfter: 503 draining responses carry the fixed
+// Retry-After of one second.
 func TestDrainingRetryAfter(t *testing.T) {
-	s, _ := newTestServer(t, Options{RetryAfterSeconds: 7})
+	s, _ := newTestServer(t, Options{})
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +293,7 @@ func TestDrainingRetryAfter(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", w.Code)
 	}
-	if got := w.Header().Get("Retry-After"); got != "7" {
-		t.Errorf("Retry-After = %q, want 7", got)
+	if got := w.Header().Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want 1", got)
 	}
 }

@@ -17,7 +17,9 @@
 //
 // # Coalescing
 //
-// The scaling lever for many concurrent clients is request coalescing: all
+// The scaling lever for many concurrent clients is request coalescing, and
+// it is always on: every query runs through the coalescer, and one that
+// shares its fingerprint with no in-flight query leads its own flight. All
 // concurrent queries with the same fingerprint — venue, objective, K, Fe,
 // Fn, and client set, compared byte-exactly, never by hash alone — share a
 // single bottom-up traversal. The first such query (the leader) executes;
@@ -38,11 +40,11 @@
 // (faults.ErrDeadlineExceeded) and the traversal is cancelled at its next
 // checkpoint. Coalesced flights carry the maximum deadline of their
 // participants, extended as later-deadlined requests join. When the last
-// participant leaves a flight, a grace timer (Options.AbandonGrace,
-// default 100ms) starts; unless a retry joins first, the flight is
-// cancelled and Metrics counts it under flights_reaped. Hooks
-// (BeforeExecute, BeforeBuild) are seams for fault injection — see
-// internal/chaos.
+// participant leaves a flight, a grace timer (a fixed 100ms) starts;
+// unless a retry joins first, the flight is cancelled and Metrics counts
+// it under flights_reaped. Shed (429) and draining (503) responses carry a
+// fixed Retry-After of one second. Hooks (BeforeExecute, BeforeBuild) are
+// seams for fault injection — see internal/chaos.
 //
 // # Shutdown
 //

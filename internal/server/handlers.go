@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"github.com/indoorspatial/ifls/internal/batch"
@@ -160,7 +159,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		status, code = http.StatusServiceUnavailable, "draining"
 	}
 	if status == http.StatusTooManyRequests || code == "draining" {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		w.Header().Set("Retry-After", retryAfter)
 	}
 	if status == http.StatusGatewayTimeout && s.opts.Metrics != nil {
 		s.opts.Metrics.QueryTimedOut()
@@ -229,7 +228,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.admit() {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Code: "draining", Error: "server is draining"})
 		return
 	}
@@ -326,27 +325,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return batch.Execute(ctx, tree, bq, s.opts.Metrics)
 	}
 	start := time.Now()
-	var res batch.Result
-	var hit bool
-	if s.opts.DisableCoalescing {
-		res = execute(reqCtx)
-	} else {
-		// The shared flight runs under the flight context the coalescer
-		// derives from the server lifecycle: it outlives any single client
-		// and dies on drain, flight-wide deadline, or abandonment.
-		res, hit, err = s.co.do(reqCtx, queryKey(req.Venue, bq), execute)
-		if s.opts.Metrics != nil && err == nil {
-			if hit {
-				s.opts.Metrics.CoalesceHit()
-			} else {
-				s.opts.Metrics.CoalesceMiss()
-			}
-		}
-		if err != nil {
-			// This caller stopped waiting (its own deadline or hang-up);
-			// the flight lives on for the other participants.
-			s.writeError(w, err)
-			return
+	// The shared flight runs under the flight context the coalescer
+	// derives from the server lifecycle: it outlives any single client and
+	// dies on drain, flight-wide deadline, or abandonment.
+	res, hit, err := s.co.do(reqCtx, queryKey(req.Venue, bq), execute)
+	if err != nil {
+		// This caller stopped waiting (its own deadline or hang-up); the
+		// flight lives on for the other participants.
+		s.writeError(w, err)
+		return
+	}
+	if s.opts.Metrics != nil {
+		if hit {
+			s.opts.Metrics.CoalesceHit()
+		} else {
+			s.opts.Metrics.CoalesceMiss()
 		}
 	}
 	if res.Err != nil {

@@ -18,17 +18,16 @@ const DefaultMaxInFlight = 256
 // Options.MaxBodyBytes is zero (a 10000-client query body is ~1 MB).
 const DefaultMaxBodyBytes = 8 << 20
 
-// DefaultAbandonGrace is how long an abandoned flight — one whose every
+// abandonGrace is how long an abandoned flight — one whose every
 // participant's request context has died — keeps running before it is
-// reaped, when Options.AbandonGrace is zero. Long enough for an identical
-// retry to catch the flight mid-air, short enough that a scan of unique
-// queries from disconnecting clients does not leak whole traversals.
-const DefaultAbandonGrace = 100 * time.Millisecond
+// reaped. Long enough for an identical retry to catch the flight mid-air,
+// short enough that a scan of unique queries from disconnecting clients
+// does not leak whole traversals.
+const abandonGrace = 100 * time.Millisecond
 
-// DefaultRetryAfterSeconds is the Retry-After header value sent with 429
-// overloaded and 503 draining responses when Options.RetryAfterSeconds is
-// zero.
-const DefaultRetryAfterSeconds = 1
+// retryAfter is the Retry-After header value, in seconds, sent with 429
+// overloaded and 503 draining responses.
+const retryAfter = "1"
 
 // Hooks intercept serving-internal operations, primarily for fault
 // injection (internal/chaos) and operational testing. All hooks may be
@@ -47,17 +46,14 @@ type Hooks struct {
 	BeforeBuild func(ctx context.Context, venue string) error
 }
 
-// Options configure a Server. The zero value serves with coalescing on,
-// the default admission, body, and reap-grace limits, no query deadline,
-// and no metrics.
+// Options configure a Server. The zero value serves with the default
+// admission and body limits, no query deadline, and no metrics. Request
+// coalescing and abandoned-flight reaping are always on.
 type Options struct {
 	// MaxInFlight caps the queries admitted per venue at once; excess
 	// requests are shed with 429/ErrOverloaded. Zero means
 	// DefaultMaxInFlight; negative means unlimited.
 	MaxInFlight int
-	// DisableCoalescing turns off shared flights: every request runs its
-	// own traversal under its own request context.
-	DisableCoalescing bool
 	// Metrics, when non-nil, receives every query's spans and aggregate
 	// observation plus the serving gauges (coalesce hits/misses,
 	// in-flight); it is also mounted at /debug/vars via the obs mux.
@@ -71,14 +67,6 @@ type Options struct {
 	// body field. Zero means no server-side deadline. Coalesced flights
 	// run until the MAX deadline across their participants.
 	QueryTimeout time.Duration
-	// AbandonGrace is how long a coalesced flight whose participants have
-	// all departed keeps running before it is cancelled (reaped). Zero
-	// means DefaultAbandonGrace; negative disables reaping (pre-reaping
-	// behavior: abandoned flights run to completion).
-	AbandonGrace time.Duration
-	// RetryAfterSeconds is the Retry-After value sent with 429 overloaded
-	// and 503 draining responses. Zero means DefaultRetryAfterSeconds.
-	RetryAfterSeconds int
 	// Hooks intercept serving internals for fault injection; see Hooks.
 	Hooks Hooks
 }
@@ -115,10 +103,6 @@ type Server struct {
 // venues after the server starts.
 func New(reg *Registry, opts Options) *Server {
 	life, stop := context.WithCancel(context.Background())
-	grace := opts.AbandonGrace
-	if grace == 0 {
-		grace = DefaultAbandonGrace
-	}
 	s := &Server{
 		reg:  reg,
 		opts: opts,
@@ -131,7 +115,7 @@ func New(reg *Registry, opts Options) *Server {
 	if opts.Metrics != nil {
 		onReap = opts.Metrics.FlightReaped
 	}
-	s.co = newCoalescer(life, grace, onReap)
+	s.co = newCoalescer(life, abandonGrace, onReap)
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/venues", s.handleVenues)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -220,15 +204,6 @@ func (s *Server) maxBodyBytes() int64 {
 		return s.opts.MaxBodyBytes
 	}
 	return DefaultMaxBodyBytes
-}
-
-// retryAfterSeconds returns the configured Retry-After header value for
-// shed (429) and draining (503) responses.
-func (s *Server) retryAfterSeconds() int {
-	if s.opts.RetryAfterSeconds > 0 {
-		return s.opts.RetryAfterSeconds
-	}
-	return DefaultRetryAfterSeconds
 }
 
 // queryDeadline resolves the effective timeout for one request: the

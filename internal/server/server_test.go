@@ -146,12 +146,26 @@ func TestObjectives(t *testing.T) {
 	}
 }
 
-// TestStatusTable exercises every documented non-200 status code and its
-// stable error code — the SERVING.md contract.
-func TestStatusTable(t *testing.T) {
-	m := obs.NewMetrics()
-	s, _ := newTestServer(t, Options{MaxBodyBytes: 256, Metrics: m})
+// statusCase is one request of the status-table contract: what is sent
+// and the documented status and error code it must draw.
+type statusCase struct {
+	name   string
+	method string
+	path   string
+	body   any
+	status int
+	code   string
+	// counted: the rejection is a query-content error that lands in
+	// the Metrics queries/errors counters; transport-level rejections
+	// (bad JSON, unknown venue, wrong method, oversized body) do not.
+	counted bool
+}
 
+// statusTableCases returns the requests TestStatusTable checks against
+// their documented status and error code; FuzzQueryRequest seeds its
+// corpus with their bodies. The oversized body assumes
+// Options.MaxBodyBytes = 256.
+func statusTableCases() []statusCase {
 	badQuery := c3Request()
 	badQuery.Candidates = []int32{99} // out of range -> ErrInvalidQuery
 	badObjective := c3Request()
@@ -159,18 +173,7 @@ func TestStatusTable(t *testing.T) {
 	multiObjective := c3Request()
 	multiObjective.Objective = "multi" // a library objective with no wire payload
 
-	cases := []struct {
-		name   string
-		method string
-		path   string
-		body   any
-		status int
-		code   string
-		// counted: the rejection is a query-content error that lands in
-		// the Metrics queries/errors counters; transport-level rejections
-		// (bad JSON, unknown venue, wrong method, oversized body) do not.
-		counted bool
-	}{
+	return []statusCase{
 		{"invalid query", http.MethodPost, "/v1/query", badQuery, http.StatusBadRequest, "invalid_query", true},
 		{"unknown objective", http.MethodPost, "/v1/query", badObjective, http.StatusBadRequest, "unknown_objective", true},
 		{"multi objective", http.MethodPost, "/v1/query", multiObjective, http.StatusBadRequest, "unknown_objective", true},
@@ -179,7 +182,15 @@ func TestStatusTable(t *testing.T) {
 		{"method not allowed", http.MethodGet, "/v1/query", nil, http.StatusMethodNotAllowed, "method_not_allowed", false},
 		{"body too large", http.MethodPost, "/v1/query", `{"venue":"c3","clients":[` + strings.Repeat(`{"id":1},`, 100) + `{}]}`, http.StatusRequestEntityTooLarge, "body_too_large", false},
 	}
-	for _, tc := range cases {
+}
+
+// TestStatusTable exercises every documented non-200 status code and its
+// stable error code — the SERVING.md contract.
+func TestStatusTable(t *testing.T) {
+	m := obs.NewMetrics()
+	s, _ := newTestServer(t, Options{MaxBodyBytes: 256, Metrics: m})
+
+	for _, tc := range statusTableCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			before := m.Snapshot()
 			var w *httptest.ResponseRecorder

@@ -677,12 +677,11 @@ type rowTarget struct {
 // matrix it sources), so the fill is race-free and its result is
 // bit-identical for every worker count.
 //
-// Cancellation: ctx is polled before each source door's Dijkstra. In the
-// parallel path every worker polls independently and stops claiming doors
-// once any worker observes the cancel; the already-running Dijkstras finish
-// (each is short) and the error is returned after the pool joins, so no
-// goroutine outlives the call. A background context costs one nil check per
-// door.
+// Cancellation: ctx is polled before each source door's Dijkstra. Every
+// worker polls independently and stops claiming doors once any worker
+// observes the cancel; the already-running Dijkstras finish (each is
+// short) and the error is returned after the pool joins, so no goroutine
+// outlives the call. A background context costs one nil check per door.
 func (t *Tree) fillMatrices(ctx context.Context) error {
 	t.cells = make([]float64, t.layoutMatrices())
 
@@ -712,48 +711,39 @@ func (t *Tree) fillMatrices(ctx context.Context) error {
 	}
 	sort.Slice(doors, func(i, j int) bool { return doors[i] < doors[j] })
 
-	poll := ctx != nil && ctx.Done() != nil
-	workers := t.opts.workerCount()
-	if workers > len(doors) {
-		workers = len(doors)
-	}
-	if workers <= 1 {
-		for _, d := range doors {
-			if poll {
-				if err := ctx.Err(); err != nil {
-					return faults.Cancelled(err)
-				}
-			}
-			t.fillDoorRows(d, rowTargets[d])
-		}
-		return nil
-	}
-
 	// Static striding keeps the work split deterministic; the per-door
 	// cost is one Dijkstra over the whole door graph, uniform enough that
 	// striding balances as well as a shared counter without the
-	// contention. stopped latches the first observed cancellation so every
-	// worker quits claiming doors promptly, not just the one that saw it.
+	// contention. The calling goroutine takes stride 0, so one worker
+	// spawns no goroutine. stopped latches the first observed cancellation
+	// so every worker quits claiming doors promptly, not just the one that
+	// saw it.
+	poll := ctx != nil && ctx.Done() != nil
+	workers := min(t.opts.workerCount(), len(doors))
 	var stopped atomic.Bool
+	stride := func(w int) {
+		for i := w; i < len(doors); i += workers {
+			if poll {
+				if stopped.Load() {
+					return
+				}
+				if ctx.Err() != nil {
+					stopped.Store(true)
+					return
+				}
+			}
+			t.fillDoorRows(doors[i], rowTargets[doors[i]])
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < len(doors); i += workers {
-				if poll {
-					if stopped.Load() {
-						return
-					}
-					if ctx.Err() != nil {
-						stopped.Store(true)
-						return
-					}
-				}
-				t.fillDoorRows(doors[i], rowTargets[doors[i]])
-			}
+			stride(w)
 		}(w)
 	}
+	stride(0)
 	wg.Wait()
 	if stopped.Load() {
 		return faults.Cancelled(ctx.Err())

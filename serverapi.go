@@ -3,7 +3,6 @@ package ifls
 import (
 	"context"
 	"net/http"
-	"time"
 
 	"github.com/indoorspatial/ifls/internal/faults"
 	"github.com/indoorspatial/ifls/internal/server"
@@ -32,40 +31,13 @@ var ErrCorruptIndex = faults.ErrCorruptIndex
 // called concurrently; nil hooks are skipped.
 type ServerHooks = server.Hooks
 
-// ServerOptions configure NewServer. The zero value serves with request
-// coalescing on, the default per-venue admission limit
-// (server.DefaultMaxInFlight), and no metrics.
-type ServerOptions struct {
-	// MaxInFlight caps the queries admitted per venue at once; excess
-	// requests receive 429 responses classified as ErrOverloaded. Zero
-	// applies the default limit; negative means unlimited.
-	MaxInFlight int
-	// DisableCoalescing turns off shared flights: every request runs its
-	// own traversal under its own request context.
-	DisableCoalescing bool
-	// Metrics, when non-nil, aggregates every served query (spans, latency,
-	// errors) plus the serving gauges — coalesce hits/misses and the
-	// in-flight count — and is served at /debug/vars under the name "ifls".
-	Metrics *Metrics
-	// MaxRequestBytes caps the request body size (413 beyond it). Zero
-	// applies the default (8 MiB).
-	MaxRequestBytes int64
-	// QueryTimeout bounds every query's wall time server-side (504 beyond
-	// it, classified ErrDeadlineExceeded). A request may shorten — never
-	// extend — its own deadline with the timeout_ms body field. Zero means
-	// no server-side deadline.
-	QueryTimeout time.Duration
-	// AbandonGrace is how long a coalesced flight whose participants have
-	// all disconnected keeps running before it is cancelled (reaped). Zero
-	// applies the default (100ms); negative disables reaping.
-	AbandonGrace time.Duration
-	// RetryAfterSeconds is the Retry-After header value sent with 429
-	// overloaded and 503 draining responses. Zero applies the default (1).
-	RetryAfterSeconds int
-	// Hooks intercept serving internals for fault injection (chaos
-	// testing); leave zero in production.
-	Hooks ServerHooks
-}
+// ServerOptions configure NewServer: the per-venue admission limit
+// (MaxInFlight), metrics, the request-body cap (MaxBodyBytes), the
+// server-side query deadline (QueryTimeout) and fault-injection hooks;
+// see the fields' documentation. The zero value serves with the default
+// limits, no query deadline, and no metrics. Request coalescing and the
+// reaping of abandoned flights are always on.
+type ServerOptions = server.Options
 
 // Server is a multi-venue IFLS query service over HTTP: a registry of warm
 // indexes behind a JSON API, with request coalescing (concurrent identical
@@ -82,16 +54,7 @@ type Server struct{ s *server.Server }
 //	srv.AddVenue("MC", ix)
 //	http.ListenAndServe(":8080", srv.Handler())
 func NewServer(opts ServerOptions) *Server {
-	return &Server{s: server.New(server.NewRegistry(), server.Options{
-		MaxInFlight:       opts.MaxInFlight,
-		DisableCoalescing: opts.DisableCoalescing,
-		Metrics:           opts.Metrics,
-		MaxBodyBytes:      opts.MaxRequestBytes,
-		QueryTimeout:      opts.QueryTimeout,
-		AbandonGrace:      opts.AbandonGrace,
-		RetryAfterSeconds: opts.RetryAfterSeconds,
-		Hooks:             opts.Hooks,
-	})}
+	return &Server{s: server.New(server.NewRegistry(), opts)}
 }
 
 // AddVenue registers a venue with its prebuilt index under name. Queries
