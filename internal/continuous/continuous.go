@@ -329,14 +329,21 @@ func (er *era) signature(p indoor.PartitionID) *partSig {
 }
 
 // compute derives the partition's distance signature without touching the
-// memo, so any number of goroutines may call it at once on one era. Cell
-// (j, f) is Explorer.DoorToPartition(j, f): door j's least distance to a
-// door of f, read from door j's own row, and 0 when f is p itself. The
+// memo, so any number of goroutines may call it at once on one era. The
 // explorer it walks the tree with lives only for this call: resolve works
 // from the signature alone, and a kept explorer would only retain its
 // memoized distance vectors.
 func (er *era) compute(p indoor.PartitionID) *partSig {
-	e := er.tree.NewExplorer(p)
+	return er.derive(er.tree.NewExplorer(p))
+}
+
+// derive computes the signature of e's source partition p, an explorer
+// over the era's tree. Cell (j, f) is Explorer.DoorToPartition(j, f): door
+// j's least distance to a door of f, read from door j's own row, and 0
+// when f is p itself. The signature keeps nothing of e, so e may be reset
+// to another partition once derive returns.
+func (er *era) derive(e *vip.Explorer) *partSig {
+	p := e.Source()
 	doors := e.SrcDoors()
 	sigDoors := make([]indoor.DoorID, len(doors))
 	locs := make([]geom.Point, len(doors))
@@ -375,9 +382,12 @@ func (er *era) coldParts(dst []indoor.PartitionID, clients []core.Client) []indo
 // Signatures are independent of one another, so sign fans them out over
 // up to runtime.GOMAXPROCS(0) goroutines, the calling one included; with
 // one partition or one core it spawns none. Each takes the next partition
-// in ascending ID order and derives it with compute, on its own explorer
-// over the shared, immutable tree, so every signature is bit for bit the
-// one a single goroutine derives. The memo is written on the calling
+// in ascending ID order and derives it on its own explorer over the
+// shared, immutable tree: one explorer per goroutine, built for its first
+// partition and reset to each later one, so its vector storage is reused
+// and nothing of it outlives the call. A reset explorer derives the
+// vectors a fresh one does, so every signature is bit for bit the one a
+// single goroutine derives with compute. The memo is written on the calling
 // goroutine after every worker has joined. A worker's panic (a paged
 // tree's failed page read panics with a faults.ErrCorruptIndex error) is
 // recovered in the worker and re-raised here once all have joined, so no
@@ -395,12 +405,18 @@ func (er *era) sign(parts []indoor.PartitionID) int {
 	var next atomic.Int64
 	work := func() (failure any) {
 		defer func() { failure = recover() }()
+		var e *vip.Explorer
 		for {
 			i := int(next.Add(1) - 1)
 			if i >= len(parts) {
 				return
 			}
-			sigs[i] = er.compute(parts[i])
+			if e == nil {
+				e = er.tree.NewExplorer(parts[i])
+			} else {
+				e.Reset(parts[i])
+			}
+			sigs[i] = er.derive(e)
 		}
 	}
 	var wg sync.WaitGroup

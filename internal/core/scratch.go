@@ -31,14 +31,19 @@ import (
 // internal/batch does exactly that. The zero value is ready to use.
 //
 // Scratch never retains caller-visible memory: result slices that escape
-// (the top-k ranking) are always freshly allocated, and the explorer cache
-// is cleared between runs unless the caller supplies its own persistent
-// cache (Session does).
+// (the top-k ranking) are always freshly allocated. The explorer cache is
+// emptied between runs unless the caller supplies its own persistent cache
+// (Session does); the emptied explorers are kept as spares and re-rooted
+// by the next run on the same tree, so a pooled cold run reuses their
+// vector storage instead of allocating it, and computes every vector
+// afresh.
 //
 // Retention is bounded: oversized buffers left behind by a large query are
 // trimmed back on the next claim (see resize and resetQueue), so a Scratch
 // that once served |C| = 10000 does not pin that memory while serving
-// |C| = 10 forever.
+// |C| = 10 forever. The same holds for explorers: the spares are at most
+// the explorers the last run used, all over the tree being claimed, and a
+// spare's storage is trimmed by the same rule when it is re-rooted.
 type Scratch struct {
 	// Solver state shells — reused in place so a pooled run allocates no
 	// state struct at all.
@@ -58,9 +63,10 @@ type Scratch struct {
 	satHeap   pq.Bucket[int32]
 	pending   pq.Bucket[pendPair]
 
-	// explorers is the scratch-owned explorer cache, cleared every run so
-	// pooled queries report the same Stats as fresh ones. Session bypasses
-	// it with its own persistent cache.
+	// explorers is the scratch-owned explorer cache, emptied every run so
+	// pooled queries report the same Stats as fresh ones; its spares carry
+	// explorer storage to the next run. Session bypasses it with its own
+	// persistent cache.
 	explorers explorerCache
 
 	// Dense per-partition facility columns, epoch-stamped. partFlag[p]
@@ -160,7 +166,7 @@ func (sc *Scratch) claim(t *vip.Tree) {
 	resetQueue(&sc.satHeap)
 	resetQueue(&sc.pending)
 
-	sc.explorers.reset(numParts)
+	sc.explorers.reset(t)
 }
 
 // markPart sets facility-role bits for partition f in the current epoch.
@@ -229,33 +235,56 @@ func (sc *Scratch) visit(p indoor.PartitionID, n vip.NodeID) bool {
 
 // explorerCache maps partitions to their vip.Explorer through a dense
 // ID-indexed slice, with a touched list so reset is proportional to the
-// explorers actually created. The Scratch-owned instance is cleared every
-// run; Session keeps a persistent one so the distance-vector memos survive
-// across queries.
+// explorers actually created. The Scratch-owned instance is emptied every
+// run, and the run's explorers become spares that the next run on the same
+// tree re-roots at its own sources (vip.Explorer.Reset) instead of building
+// new ones. Session keeps a persistent cache, which is never reset and so
+// holds no spares, so the distance-vector memos survive across queries.
 type explorerCache struct {
 	byPart []*vip.Explorer
 	parts  []int32
+
+	// spares are explorers over tree that no partition holds this run, at
+	// most as many as the last run used.
+	tree   *vip.Tree
+	spares []*vip.Explorer
 }
 
-// reset empties the cache, resizing the index to the venue when it changed.
-func (c *explorerCache) reset(numParts int) {
-	if len(c.byPart) != numParts {
-		c.byPart = make([]*vip.Explorer, numParts)
-		c.parts = c.parts[:0]
-		return
-	}
+// reset empties the cache for a run over tree t. If the last run was over
+// t too, its explorers become the spares; every older spare, and every
+// explorer of another tree, is dropped. The index is resized to the venue
+// when it changed.
+func (c *explorerCache) reset(t *vip.Tree) {
+	clear(c.spares[:cap(c.spares)])
+	c.spares = c.spares[:0]
 	for _, p := range c.parts {
+		if c.tree == t {
+			c.spares = append(c.spares, c.byPart[p])
+		}
 		c.byPart[p] = nil
 	}
 	c.parts = c.parts[:0]
+	c.tree = t
+	if numParts := t.Venue().NumPartitions(); len(c.byPart) != numParts {
+		c.byPart = make([]*vip.Explorer, numParts)
+	}
 }
 
-// get returns partition p's explorer, creating and caching it on first use.
+// get returns partition p's explorer, creating and caching it on first use:
+// a spare re-rooted at p while one is left, a new explorer after that.
 func (c *explorerCache) get(t *vip.Tree, p indoor.PartitionID) *vip.Explorer {
 	if e := c.byPart[p]; e != nil {
 		return e
 	}
-	e := t.NewExplorer(p)
+	var e *vip.Explorer
+	if n := len(c.spares); n > 0 {
+		e = c.spares[n-1]
+		c.spares[n-1] = nil
+		c.spares = c.spares[:n-1]
+		e.Reset(p)
+	} else {
+		e = t.NewExplorer(p)
+	}
 	c.byPart[p] = e
 	c.parts = append(c.parts, int32(p))
 	return e

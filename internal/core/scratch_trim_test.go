@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"github.com/indoorspatial/ifls/internal/pq"
+	"github.com/indoorspatial/ifls/internal/venues"
+	"github.com/indoorspatial/ifls/internal/vip"
 )
 
 // TestResizeTrimsOversized: the resize helpers reallocate at need when the
@@ -110,6 +113,127 @@ func TestScratchTrimsAfterLargeQuery(t *testing.T) {
 	} {
 		if c != m {
 			t.Errorf("small run after big: cap(%s) = %d, want %d (trimmed)", name, c, m)
+		}
+	}
+}
+
+// roomQuery draws a query over tree's venue with n clients at the centres
+// of random rooms, 5 existing facilities and 10 candidates.
+func roomQuery(tree *vip.Tree, n int, rng *rand.Rand) *Query {
+	v := tree.Venue()
+	rooms := v.Rooms()
+	rng.Shuffle(len(rooms), func(i, j int) { rooms[i], rooms[j] = rooms[j], rooms[i] })
+	q := &Query{Existing: rooms[:5], Candidates: rooms[5:15]}
+	for i := 0; i < n; i++ {
+		q.Clients = append(q.Clients, clientIn(v, rooms[rng.Intn(len(rooms))], int32(i)))
+	}
+	return q
+}
+
+// cachedExplorers returns the explorers sc's cache holds for this run.
+func cachedExplorers(sc *Scratch) map[*vip.Explorer]bool {
+	held := map[*vip.Explorer]bool{}
+	for _, p := range sc.explorers.parts {
+		held[sc.explorers.byPart[p]] = true
+	}
+	return held
+}
+
+// spareExplorers returns sc's spare explorers, failing the test if one is
+// listed twice or a slot past the list still holds one.
+func spareExplorers(t *testing.T, sc *Scratch) map[*vip.Explorer]bool {
+	t.Helper()
+	spares := map[*vip.Explorer]bool{}
+	for i, e := range sc.explorers.spares[:cap(sc.explorers.spares)] {
+		switch {
+		case i >= len(sc.explorers.spares):
+			if e != nil {
+				t.Fatalf("spare slot %d past the list holds an explorer", i)
+			}
+		case spares[e]:
+			t.Fatalf("spare %p listed twice", e)
+		default:
+			spares[e] = true
+		}
+	}
+	return spares
+}
+
+// TestScratchSparesFollowLastRun pins the explorer-retention rule of a
+// pooled Scratch: the spares a claim keeps are at most the explorers the
+// last run used, and only if it ran on the tree being claimed. After a
+// large CH query, a small CH query's claim keeps only the small run's
+// explorers; a claim on a grid tree drops every CH explorer, and the grid
+// run's claim keeps only grid explorers. Answers are unaffected.
+func TestScratchSparesFollowLastRun(t *testing.T) {
+	ch := vip.MustBuild(venues.Chadstone(), vip.DefaultOptions())
+	grid, gridQs := scratchQueries(t)
+	rng := rand.New(rand.NewSource(5))
+	ctx := context.Background()
+	sc := NewScratch()
+	run := func(tree *vip.Tree, q *Query) {
+		t.Helper()
+		got, err := Exec(ctx, tree, q, Options{Scratch: sc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Exec(ctx, tree, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.MinMax != want.MinMax {
+			t.Fatalf("pooled answer %+v, fresh %+v", got.MinMax, want.MinMax)
+		}
+	}
+
+	run(ch, roomQuery(ch, 300, rng))
+	big := cachedExplorers(sc)
+	smallQ := roomQuery(ch, 3, rng)
+	run(ch, smallQ)
+	small := cachedExplorers(sc)
+	if len(small) >= len(big) {
+		t.Fatalf("small CH query used %d explorers, large one %d; the test proves nothing", len(small), len(big))
+	}
+	sc.claim(ch)
+	spares := spareExplorers(t, sc)
+	if len(spares) != len(small) {
+		t.Errorf("after a small CH run: %d spares, want the %d explorers it used", len(spares), len(small))
+	}
+	for e := range spares {
+		if !small[e] {
+			t.Errorf("spare %p was not used by the last run", e)
+		}
+	}
+
+	// Switch trees straight after a CH run, while the cache still holds
+	// its explorers.
+	run(ch, smallQ)
+	chHeld := cachedExplorers(sc)
+	if len(chHeld) == 0 {
+		t.Fatal("the CH run used no explorer; the test proves nothing")
+	}
+	sc.claim(grid)
+	if n := len(spareExplorers(t, sc)); n != 0 {
+		t.Errorf("claim on the grid tree kept %d CH spares", n)
+	}
+	run(grid, gridQs[0])
+	used := cachedExplorers(sc)
+	sc.claim(grid)
+	spares = spareExplorers(t, sc)
+	if len(spares) > len(used) {
+		t.Errorf("after a grid run: %d spares, more than the %d explorers it used", len(spares), len(used))
+	}
+	for e := range spares {
+		if chHeld[e] {
+			t.Errorf("grid Scratch holds CH explorer %p", e)
+		}
+		if !used[e] {
+			t.Errorf("spare %p was not used by the last run", e)
+		}
+	}
+	for p, e := range sc.explorers.byPart {
+		if e != nil {
+			t.Errorf("claimed cache still maps partition %d", p)
 		}
 	}
 }

@@ -43,8 +43,18 @@ import (
 // o = 0 that is the row's least cell exactly, and a row with o = +Inf
 // sums to +Inf everywhere and never sets the minimum.
 //
+// Recycling: Reset re-roots an Explorer at another source partition on the
+// same tree and keeps its storage. A fresh Explorer allocates every vector
+// on its own; once reset, it carves its vectors from one block of cells
+// and one block of row headers, sized from the last source's need, and
+// continues in a block of twice the size when a source needs more. A
+// reset Explorer returns the same vectors, bit for bit, and reports the
+// same RetainedBytes as a fresh one rooted at the same source. Every
+// vector returned before a Reset is invalid after it: its storage is
+// handed to the next source's vectors.
+//
 // Concurrency: an Explorer is a single-goroutine value. Every method —
-// including the read-looking getters — may touch the memo maps, so no
+// including the read-looking getters — may touch the memo slices, so no
 // Explorer method is safe to call concurrently with any other on the same
 // Explorer. Many Explorers may run in parallel over one shared *Tree;
 // that is exactly how internal/batch parallelizes query batches (one
@@ -71,7 +81,25 @@ type Explorer struct {
 	// rowBuf receives the copy of a matrix row that straddles two pages
 	// of a paged tree (see Tree.row); it is reused across calls.
 	rowBuf []float64
+
+	// Storage of a reset Explorer (recycled set by the first Reset): the
+	// vectors are carved from cells and rows, whose lengths are the parts
+	// in use, and touched lists the nodes memoized since the last Reset,
+	// so the next one clears only those.
+	recycled bool
+	cells    []float64
+	rows     [][]float64
+	touched  []NodeID
 }
+
+// Retention of a reset Explorer's storage follows the trim rule of core's
+// Scratch: a block is reallocated at the last source's need when it is
+// smaller than that need, or both above minRetain elements and more than
+// trimFactor times the need.
+const (
+	minRetain  = 1024
+	trimFactor = 4
+)
 
 // NewExplorer returns an Explorer rooted at source partition src. Safe to
 // call concurrently on a shared tree; the returned Explorer itself is for
@@ -92,6 +120,49 @@ func (t *Tree) NewExplorer(src indoor.PartitionID) *Explorer {
 	return e
 }
 
+// Reset re-roots the explorer at source partition src on the same tree,
+// keeping its storage for the new source's vectors (see Recycling in the
+// type's comment). It clears the memo entries of the nodes the last source
+// memoized and the old and new sources' root paths, so its cost follows
+// the last source's work, not the tree's size.
+func (e *Explorer) Reset(src indoor.PartitionID) {
+	t := e.t
+	if e.recycled {
+		for _, n := range e.touched {
+			e.adVec[n] = nil
+			e.doorVec[n] = nil
+		}
+	} else {
+		// A fresh explorer keeps no touched list; clear it whole once.
+		clear(e.adVec)
+		clear(e.doorVec)
+		e.recycled = true
+	}
+	for c := e.srcLeaf; c != NoNode; c = t.nodes[c].parent {
+		e.path[c] = false
+	}
+	e.touched = recycle(e.touched, e.nVec)
+	e.cells = recycle(e.cells, e.nCells)
+	e.rows = recycle(e.rows, e.nVec*len(e.srcDoors))
+	e.nVec, e.nCells = 0, 0
+
+	e.src = src
+	e.srcLeaf = t.leafOf[src]
+	e.srcDoors = t.venue.Partition(src).Doors
+	for c := e.srcLeaf; c != NoNode; c = t.nodes[c].parent {
+		e.path[c] = true
+	}
+}
+
+// recycle returns s emptied, with capacity for need elements: s itself
+// unless it is too small or oversized under the trim rule.
+func recycle[T any](s []T, need int) []T {
+	if cap(s) < need || (cap(s) > minRetain && cap(s) > trimFactor*need) {
+		return make([]T, 0, need)
+	}
+	return s[:0]
+}
+
 // Source returns the source partition.
 func (e *Explorer) Source() indoor.PartitionID { return e.src }
 
@@ -103,12 +174,16 @@ func (e *Explorer) RetainedBytes() int {
 	return e.nCells*8 + e.nVec*vecOverhead
 }
 
-// memo records v as memoized: it counts the vector and its cells toward
-// RetainedBytes.
-func (e *Explorer) memo(v [][]float64) [][]float64 {
+// memo records v as node n's memoized vector: it counts the vector and
+// its cells toward RetainedBytes, and a reset explorer lists n for the
+// next Reset to clear.
+func (e *Explorer) memo(n NodeID, v [][]float64) [][]float64 {
 	e.nVec++
 	for _, row := range v {
 		e.nCells += len(row)
+	}
+	if e.recycled {
+		e.touched = append(e.touched, n)
 	}
 	return v
 }
@@ -145,7 +220,7 @@ func (e *Explorer) ADVec(n NodeID) [][]float64 {
 		base, rows := e.base(nd)
 		v = e.propagate(base, rows, e.t.nodes[nd.parent], nd.pcol)
 	}
-	e.adVec[n] = e.memo(v)
+	e.adVec[n] = e.memo(n, v)
 	return v
 }
 
@@ -170,7 +245,7 @@ func (e *Explorer) pathADVec(n NodeID) [][]float64 {
 	t := e.t
 	leaf := t.nodes[e.srcLeaf]
 	if n == e.srcLeaf {
-		v := alloc(len(e.srcDoors), len(leaf.access))
+		v := e.alloc(len(e.srcDoors), len(leaf.access))
 		for i, sd := range e.srcDoors {
 			full := t.row(leaf.fullD, int(leaf.doorIdx[sd]), &e.rowBuf)
 			for j, ad := range leaf.access {
@@ -183,7 +258,7 @@ func (e *Explorer) pathADVec(n NodeID) [][]float64 {
 		// One lookup in the leaf's ancestor matrix.
 		for k, a := range leaf.ancIDs {
 			if a == n {
-				v := alloc(len(e.srcDoors), len(t.nodes[n].access))
+				v := e.alloc(len(e.srcDoors), len(t.nodes[n].access))
 				for i, sd := range e.srcDoors {
 					copy(v[i], t.row(leaf.ancD[k], int(leaf.doorIdx[sd]), &e.rowBuf))
 				}
@@ -197,27 +272,54 @@ func (e *Explorer) pathADVec(n NodeID) [][]float64 {
 	return e.propagate(e.ADVec(child), t.nodes[child].pcol, t.nodes[n], t.nodes[n].ucol)
 }
 
-// alloc returns a rows × cols matrix over one backing slice.
-func alloc(rows, cols int) [][]float64 {
-	backing := make([]float64, rows*cols)
-	m := make([][]float64, rows)
+// matrix returns a rows × cols matrix over one backing slice, and that
+// slice. A fresh explorer allocates both, zeroed. A reset explorer carves
+// them from its storage; when a block runs out it continues in a new one
+// of at least twice the size, and the next Reset keeps only the newest.
+func (e *Explorer) matrix(rows, cols int) (m [][]float64, backing []float64, zeroed bool) {
+	n := rows * cols
+	if !e.recycled || rows == 0 {
+		backing = make([]float64, n)
+		m = make([][]float64, rows)
+		for i := range m {
+			m[i] = backing[i*cols : (i+1)*cols]
+		}
+		return m, backing, true
+	}
+	c, r := len(e.cells), len(e.rows)
+	if c+n > cap(e.cells) {
+		e.cells, c = make([]float64, 0, max(n, 2*cap(e.cells))), 0
+	}
+	if r+rows > cap(e.rows) {
+		e.rows, r = make([][]float64, 0, max(rows, 2*cap(e.rows))), 0
+	}
+	e.cells = e.cells[:c+n]
+	e.rows = e.rows[:r+rows]
+	backing = e.cells[c : c+n : c+n]
+	m = e.rows[r : r+rows : r+rows]
 	for i := range m {
-		m[i] = backing[i*cols : (i+1)*cols]
+		m[i] = backing[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return m, backing, false
+}
+
+// alloc returns a zeroed rows × cols matrix (see matrix).
+func (e *Explorer) alloc(rows, cols int) [][]float64 {
+	m, backing, zeroed := e.matrix(rows, cols)
+	if !zeroed {
+		clear(backing)
 	}
 	return m
 }
 
-// allocInf is alloc with every cell +Inf: the identity of the min-plus
-// kernels below.
-func allocInf(rows, cols int) [][]float64 {
-	v := alloc(rows, cols)
-	if rows > 0 {
-		backing := v[0][:rows*cols]
-		for i := range backing {
-			backing[i] = math.Inf(1)
-		}
+// allocInf returns a rows × cols matrix with every cell +Inf: the identity
+// of the min-plus kernels below.
+func (e *Explorer) allocInf(rows, cols int) [][]float64 {
+	m, backing, _ := e.matrix(rows, cols)
+	for i := range backing {
+		backing[i] = math.Inf(1)
 	}
-	return v
+	return m
 }
 
 // propagate derives rows over a target door set from rows over a base door
@@ -233,7 +335,7 @@ func allocInf(rows, cols int) [][]float64 {
 // loop's sequence of comparisons per cell, so the result is bit-identical
 // to it.
 func (e *Explorer) propagate(base [][]float64, rows []int32, via *node, cols []int32) [][]float64 {
-	v := allocInf(len(e.srcDoors), len(cols))
+	v := e.allocInf(len(e.srcDoors), len(cols))
 	for k, r := range rows {
 		u := e.t.row(via.uD, int(r), &e.rowBuf)
 		for i, vi := range v {
@@ -261,7 +363,7 @@ func (e *Explorer) DoorVec(n NodeID) [][]float64 {
 	}
 	var v [][]float64
 	if n == e.srcLeaf {
-		v = alloc(len(e.srcDoors), len(nd.doors))
+		v = e.alloc(len(e.srcDoors), len(nd.doors))
 		for i, sd := range e.srcDoors {
 			copy(v[i], t.row(nd.fullD, int(nd.doorIdx[sd]), &e.rowBuf))
 		}
@@ -269,7 +371,7 @@ func (e *Explorer) DoorVec(n NodeID) [][]float64 {
 		// The same k-outer min-plus kernel as propagate, through the
 		// leaf's door matrix rows of its access doors.
 		base := e.ADVec(n)
-		v = allocInf(len(e.srcDoors), len(nd.doors))
+		v = e.allocInf(len(e.srcDoors), len(nd.doors))
 		for k, ad := range nd.access {
 			full := t.row(nd.fullD, int(nd.doorIdx[ad]), &e.rowBuf)
 			for i, vi := range v {
@@ -282,7 +384,7 @@ func (e *Explorer) DoorVec(n NodeID) [][]float64 {
 			}
 		}
 	}
-	e.doorVec[n] = e.memo(v)
+	e.doorVec[n] = e.memo(n, v)
 	return v
 }
 
