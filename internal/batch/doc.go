@@ -20,8 +20,9 @@
 // The safety argument is the ownership split documented in internal/vip
 // and internal/core: a *vip.Tree is immutable after Build and safe for any
 // number of concurrent readers, while all mutable solver state
-// (core's internal traversal state and its vip.Explorer memos) is created
-// per query inside the worker that runs it and never escapes. Workers
+// (core's internal traversal state and its vip.Explorer memos) is derived
+// per query inside the worker that runs it, on a Scratch that worker
+// leases alone, and never escapes. Workers
 // share only the tree, the input slice (read-only), and disjoint elements
 // of the result slice — worker i writes Results[j] only for the j it
 // claimed, so no two goroutines ever touch the same element.

@@ -70,18 +70,24 @@ func TestScratchSolveAllocBound(t *testing.T) {
 }
 
 // BenchmarkSolveScratchMC answers distinct 1000-client MC queries on one
-// Scratch, cycling through 64 of them: unlike BenchmarkSolveScratch, every
-// run roots its explorers at new sources, so it shows what pooling saves
-// on a cold solve.
+// Scratch, cycling through 64 of them after one untimed pass: unlike
+// BenchmarkSolveScratch, every run roots its explorers at new sources, so
+// it shows what pooling saves on a cold solve.
 func BenchmarkSolveScratchMC(b *testing.B) {
 	tree, qs := mcQueries(b, 64)
 	sc := core.NewScratch()
 	ctx := context.Background()
+	solve := func(q *core.Query) {
+		if _, err := core.Exec(ctx, tree, q, core.Options{Scratch: sc}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, q := range qs {
+		solve(q)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Exec(ctx, tree, qs[i%len(qs)], core.Options{Scratch: sc}); err != nil {
-			b.Fatal(err)
-		}
+		solve(qs[i%len(qs)])
 	}
 }
