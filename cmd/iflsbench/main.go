@@ -7,7 +7,7 @@
 //	iflsbench -fig all                 # the full grid (hours at paper scale)
 //	iflsbench -fig 7a -scale 10        # client counts divided by 10
 //	iflsbench -fig 5 -queries 3 -venues MC,CPH
-//	iflsbench -fig parallel -workers 8 # sequential-vs-parallel speedups
+//	iflsbench -fig parallel            # sequential-vs-parallel speedups
 //	iflsbench -fig 5 -metrics localhost:6060
 //
 // -metrics ADDR serves live run metrics while the sweep executes: expvar
@@ -16,11 +16,11 @@
 // the standard pprof profiling endpoints at http://ADDR/debug/pprof/. A
 // final snapshot is printed when the run ends.
 //
-// -workers N selects the worker count for the "parallel" report (tree
-// construction and a 100-query batch, each timed with 1 worker and with N)
-// and also parallelizes index construction for the other figures; the
-// paper figures' query timings themselves stay single-threaded so they
-// remain comparable with the paper. N=0 means all cores.
+// Parallel work takes its width from GOMAXPROCS: index construction for
+// every figure, and the "parallel" report's parallel legs (tree
+// construction and 100 queries, each timed sequentially and at that
+// width). The paper figures' query timings stay single-threaded so they
+// remain comparable with the paper.
 package main
 
 import (
@@ -41,7 +41,6 @@ func main() {
 	scale := flag.Int("scale", 1, "divide all client counts by this factor")
 	queries := flag.Int("queries", bench.QueriesPerCell, "queries averaged per cell")
 	venuesFlag := flag.String("venues", "", "comma-separated venue subset (default all)")
-	workers := flag.Int("workers", 0, "worker count for the parallel report and index builds (0 = all cores)")
 	out := flag.String("out", "", "also append output to this file")
 	csvOut := flag.String("csv", "", "write raw measurements as CSV to this file")
 	metricsAddr := flag.String("metrics", "", "serve expvar + pprof on this address (e.g. localhost:6060) while running")
@@ -64,8 +63,6 @@ func main() {
 	}
 	r := bench.NewRunner()
 	r.Queries = *queries
-	r.Workers = *workers
-	r.Opts.Workers = *workers
 	if *metricsAddr != "" {
 		r.Metrics = obs.NewMetrics()
 		srv := &http.Server{Addr: *metricsAddr, Handler: obs.NewMux(r.Metrics)}

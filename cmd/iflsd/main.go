@@ -66,7 +66,6 @@ func run() error {
 	venueFiles := flag.String("venuefile", "", "comma-separated NAME=PATH venue JSON files to serve")
 	indexFiles := flag.String("indexfile", "", "comma-separated NAME=PATH index files (written by -saveindex) to open instead of building")
 	lazy := flag.Bool("lazy", false, "build venue indexes on first query instead of at startup")
-	workers := flag.Int("workers", 0, "index build workers (0 = all cores)")
 	maxInFlight := flag.Int("max-inflight", 0, "per-venue admitted-query limit (0 = default 256, <0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max wait for in-flight queries on shutdown")
 	queryTimeout := flag.Duration("query-timeout", 0, "server-side per-query deadline, 504 beyond it (0 = unbounded); must be below -drain-timeout")
@@ -109,7 +108,6 @@ func run() error {
 		Hooks:        hooks,
 	})
 
-	ixOpts := ifls.IndexOptions{Workers: *workers}
 	indexes, err := parsePairs(*indexFiles)
 	if err != nil {
 		return err
@@ -133,11 +131,11 @@ func run() error {
 		} else {
 			if *lazy {
 				log.Printf("venue %q: index deferred to first query", name)
-				return srv.AddVenueLazy(name, v, ixOpts)
+				return srv.AddVenueLazy(name, v, ifls.IndexOptions{})
 			}
 			start := time.Now()
 			var err error
-			ix, err = ifls.NewIndexWithOptions(v, ixOpts)
+			ix, err = ifls.NewIndex(v)
 			if err != nil {
 				return fmt.Errorf("venue %q: %w", name, err)
 			}

@@ -288,8 +288,9 @@ func modulePackages(t *testing.T) map[string]*pkgDoc {
 }
 
 // retiredIflsdFlags are iflsd flags that were deleted when their policy
-// became fixed: coalescing always on, a 100ms reap grace, Retry-After 1.
-var retiredIflsdFlags = []string{"no-coalesce", "reap-grace", "retry-after"}
+// became fixed: coalescing always on, a 100ms reap grace, Retry-After 1,
+// and index builds as wide as GOMAXPROCS.
+var retiredIflsdFlags = []string{"no-coalesce", "reap-grace", "retry-after", "workers"}
 
 // TestIflsdFlagsDocumented holds SERVING.md to the flags cmd/iflsd
 // registers: every one appears there as -name, and no retired flag appears

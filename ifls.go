@@ -184,11 +184,6 @@ type IndexOptions struct {
 	// IPTree disables the VIP-tree's leaf-to-ancestor matrices, building
 	// the smaller but slower IP-tree instead.
 	IPTree bool
-	// Workers bounds the goroutines used to fill the index's distance
-	// matrices during construction. Zero uses all available cores; 1
-	// forces the sequential path. The built index is identical for every
-	// worker count (see ARCHITECTURE.md).
-	Workers int
 }
 
 // Index is a queryable VIP-tree over one venue. Safe for concurrent reads.
@@ -223,7 +218,6 @@ func NewIndexContext(ctx context.Context, v *Venue, opts IndexOptions) (*Index, 
 		o.NodeFanout = opts.NodeFanout
 	}
 	o.Vivid = !opts.IPTree
-	o.Workers = opts.Workers
 	t, err := vip.BuildContext(ctx, v, o)
 	if err != nil {
 		return nil, err

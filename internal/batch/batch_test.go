@@ -4,16 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/indoorspatial/ifls/internal/core"
+	"github.com/indoorspatial/ifls/internal/faults"
+	"github.com/indoorspatial/ifls/internal/obs"
 	"github.com/indoorspatial/ifls/internal/testvenue"
 	"github.com/indoorspatial/ifls/internal/vip"
 	"github.com/indoorspatial/ifls/internal/workload"
 )
 
-// fixture builds a venue, its tree, and a mixed-objective batch covering
+// fixture builds a venue, its tree, and a mixed-objective query set covering
 // all four paper objectives plus top-k and multi.
 func fixture(t *testing.T, nQueries int) (*vip.Tree, []Query) {
 	t.Helper()
@@ -33,6 +39,35 @@ func fixture(t *testing.T, nQueries int) (*vip.Tree, []Query) {
 	return tree, queries
 }
 
+// executeSeq answers the queries in a sequential loop of Execute calls.
+func executeSeq(ctx context.Context, tree *vip.Tree, queries []Query, m *obs.Metrics) []Result {
+	results := make([]Result, len(queries))
+	for i, q := range queries {
+		results[i] = Execute(ctx, tree, q, m)
+	}
+	return results
+}
+
+// executeAll answers the queries from runtime.GOMAXPROCS(0) goroutines, each
+// calling Execute on the indexes it claims from a shared counter, the way
+// concurrent requests reach the daemon. results[i] answers queries[i].
+func executeAll(ctx context.Context, tree *vip.Tree, queries []Query, m *obs.Metrics) []Result {
+	results := make([]Result, len(queries))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(queries); i = int(next.Add(1)) - 1 {
+				results[i] = Execute(ctx, tree, queries[i], m)
+			}
+		}()
+	}
+	wg.Wait()
+	return results
+}
+
 // payloadBytes gob-encodes a result's answer payload (everything except
 // Err and Elapsed) for byte-level comparison.
 func payloadBytes(t *testing.T, r Result) []byte {
@@ -44,63 +79,39 @@ func payloadBytes(t *testing.T, r Result) []byte {
 	return buf.Bytes()
 }
 
-// TestParallelMatchesSequential is the core exactness guarantee: a batch
-// run with many workers returns byte-identical results, query by query, to
-// the sequential run, across all objectives.
+// TestParallelMatchesSequential is the core exactness guarantee: Execute
+// called from GOMAXPROCS goroutines on one shared tree returns
+// byte-identical results, work counters included, query by query, to a
+// sequential loop, across all objectives.
 func TestParallelMatchesSequential(t *testing.T) {
 	tree, queries := fixture(t, 30)
-	seq, err := Run(context.Background(), tree, queries, Options{Workers: 1})
-	if err != nil {
-		t.Fatalf("sequential Run: %v", err)
-	}
-	for _, workers := range []int{0, 2, 5} {
-		par, err := Run(context.Background(), tree, queries, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("parallel Run(workers=%d): %v", workers, err)
+	seq := executeSeq(context.Background(), tree, queries, nil)
+	par := executeAll(context.Background(), tree, queries, nil)
+	for i := range seq {
+		if seq[i].Err != nil || par[i].Err != nil {
+			t.Fatalf("query %d: unexpected errors %v / %v", i, seq[i].Err, par[i].Err)
 		}
-		if len(par.Results) != len(seq.Results) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(par.Results), len(seq.Results))
-		}
-		for i := range seq.Results {
-			if seq.Results[i].Err != nil || par.Results[i].Err != nil {
-				t.Fatalf("workers=%d query %d: unexpected errors %v / %v",
-					workers, i, seq.Results[i].Err, par.Results[i].Err)
-			}
-			if !bytes.Equal(payloadBytes(t, seq.Results[i]), payloadBytes(t, par.Results[i])) {
-				t.Errorf("workers=%d: query %d (%s) differs from sequential run",
-					workers, i, queries[i].Objective)
-			}
-		}
-		// Work counters are sums over per-query stats, so they must
-		// agree too (Wall and Elapsed are the only timing-dependent
-		// fields).
-		sc, pc := seq.Counters, par.Counters
-		sc.Wall, pc.Wall = 0, 0
-		if sc != pc {
-			t.Errorf("workers=%d: counters %+v, want %+v", workers, pc, sc)
+		if !bytes.Equal(payloadBytes(t, seq[i]), payloadBytes(t, par[i])) {
+			t.Errorf("query %d (%s): concurrent result differs from sequential", i, queries[i].Objective)
 		}
 	}
 }
 
-// TestErrorIsolation checks that malformed queries fail alone: the rest of
-// the batch still answers.
+// TestErrorIsolation checks that malformed queries fail alone: the other
+// concurrent queries still answer.
 func TestErrorIsolation(t *testing.T) {
 	tree, queries := fixture(t, 10)
 	queries[2] = Query{Objective: core.Objective(200), Query: queries[2].Query}
 	queries[5] = Query{Objective: core.ObjMinMax} // nil body
-	// Out-of-range client partition: the solver panics; Run must absorb
-	// it into the query's own error.
+	// Out-of-range client partition: validation rejects it into the
+	// query's own error.
 	bad := *queries[7].Query
 	badClients := append([]core.Client(nil), bad.Clients...)
 	badClients[0].Part = 10_000
 	bad.Clients = badClients
 	queries[7] = Query{Objective: core.ObjMinMax, Query: &bad}
 
-	rep, err := Run(context.Background(), tree, queries, Options{Workers: 4})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for i, r := range rep.Results {
+	for i, r := range executeAll(context.Background(), tree, queries, nil) {
 		switch i {
 		case 2, 5, 7:
 			if r.Err == nil {
@@ -112,52 +123,35 @@ func TestErrorIsolation(t *testing.T) {
 			}
 		}
 	}
-	if rep.Counters.Errors != 3 {
-		t.Errorf("Errors = %d, want 3", rep.Counters.Errors)
-	}
-	if rep.Counters.Queries != len(queries) {
-		t.Errorf("Queries = %d, want %d", rep.Counters.Queries, len(queries))
-	}
 }
 
-// TestCancellation checks that a cancelled context stops unstarted work
-// and records ctx.Err per query instead of failing the batch.
+// TestCancellation checks that a context already done stops the query
+// before it runs: each Result records ErrCancelled wrapping ctx.Err, with
+// zero elapsed time, and no query reaches the solver.
 func TestCancellation(t *testing.T) {
 	tree, queries := fixture(t, 12)
+	var ran atomic.Int32
+	testHookRun = func(Query) { ran.Add(1) }
+	defer func() { testHookRun = nil }()
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before the batch starts
-	rep, err := Run(ctx, tree, queries, Options{Workers: 3})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for i, r := range rep.Results {
-		if r.Err == nil {
-			t.Fatalf("query %d: want context error, got answer", i)
+	cancel()
+	for i, r := range executeAll(ctx, tree, queries, nil) {
+		if !errors.Is(r.Err, faults.ErrCancelled) || !errors.Is(r.Err, context.Canceled) {
+			t.Fatalf("query %d: err = %v, want ErrCancelled wrapping context.Canceled", i, r.Err)
+		}
+		if r.Elapsed != 0 {
+			t.Errorf("query %d: cancelled before running but Elapsed = %v", i, r.Elapsed)
 		}
 	}
-	if rep.Counters.Errors != len(queries) {
-		t.Errorf("Errors = %d, want %d", rep.Counters.Errors, len(queries))
-	}
-	if rep.Counters.Queries != 0 {
-		t.Errorf("Queries = %d, want 0 (nothing ran)", rep.Counters.Queries)
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d queries ran on a cancelled context, want 0", n)
 	}
 }
 
-// TestEmptyBatch keeps the degenerate case total.
-func TestEmptyBatch(t *testing.T) {
-	tree, _ := fixture(t, 1)
-	rep, err := Run(context.Background(), tree, nil, Options{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(rep.Results) != 0 || rep.Counters.Queries != 0 {
-		t.Errorf("empty batch produced %+v", rep)
-	}
-}
-
-// TestNilTree checks the one argument error Run returns.
+// TestNilTree checks that a nil tree is an options error, not a panic.
 func TestNilTree(t *testing.T) {
-	if _, err := Run(context.Background(), nil, nil, Options{}); err == nil {
-		t.Fatal("Run(nil tree): want error")
+	_, queries := fixture(t, 1)
+	if r := Execute(context.Background(), nil, queries[0], nil); !errors.Is(r.Err, faults.ErrInvalidOptions) {
+		t.Fatalf("Execute(nil tree): err = %v, want ErrInvalidOptions", r.Err)
 	}
 }

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -10,16 +11,14 @@ import (
 	"github.com/indoorspatial/ifls/internal/obs"
 )
 
-// TestMetricsConcurrentWorkers runs an observed batch on many workers
-// (under -race this doubles as the data-race check for the per-worker
-// recorder merge) and checks the aggregates line up with the report.
+// TestMetricsConcurrentWorkers runs observed queries from GOMAXPROCS
+// goroutines (under -race this doubles as the data-race check for the
+// per-call trace merge) and checks the aggregates line up with a
+// sequential observed loop.
 func TestMetricsConcurrentWorkers(t *testing.T) {
 	tree, queries := fixture(t, 40)
 	m := obs.NewMetrics()
-	rep, err := Run(context.Background(), tree, queries, Options{Workers: 8, Metrics: m})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	observed := executeAll(context.Background(), tree, queries, m)
 
 	s := m.Snapshot()
 	if s.Queries != int64(len(queries)) {
@@ -28,19 +27,20 @@ func TestMetricsConcurrentWorkers(t *testing.T) {
 	if s.Errors != 0 || s.Cancellations != 0 {
 		t.Fatalf("unexpected failures: errors=%d cancellations=%d", s.Errors, s.Cancellations)
 	}
-	if rep.Counters.Spans.Total() == 0 {
-		t.Fatal("Counters.Spans empty after observed run")
-	}
-	if s.Stages != rep.Counters.Spans {
-		t.Fatalf("metrics stages %v != report spans %v", s.Stages, rep.Counters.Spans)
+	// Span counts are a function of the queries alone, so the concurrent
+	// merge must equal the sequential one.
+	seq := obs.NewMetrics()
+	executeSeq(context.Background(), tree, queries, seq)
+	if s.Stages != seq.Snapshot().Stages {
+		t.Fatalf("concurrent stages %v != sequential stages %v", s.Stages, seq.Snapshot().Stages)
 	}
 	// Every query passes validation, so the validate stage fires once per
 	// query; the traversal stages fire at least once somewhere in the mix.
-	if got := rep.Counters.Spans[obs.StageValidate]; got != uint64(len(queries)) {
+	if got := s.Stages[obs.StageValidate]; got != uint64(len(queries)) {
 		t.Errorf("validate spans = %d, want %d", got, len(queries))
 	}
 	for _, st := range []obs.Stage{obs.StageLocate, obs.StageQueuePop, obs.StagePrune, obs.StageAnswerCheck} {
-		if rep.Counters.Spans[st] == 0 {
+		if s.Stages[st] == 0 {
 			t.Errorf("stage %s: zero span events", st)
 		}
 	}
@@ -50,52 +50,30 @@ func TestMetricsConcurrentWorkers(t *testing.T) {
 
 	// A metrics-free run returns identical payloads: observation is
 	// read-only with respect to the answers.
-	plain, err := Run(context.Background(), tree, queries, Options{Workers: 8})
-	if err != nil {
-		t.Fatalf("plain Run: %v", err)
-	}
+	plain := executeAll(context.Background(), tree, queries, nil)
 	for i := range queries {
-		if !bytesEqual(payloadBytes(t, rep.Results[i]), payloadBytes(t, plain.Results[i])) {
+		if !bytes.Equal(payloadBytes(t, observed[i]), payloadBytes(t, plain[i])) {
 			t.Fatalf("query %d: observed payload differs from plain payload", i)
 		}
 	}
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestMetricsCancelledContributeNoSpans is the discard guarantee: queries
-// cancelled before or during the batch leave no span events behind, while
-// their cancellations still show up in the aggregate counts.
+// whose context is done before they start leave no span events behind,
+// while their cancellations still show up in the aggregate counts.
 func TestMetricsCancelledContributeNoSpans(t *testing.T) {
 	tree, queries := fixture(t, 12)
 	m := obs.NewMetrics()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // every query sees a dead context before it starts
-	rep, err := Run(ctx, tree, queries, Options{Workers: 4, Metrics: m})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for i := range rep.Results {
-		if !errors.Is(rep.Results[i].Err, faults.ErrCancelled) {
-			t.Fatalf("query %d: err = %v, want cancelled", i, rep.Results[i].Err)
+	for i, r := range executeSeq(ctx, tree, queries, m) {
+		if !errors.Is(r.Err, faults.ErrCancelled) {
+			t.Fatalf("query %d: err = %v, want cancelled", i, r.Err)
 		}
-	}
-	if total := rep.Counters.Spans.Total(); total != 0 {
-		t.Fatalf("cancelled batch produced %d span events, want 0 (spans: %v)", total, rep.Counters.Spans)
 	}
 	s := m.Snapshot()
 	if s.Stages.Total() != 0 {
-		t.Fatalf("metrics carry %d span events from a fully cancelled batch", s.Stages.Total())
+		t.Fatalf("metrics carry %d span events from cancelled queries (spans: %v)", s.Stages.Total(), s.Stages)
 	}
 	if s.Cancellations != int64(len(queries)) {
 		t.Fatalf("Cancellations = %d, want %d", s.Cancellations, len(queries))
@@ -105,10 +83,11 @@ func TestMetricsCancelledContributeNoSpans(t *testing.T) {
 	}
 }
 
-// TestMetricsMidBatchCancellation cancels while the batch is in flight
-// (via the test hook, after a few queries have completed) and checks the
-// invariant still holds: only non-cancelled queries contribute spans, and
-// the span total matches the per-stage merge exactly.
+// TestMetricsMidBatchCancellation cancels the shared context while
+// concurrent queries are in flight (via the test hook, once a few have
+// started) and checks the invariant still holds: only completed queries
+// contribute spans — one validate span each — and every cancellation is
+// counted.
 func TestMetricsMidBatchCancellation(t *testing.T) {
 	tree, queries := fixture(t, 24)
 	m := obs.NewMetrics()
@@ -127,32 +106,25 @@ func TestMetricsMidBatchCancellation(t *testing.T) {
 	}
 	defer func() { testHookRun = nil }()
 
-	rep, err := Run(ctx, tree, queries, Options{Workers: 4, Metrics: m})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 	cancelled, completed := 0, 0
-	for i := range rep.Results {
-		if errors.Is(rep.Results[i].Err, faults.ErrCancelled) {
+	for _, r := range executeAll(ctx, tree, queries, m) {
+		if errors.Is(r.Err, faults.ErrCancelled) {
 			cancelled++
-		} else if rep.Results[i].Err == nil {
+		} else if r.Err == nil {
 			completed++
 		}
 	}
 	if cancelled == 0 {
-		t.Skip("cancellation raced after batch completion; nothing to assert")
+		t.Skip("cancellation raced after every query completed; nothing to assert")
 	}
 	// Completed queries fired validate exactly once each; cancelled ones
 	// must not have (mid-solve cancellations discard the whole trace).
-	if got := rep.Counters.Spans[obs.StageValidate]; got > uint64(len(queries)-cancelled) {
-		t.Fatalf("validate spans = %d with %d cancelled of %d: cancelled queries leaked spans",
-			got, cancelled, len(queries))
-	}
 	s := m.Snapshot()
-	if s.Stages != rep.Counters.Spans {
-		t.Fatalf("metrics stages %v != report spans %v", s.Stages, rep.Counters.Spans)
+	if got := s.Stages[obs.StageValidate]; got != uint64(completed) {
+		t.Fatalf("validate spans = %d with %d completed and %d cancelled of %d: cancelled queries leaked spans",
+			got, completed, cancelled, len(queries))
 	}
 	if s.Cancellations != int64(cancelled) {
-		t.Fatalf("Cancellations = %d, report says %d", s.Cancellations, cancelled)
+		t.Fatalf("Cancellations = %d, results say %d", s.Cancellations, cancelled)
 	}
 }

@@ -29,18 +29,15 @@ func sessionRun(s *core.Session, q *core.Query, obj core.Objective) core.ExecRes
 	return r
 }
 
-// TestPooledBatchMatchesFresh: the worker-leased Scratches are invisible in
-// the output — every pooled result (Stats included) is byte-identical to a
-// fresh unpooled run of the same query.
+// TestPooledBatchMatchesFresh: the pool-leased Scratches are invisible in
+// the output — every pooled result of concurrent Execute calls (Stats
+// included) is byte-identical to a fresh unpooled run of the same query.
 func TestPooledBatchMatchesFresh(t *testing.T) {
 	tree, queries := fixture(t, 40)
-	rep, err := Run(context.Background(), tree, queries, Options{Workers: 4})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	results := executeAll(context.Background(), tree, queries, nil)
 	for i, q := range queries {
 		want := freshResult(t, tree, q)
-		got := rep.Results[i]
+		got := results[i]
 		if got.Err != nil || want.Err != nil {
 			t.Fatalf("query %d: unexpected errors pooled=%v fresh=%v", i, got.Err, want.Err)
 		}
@@ -52,8 +49,8 @@ func TestPooledBatchMatchesFresh(t *testing.T) {
 }
 
 // TestHammerSessionAndBatch runs one core.Session (private Scratch plus
-// persistent explorer cache) on its own goroutine while pooled batches run
-// concurrently on the same tree, across all objectives. Under -race this
+// persistent explorer cache) on its own goroutine while pooled Execute
+// calls run concurrently on the same tree, across all objectives. Under -race this
 // proves the memory-reuse layers stay goroutine-local; the assertions prove
 // the answers still match fresh runs.
 func TestHammerSessionAndBatch(t *testing.T) {
@@ -66,7 +63,6 @@ func TestHammerSessionAndBatch(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	errc := make(chan error, 2)
 	// eqObj treats NaN (the "no improving candidate" objective) as equal.
 	eqObj := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
 
@@ -104,13 +100,9 @@ func TestHammerSessionAndBatch(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for round := 0; round < 3; round++ {
-			rep, err := Run(context.Background(), tree, queries, Options{Workers: 4})
-			if err != nil {
-				errc <- err
-				return
-			}
+			results := executeAll(context.Background(), tree, queries, nil)
 			for i := range queries {
-				if !bytes.Equal(payloadBytes(t, rep.Results[i]), payloadBytes(t, wantBatch[i])) {
+				if !bytes.Equal(payloadBytes(t, results[i]), payloadBytes(t, wantBatch[i])) {
 					t.Errorf("batch round %d query %d: pooled differs from fresh", round, i)
 					return
 				}
@@ -119,15 +111,11 @@ func TestHammerSessionAndBatch(t *testing.T) {
 	}()
 
 	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatalf("batch run: %v", err)
-	}
 }
 
-// BenchmarkBatchPooled measures the steady-state batch throughput with the
-// worker Scratch pool; ReportAllocs makes alloc regressions visible to the
-// CI smoke step.
+// BenchmarkBatchPooled measures the steady-state throughput of concurrent
+// Execute calls on the shared Scratch pool; ReportAllocs makes alloc
+// regressions visible to the CI smoke step.
 func BenchmarkBatchPooled(b *testing.B) {
 	v := testvenue.Grid(testvenue.GridParams{Cols: 8, Levels: 2, InterRoomDoors: true})
 	tree := vip.MustBuild(v, vip.DefaultOptions())
@@ -145,8 +133,10 @@ func BenchmarkBatchPooled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), tree, queries, Options{Workers: 4}); err != nil {
-			b.Fatal(err)
+		for j, r := range executeAll(context.Background(), tree, queries, nil) {
+			if r.Err != nil {
+				b.Fatalf("query %d: %v", j, r.Err)
+			}
 		}
 	}
 }

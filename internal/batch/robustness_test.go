@@ -13,8 +13,8 @@ import (
 // TestPanicContainment injects a panic into one query's execution (via the
 // test hook, since validation blocks every realistic panic source) and
 // checks that the panicking query alone fails — classified as a solver
-// panic — while every other query still answers. Run under -race this also
-// proves the recovery path is race-clean.
+// panic — while every other concurrent query still answers. Under -race
+// this also proves the recovery path is race-clean.
 func TestPanicContainment(t *testing.T) {
 	tree, queries := fixture(t, 12)
 	victim := queries[4].Query
@@ -25,11 +25,7 @@ func TestPanicContainment(t *testing.T) {
 	}
 	defer func() { testHookRun = nil }()
 
-	rep, err := Run(context.Background(), tree, queries, Options{Workers: 4})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for i, r := range rep.Results {
+	for i, r := range executeAll(context.Background(), tree, queries, nil) {
 		if i == 4 {
 			if !errors.Is(r.Err, faults.ErrSolverPanic) {
 				t.Errorf("query 4: got %v, want ErrSolverPanic", r.Err)
@@ -40,33 +36,23 @@ func TestPanicContainment(t *testing.T) {
 			t.Errorf("query %d: unexpected error %v", i, r.Err)
 		}
 	}
-	if rep.Counters.Errors != 1 {
-		t.Errorf("Errors = %d, want 1", rep.Counters.Errors)
-	}
 }
 
-// TestMidBatchCancellation trips the counting context partway through the
-// batch: some queries answer, the rest report cancellation, and none
-// panic. Queries cancelled mid-run or pre-run are excluded from the
-// Queries counter but included in Errors.
+// TestMidBatchCancellation trips the counting context partway through a
+// sequential loop of Execute calls that share it: the queries before the
+// trip answer, the rest report cancellation (mid-solve or before running),
+// and none panics or fails with another error class.
 func TestMidBatchCancellation(t *testing.T) {
 	tree, queries := fixture(t, 16)
-	// Count the checkpoints one full batch polls, then trip in the middle.
+	// Count the checkpoints the whole loop polls, then trip in the middle.
 	total := chaos.CountCheckpoints(func(ctx context.Context) {
-		if _, err := Run(ctx, tree, queries, Options{Workers: 1}); err != nil {
-			t.Fatalf("counting run: %v", err)
-		}
+		executeSeq(ctx, tree, queries, nil)
 	})
 	if total < len(queries) {
-		t.Fatalf("batch polled only %d checkpoints for %d queries", total, len(queries))
-	}
-	c := chaos.CancelAtCheckpoint(total / 2)
-	rep, err := Run(c, tree, queries, Options{Workers: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("the loop polled only %d checkpoints for %d queries", total, len(queries))
 	}
 	var answered, cancelled int
-	for i, r := range rep.Results {
+	for i, r := range executeSeq(chaos.CancelAtCheckpoint(total/2), tree, queries, nil) {
 		switch {
 		case r.Err == nil:
 			answered++
@@ -77,19 +63,13 @@ func TestMidBatchCancellation(t *testing.T) {
 		}
 	}
 	if answered == 0 || cancelled == 0 {
-		t.Fatalf("mid-batch trip: answered=%d cancelled=%d, want both > 0", answered, cancelled)
-	}
-	if rep.Counters.Errors != cancelled {
-		t.Errorf("Errors = %d, want %d", rep.Counters.Errors, cancelled)
-	}
-	if rep.Counters.Queries != answered {
-		t.Errorf("Queries = %d, want %d (cancelled excluded)", rep.Counters.Queries, answered)
+		t.Fatalf("mid-loop trip: answered=%d cancelled=%d, want both > 0", answered, cancelled)
 	}
 }
 
 // TestValidationClassification checks that malformed bodies come back with
-// ErrInvalidQuery — the typed sentinel, not a bare error — so batch
-// consumers can triage failures without string matching.
+// ErrInvalidQuery — the typed sentinel, not a bare error — so callers can
+// triage failures without string matching.
 func TestValidationClassification(t *testing.T) {
 	tree, queries := fixture(t, 6)
 	bad := *queries[1].Query
@@ -97,14 +77,10 @@ func TestValidationClassification(t *testing.T) {
 	queries[1] = Query{Objective: core.ObjMinMax, Query: &bad}
 	queries[3] = Query{Objective: core.Objective(201), Query: queries[3].Query}
 
-	rep, err := Run(context.Background(), tree, queries, Options{Workers: 2})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := Execute(context.Background(), tree, queries[1], nil).Err; !errors.Is(err, faults.ErrInvalidQuery) {
+		t.Errorf("query 1: got %v, want ErrInvalidQuery", err)
 	}
-	if !errors.Is(rep.Results[1].Err, faults.ErrInvalidQuery) {
-		t.Errorf("query 1: got %v, want ErrInvalidQuery", rep.Results[1].Err)
-	}
-	if !errors.Is(rep.Results[3].Err, faults.ErrUnknownObjective) {
-		t.Errorf("query 3: got %v, want ErrUnknownObjective", rep.Results[3].Err)
+	if err := Execute(context.Background(), tree, queries[3], nil).Err; !errors.Is(err, faults.ErrUnknownObjective) {
+		t.Errorf("query 3: got %v, want ErrUnknownObjective", err)
 	}
 }

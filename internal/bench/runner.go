@@ -92,10 +92,6 @@ type Runner struct {
 	// Opts selects the index configuration; zero value means
 	// vip.DefaultOptions.
 	Opts vip.Options
-	// Workers is the worker count the "parallel" figure compares against
-	// the sequential path; zero means all cores. It does not affect the
-	// paper figures, whose timings are deliberately single-threaded.
-	Workers int
 	// Metrics, when non-nil, receives one span event per instrumented
 	// solver stage and one aggregate observation per measured query; the
 	// -metrics flag of cmd/iflsbench serves the result over expvar. Nil

@@ -19,7 +19,7 @@ import (
 
 // Context is a context.Context whose Err method reports cancellation
 // starting from the n-th call. It is safe for concurrent use; polls from
-// multiple goroutines (the parallel matrix fill, batch workers) share one
+// multiple goroutines (the parallel matrix fill, concurrent queries) share one
 // counter, so "the n-th poll" is global across the run.
 //
 // Done returns a non-nil channel so that context-aware code paths arm

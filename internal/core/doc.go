@@ -38,8 +38,8 @@
 // per call — or leased from the caller's Scratch — and never escapes, and
 // the *vip.Tree argument is only read. Distinct calls — same or different
 // objective, same or different tree — may therefore run concurrently
-// without synchronization (given distinct Scratches); internal/batch relies
-// on exactly this to fan query batches across workers. The one
+// without synchronization (given distinct Scratches); concurrent
+// batch.Execute calls rely on exactly this. The one
 // stateful type is Session, which deliberately retains Explorer memos
 // across queries to amortize repeated work and is therefore
 // single-goroutine (use one Session per goroutine; Sessions may share a

@@ -207,7 +207,11 @@ func Exec(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult, er
 	if emptyInput(q, o) {
 		return e.empty(), nil
 	}
-	return e.run(ctx, t, q, o)
+	r, err := e.run(ctx, t, q, o)
+	if o.Scratch != nil {
+		o.Scratch.explorers.dropSpares()
+	}
+	return r, err
 }
 
 // emptyInput reports whether the query cannot name an answer, uniformly

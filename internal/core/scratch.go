@@ -27,7 +27,7 @@ import (
 //
 // A Scratch is a single-goroutine value: it may back at most one running
 // Exec at a time, and reusing it concurrently corrupts solver state. Pool
-// Scratches (sync.Pool or one per worker) for concurrent callers;
+// Scratches (sync.Pool or one per goroutine) for concurrent callers;
 // internal/batch does exactly that. The zero value is ready to use.
 //
 // Scratch never retains caller-visible memory: result slices that escape
@@ -43,7 +43,9 @@ import (
 // that once served |C| = 10000 does not pin that memory while serving
 // |C| = 10 forever. The same holds for explorers: the spares are at most
 // the explorers the last run used, all over the tree being claimed, and a
-// spare's storage is trimmed by the same rule when it is re-rooted.
+// spare's storage is trimmed by the same rule when it is re-rooted. Spares
+// a run leaves unused are dropped when it ends, so between runs a Scratch
+// holds only the explorers its last run used.
 type Scratch struct {
 	// Solver state shells — reused in place so a pooled run allocates no
 	// state struct at all.
@@ -238,7 +240,7 @@ func (sc *Scratch) visit(p indoor.PartitionID, n vip.NodeID) bool {
 // explorers actually created. The Scratch-owned instance is emptied every
 // run, and the run's explorers become spares that the next run on the same
 // tree re-roots at its own sources (vip.Explorer.Reset) instead of building
-// new ones. Session keeps a persistent cache, which is never reset and so
+// new ones; Exec drops the spares that run leaves unused when it ends. Session keeps a persistent cache, which is never reset and so
 // holds no spares, so the distance-vector memos survive across queries.
 type explorerCache struct {
 	byPart []*vip.Explorer
@@ -268,6 +270,14 @@ func (c *explorerCache) reset(t *vip.Tree) {
 	if numParts := t.Venue().NumPartitions(); len(c.byPart) != numParts {
 		c.byPart = make([]*vip.Explorer, numParts)
 	}
+}
+
+// dropSpares releases the spares a run left unused once it ends: the next
+// reset would drop them anyway, so a warm Scratch between runs holds only
+// the explorers its last run used.
+func (c *explorerCache) dropSpares() {
+	clear(c.spares)
+	c.spares = c.spares[:0]
 }
 
 // get returns partition p's explorer, creating and caching it on first use:

@@ -162,9 +162,11 @@ func spareExplorers(t *testing.T, sc *Scratch) map[*vip.Explorer]bool {
 // TestScratchSparesFollowLastRun pins the explorer-retention rule of a
 // pooled Scratch: the spares a claim keeps are at most the explorers the
 // last run used, and only if it ran on the tree being claimed. After a
-// large CH query, a small CH query's claim keeps only the small run's
-// explorers; a claim on a grid tree drops every CH explorer, and the grid
-// run's claim keeps only grid explorers. Answers are unaffected.
+// large CH query, a small CH query leaves the Scratch holding exactly its
+// own explorers (the large run's leftover spares are dropped when it ends),
+// and its claim keeps only those; a claim on a grid tree drops every CH
+// explorer, and the grid run's claim keeps only grid explorers. Answers are
+// unaffected.
 func TestScratchSparesFollowLastRun(t *testing.T) {
 	ch := vip.MustBuild(venues.Chadstone(), vip.DefaultOptions())
 	grid, gridQs := scratchQueries(t)
@@ -193,6 +195,20 @@ func TestScratchSparesFollowLastRun(t *testing.T) {
 	small := cachedExplorers(sc)
 	if len(small) >= len(big) {
 		t.Fatalf("small CH query used %d explorers, large one %d; the test proves nothing", len(small), len(big))
+	}
+	// Between runs, the cached explorers plus the spares are exactly the
+	// small run's explorers.
+	held := spareExplorers(t, sc)
+	for e := range held {
+		if small[e] {
+			t.Errorf("explorer %p is both cached and spare", e)
+		}
+	}
+	for e := range small {
+		held[e] = true
+	}
+	if len(held) != len(small) {
+		t.Errorf("after a small CH run: %d explorers held, want the %d it used", len(held), len(small))
 	}
 	sc.claim(ch)
 	spares := spareExplorers(t, sc)

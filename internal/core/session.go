@@ -20,8 +20,8 @@ import (
 // and grows the shared explorer cache and reuses the same Scratch, so no
 // Session method may run concurrently with another on the same Session.
 // Use one Session per goroutine; Sessions may share the underlying tree,
-// which is read-only. For concurrent batches over one tree, use
-// internal/batch (pooled Scratches per worker) or give each worker its own
+// which is read-only. For concurrent queries over one tree, call
+// batch.Execute (a pooled Scratch per call) or give each goroutine its own
 // Session.
 type Session struct {
 	t         *vip.Tree

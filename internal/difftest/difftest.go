@@ -1,7 +1,7 @@
 // Package difftest is the differential correctness harness: it generates
 // adversarial random venues and workloads, runs every objective through all
-// answer paths — core.Exec fresh, pooled Scratch, warm Session, batch
-// workers, and brute force on the d2d Dijkstra oracle — and asserts that
+// answer paths — core.Exec fresh, pooled Scratch, warm Session,
+// batch.Execute, and brute force on the d2d Dijkstra oracle — and asserts that
 // objective values, winner IDs, and tie-break order agree. On a mismatch the
 // shrinker greedily drops clients, candidates, doors, and partitions while
 // the disagreement persists and emits a minimal reproducer (a corpus file

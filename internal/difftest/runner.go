@@ -93,13 +93,10 @@ func (e *Env) session(q *core.Query, o core.Options) (core.ExecResult, error) {
 	return e.Session.Exec(context.Background(), q, o)
 }
 
-// runBatch pushes the query through the batch layer with one worker.
+// runBatch pushes the query through batch.Execute, the serving path.
 func (e *Env) runBatch(bq batch.Query) (batch.Result, error) {
-	rep, err := batch.Run(context.Background(), e.Tree, []batch.Query{bq}, batch.Options{Workers: 1})
-	if err != nil {
-		return batch.Result{}, err
-	}
-	return rep.Results[0], rep.Results[0].Err
+	r := batch.Execute(context.Background(), e.Tree, bq, nil)
+	return r, r.Err
 }
 
 func sameResult(a, b core.Result) bool {

@@ -66,13 +66,13 @@ type QueryObservation struct {
 }
 
 // Metrics aggregates queries process-wide. All state is atomic: one
-// Metrics may be shared by every worker of every batch, and reads
-// (Snapshot, the expvar export) are safe at any time. The zero value is
-// ready to use; NewMetrics is provided for symmetry.
+// Metrics may be shared by every concurrent query, and reads (Snapshot,
+// the expvar export) are safe at any time. The zero value is ready to use;
+// NewMetrics is provided for symmetry.
 //
 // Metrics also implements Recorder, counting span events per stage. Hot
-// worker loops that would contend on these atomics should record into a
-// per-worker Counting instead and MergeStages once at the end — that is
+// solver loops that would contend on these atomics should record into a
+// per-query Counting instead and MergeStages once at the end — that is
 // what internal/batch does.
 type Metrics struct {
 	queries       atomic.Int64
@@ -143,7 +143,7 @@ func NewMetrics() *Metrics { return &Metrics{} }
 // concurrent use.
 func (m *Metrics) Event(sp Span) { m.stages[sp.Stage].Add(1) }
 
-// MergeStages folds a per-worker StageCounts into the shared stage
+// MergeStages folds a per-query StageCounts into the shared stage
 // counters. Safe for concurrent use.
 func (m *Metrics) MergeStages(c StageCounts) {
 	for i, n := range c {

@@ -22,14 +22,14 @@
 //
 // Concurrency: Metrics is safe for concurrent use (all state is atomic).
 // Counting and Trace are single-goroutine values — the batch layer keeps
-// one per worker and merges after the run, so the hot path never contends
-// on shared counters.
+// one of each per query and merges into Metrics once when the query ends,
+// so the hot path never contends on shared counters.
 package obs
 
 import "time"
 
 // Stage identifies one instrumented solver stage. Stages are stable
-// identifiers: the expvar export and the batch counters key on them.
+// identifiers: the expvar export and the stage counters key on them.
 type Stage uint8
 
 const (
@@ -110,15 +110,8 @@ type Nop struct{}
 // Event discards the span.
 func (Nop) Event(Span) {}
 
-// StageCounts counts span events per stage. A plain value; add with Merge.
+// StageCounts counts span events per stage. A plain value.
 type StageCounts [NumStages]uint64
-
-// Merge adds other's counts into c.
-func (c *StageCounts) Merge(other StageCounts) {
-	for i := range c {
-		c[i] += other[i]
-	}
-}
 
 // Total returns the sum over all stages.
 func (c StageCounts) Total() uint64 {
@@ -129,8 +122,8 @@ func (c StageCounts) Total() uint64 {
 	return t
 }
 
-// Counting is an unsynchronized tallying Recorder: one per worker
-// goroutine, merged into shared aggregates after the run (see
+// Counting is an unsynchronized tallying Recorder: one per query, merged
+// into shared aggregates with Metrics.MergeStages when the query ends (see
 // internal/batch). Not safe for concurrent use.
 type Counting struct {
 	// Counts tallies events per stage.

@@ -38,9 +38,10 @@ func TestCountingAndMerge(t *testing.T) {
 	a.Event(Span{Stage: StagePrune})
 	b.Event(Span{Stage: StageQueuePop})
 
-	var total StageCounts
-	total.Merge(a.Counts)
-	total.Merge(b.Counts)
+	m := NewMetrics()
+	m.MergeStages(a.Counts)
+	m.MergeStages(b.Counts)
+	total := m.Snapshot().Stages
 	if total[StagePrune] != 2 || total[StageValidate] != 1 || total[StageQueuePop] != 1 {
 		t.Errorf("merged counts = %v", total)
 	}

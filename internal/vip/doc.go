@@ -34,8 +34,9 @@
 // The package follows a build-then-share discipline:
 //
 //   - Build (and Load) are the only mutating phases. Build fans the matrix
-//     fill out across Options.Workers goroutines and joins them before
-//     returning; the result is bit-identical for every worker count.
+//     fill out across runtime.GOMAXPROCS(0) goroutines (Options.Workers
+//     overrides the width) and joins them before returning; the result is
+//     bit-identical for every worker count.
 //   - *Tree is immutable after Build/Load returns and safe for unlimited
 //     concurrent readers: distance queries, facility searches, SavePaged, and
 //     MemoryFootprint may all run at once from many goroutines against one

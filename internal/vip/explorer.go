@@ -57,8 +57,8 @@ import (
 // including the read-looking getters — may touch the memo slices, so no
 // Explorer method is safe to call concurrently with any other on the same
 // Explorer. Many Explorers may run in parallel over one shared *Tree;
-// that is exactly how internal/batch parallelizes query batches (one
-// solver state, and hence one set of Explorers, per worker goroutine).
+// that is exactly how concurrent batch.Execute calls share a tree (one
+// solver state, and hence one set of Explorers, per call).
 type Explorer struct {
 	t        *Tree
 	src      indoor.PartitionID

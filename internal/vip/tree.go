@@ -37,12 +37,14 @@ type Options struct {
 	// memory for query speed.
 	Vivid bool
 	// Workers bounds the goroutines used to fill the distance matrices
-	// during Build. Zero uses all available cores (runtime.NumCPU); 1
-	// forces the sequential path. The resulting tree is identical — bit
-	// for bit — for every worker count, because each matrix row is
-	// written exactly once by the one worker that owns its source door.
-	// Workers is a build-time knob only: it is not serialized by SavePaged
-	// and has no effect on queries.
+	// during Build. Zero, the value every production build uses, means
+	// runtime.GOMAXPROCS(0); 1 forces the sequential path, which tests and
+	// the parallel figure's sequential leg set. The resulting tree is
+	// identical — bit for bit — for every worker count, because each
+	// matrix row is written exactly once by the one worker that owns its
+	// source door. Workers has no effect on queries, and SavePaged encodes
+	// it as zero; the field stays because the index file's gob type
+	// descriptor names it.
 	Workers int
 }
 
@@ -59,13 +61,13 @@ func (o Options) withDefaults() Options {
 // workerCount resolves Workers to a concrete goroutine count.
 func (o Options) workerCount() int {
 	if o.Workers <= 0 {
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	}
 	return o.Workers
 }
 
 // DefaultOptions returns the standard VIP-tree configuration: fanouts 8/4,
-// vivid matrices on, and parallel construction on all cores.
+// vivid matrices on, and parallel construction GOMAXPROCS wide.
 func DefaultOptions() Options { return Options{LeafFanout: 8, NodeFanout: 4, Vivid: true} }
 
 type node struct {
